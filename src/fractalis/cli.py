@@ -4,21 +4,22 @@
     fractalis surface --config cfg.json [--out-dir DIR] [--depth N] [--resolution N]
     fractalis analyze --config cfg.json [--out-dir DIR] [--depth N]
 
-Flags override the matching config fields.  Exit codes: 0 success,
-2 configuration/validation error, 3 numerical failure.
+Flags override the matching config fields.  `rifs.plan_depth` sets
+every depth; README "Configuration" gives the rules.  Exit codes:
+0 success, 2 configuration/validation error, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import dimension, io, surface
 from .config import DEFAULT_DEPTH, ConfigError, parse_config
 from .dimension import NumericalError
-from .rifs import ModelError, contraction_report, merged_curve, refine_attractor
+from .rifs import ModelError, contraction_report, merged_curve, plan_depth, refine_attractor
 
 __all__ = ["main"]
 
@@ -40,23 +41,31 @@ def _out_dir(cfg, args):
     return out
 
 
-def _with_depth(model_cfg, depth):
-    if depth is None:
-        return model_cfg
-    if depth < 0:
-        raise ConfigError("--depth: must be >= 0")
-    return dataclasses.replace(model_cfg, depth=depth)
+def _depth(args, model_cfg, where):
+    """The depth asked for (the flag over the config) and the field asking."""
+    if args.depth is not None:
+        return args.depth, "--depth"
+    return model_cfg.depth, f"{where}.depth"
+
+
+def _plan(model, depth, field, **auto):
+    """plan_depth, with a refused depth reported against the field that asked."""
+    try:
+        return plan_depth(model, depth, **auto)
+    except ModelError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _model_summary(model, sampling):
     report = contraction_report(model)
+    sizes = [int(x.size) for x, _ in sampling.regions]
     return {
         "contraction": report.to_dict(),
         "connection_matrix": model.connection.tolist(),
         "transition_matrix": model.transition.tolist(),
         "depth": sampling.depth,
-        "points_per_region": [int(x.size) for x, _ in sampling.regions],
-        "points_total": int(merged_curve(sampling)[0].size),
+        "points_per_region": sizes,
+        "points_total": sum(sizes) - (len(sizes) - 1),
         "y_envelope": list(model.y_envelope),
         "warnings": list(model.warnings),
     }
@@ -64,23 +73,25 @@ def _model_summary(model, sampling):
 
 def _cmd_curve(cfg, args):
     out = _out_dir(cfg, args)
-    model_cfg = _with_depth(cfg.curve, args.depth)
-    depth = model_cfg.depth if model_cfg.depth is not None else DEFAULT_DEPTH
-    model = model_cfg.build()
-    sampling = refine_attractor(model, depth)
+    depth, field = _depth(args, cfg.curve, "config")
+    model = cfg.curve.build()
+    plan = _plan(model, DEFAULT_DEPTH if depth is None else depth, field)
+    sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
     io.write_curve_csv(out / "curve.csv", gx, gy)
     io.write_json(out / "report.json", _model_summary(model, sampling))
-    print(f"curve: {gx.size} points at depth {depth} -> {out}")
+    print(f"curve: {gx.size} points at depth {plan.depth} -> {out}")
     return 0
 
 
 def _cmd_analyze(cfg, args):
     out = _out_dir(cfg, args)
-    model_cfg = _with_depth(cfg.curve, args.depth)
-    model = model_cfg.build()
+    depth, field = _depth(args, cfg.curve, "config")
+    model = cfg.curve.build()
+    if depth is not None:
+        _plan(model, depth, field)   # refuse it here, where the field is known
     r_lo, r_hi = cfg.scales or (2, 6)
-    report, sampling = dimension.analyze_curve(model, r_lo, r_hi, depth=model_cfg.depth)
+    report, sampling = dimension.analyze_curve(model, r_lo, r_hi, depth=depth)
     payload = report.to_dict()
     payload["model"] = _model_summary(model, sampling)
     io.write_json(out / "dimension.json", payload)
@@ -100,24 +111,24 @@ def _cmd_surface(cfg, args):
 
     layers = {"x": [], "y": []}
     curve_details = []
-    curve_dims = {"lower": [], "upper": [], "exact": []}
     for axis in ("x", "y"):
-        entries = cfg.x_curves if axis == "x" else cfg.y_curves
-        for model_cfg, coeff in entries:
-            model_cfg = _with_depth(model_cfg, args.depth)
-            depth = model_cfg.depth if model_cfg.depth is not None else DEFAULT_DEPTH
+        key = f"{axis}_curves"
+        for i, (model_cfg, coeff) in enumerate(getattr(cfg, key)):
+            depth, field = _depth(args, model_cfg, f"{key}[{i}].curve")
+            if depth is None:
+                field = f"resolution ({key}[{i}])"
             model = model_cfg.build()
-            samples = surface.CurveSamples.from_model(model, depth)
+            xs = model.data.xs
+            plan = _plan(model, depth, field, max_points=math.inf,
+                         spacing=(xs[-1] - xs[0]) / (4.0 * resolution))
+            samples = surface.CurveSamples.from_model(model, plan.depth)
             layers[axis].append(surface.SurfaceLayer(samples, coeff))
-            detail = {"axis": axis, "depth": depth,
+            detail = {"axis": axis, "depth": plan.depth,
                       "points": int(samples.xs.size)}
             try:
                 bounds = dimension.curve_dimension_bounds(model)
                 detail["dimension_bounds"] = [bounds.lower_bound, bounds.upper_bound]
                 detail["dimension_exact"] = bounds.exact
-                curve_dims["lower"].append(bounds.lower_bound)
-                curve_dims["upper"].append(bounds.upper_bound)
-                curve_dims["exact"].append(bounds.exact)
             except dimension.HypothesisError as exc:
                 detail["dimension_note"] = f"bounds unavailable: {exc}"
             curve_details.append(detail)
@@ -133,15 +144,12 @@ def _cmd_surface(cfg, args):
         io.write_obj(out / "surface.obj", field)
 
     formula = None
-    n_curves = len(cfg.x_curves) + len(cfg.y_curves)
-    if (len(curve_dims["lower"]) == n_curves
-            and all(v is not None for v in curve_dims["lower"])):
-        formula = {
-            "lower": 1.0 + max(curve_dims["lower"]),
-            "upper": 1.0 + max(curve_dims["upper"]),
-            "exact": (1.0 + max(curve_dims["exact"])
-                      if all(v is not None for v in curve_dims["exact"]) else None),
-        }
+    bounds = [d["dimension_bounds"] for d in curve_details if "dimension_bounds" in d]
+    if len(bounds) == len(curve_details):
+        exact = [d["dimension_exact"] for d in curve_details]
+        formula = {"lower": 1.0 + max(b[0] for b in bounds),
+                   "upper": 1.0 + max(b[1] for b in bounds),
+                   "exact": 1.0 + max(exact) if None not in exact else None}
     io.write_json(out / "report.json", {
         "resolution": resolution,
         "height_min": lo,

@@ -12,13 +12,14 @@ One document drives a run.  Common curve-model fields:
     interpolant     function spec or "interpolate" (default): polynomial
                     through every node
     flip            optional per-region booleans (reverse map orientation)
-    depth           refinement depth (default 8)
+    depth           optional refinement depth, a JSON integer >= 0
 
 Mode "curve" adds nothing.  Mode "analyze" adds optional "scales":
-{"r_lo": 2, "r_hi": 6} and uses "depth" only as an override (default is
-automatic from the finest scale).  Mode "surface" replaces the model
-fields with "x_curves"/"y_curves", each entry {"curve": {model fields},
-"coeff": bivariate spec}, plus "resolution" and optional "obj": true.
+{"r_lo": 2, "r_hi": 6}.  Mode "surface" replaces the model fields with
+"x_curves"/"y_curves", each entry {"curve": {model fields}, "coeff":
+bivariate spec}, plus an integer "resolution" (default 256) and optional
+"obj": true.  `rifs.plan_depth` plans each missing depth (README
+"Configuration" gives the rules).
 Bivariate specs are {"terms": [{"fx": spec, "fy": spec}, ...]} or the
 shortcuts {"of_x": spec} / {"of_y": spec}.
 """
@@ -46,6 +47,14 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _integer(obj, key, where, default):
+    """obj[key], which must be a JSON integer (not a bool, float or string)."""
+    value = obj.get(key, default)
+    if key in obj and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def _spec(obj, where):
     try:
         return scalar_from_json(obj)
@@ -70,7 +79,7 @@ class CurveModelConfig:
     base: object        # spec or None for the default
     interpolant: object
     flip: tuple | None
-    depth: int | None   # None: command default (curve/surface 8, analyze automatic)
+    depth: int | None   # None: planned by the command (see the module docstring)
 
     @classmethod
     def from_dict(cls, obj, where="config"):
@@ -96,7 +105,7 @@ class CurveModelConfig:
         interp = obj.get("interpolant", "interpolate")
         interp = None if interp == "interpolate" else _spec(interp, f"{where}.interpolant")
         flip = tuple(bool(f) for f in obj["flip"]) if "flip" in obj else None
-        depth = int(obj["depth"]) if "depth" in obj else None
+        depth = _integer(obj, "depth", f"{where}.depth", None)
         if depth is not None and depth < 0:
             raise ConfigError(f"{where}.depth: must be >= 0")
         return cls(data, domains, assignment, scaling, range_map, base, interp,
@@ -158,7 +167,7 @@ def parse_config(obj):
         y_curves = layers("y_curves")
         if not x_curves and not y_curves:
             raise ConfigError("surface config needs at least one of x_curves/y_curves")
-        resolution = int(obj.get("resolution", 256))
+        resolution = _integer(obj, "resolution", "resolution", 256)
         if resolution < 2:
             raise ConfigError("resolution: must be >= 2")
         return RunConfig(mode=mode, out_dir=out_dir, x_curves=x_curves,

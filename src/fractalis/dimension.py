@@ -17,12 +17,12 @@ then give monotone counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .catalog import abs_extrema, lipschitz_bound
-from .rifs import merged_curve, refine_attractor, _depth_zero, _refine_step
+from .rifs import merged_curve, plan_depth, refine_attractor
 
 __all__ = [
     "NumericalError",
@@ -223,18 +223,7 @@ class DimensionReport:
     notes: tuple = ()
 
     def to_dict(self):
-        return {
-            "spectral_lower": self.spectral_lower,
-            "spectral_upper": self.spectral_upper,
-            "regions_per_domain": self.regions_per_domain,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "exact": self.exact,
-            "series": self.series.to_dict() if self.series else None,
-            "estimate": self.estimate,
-            "r_squared": self.r_squared,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _uniform_geometry(model):
@@ -514,89 +503,58 @@ def curve_scale_schedule(model, r_lo=2, r_hi=6):
     return [span * float(a) ** (-r) / n for r in range(r_lo, r_hi + 1)]
 
 
-def _auto_depth_sampling(model, delta_min, max_points):
-    """Refine until the x spacing is at most delta_min/4 (or the budget is hit)."""
-    sampling = _depth_zero(model)
-    note = None
-    while True:
-        gx, _ = merged_curve(sampling)
-        gap = float(np.diff(gx).max())
-        if gap <= delta_min / 4.0:
-            break
-        if gx.size * max(len(model.feeders(i)) for i in range(model.n_regions)) > max_points:
-            note = (f"sampling budget of {max_points} points reached at depth "
-                    f"{sampling.depth}; finest scales may be under-resolved")
-            break
-        sampling = _refine_step(model, sampling)
-    return sampling, note
+def fit_report(series, notes=()):
+    """Fit a box-count series, leaving out the coarsest scale (where boundary
+    effects dominate) when there are DROP_COARSEST_AT or more."""
+    fit_series = series
+    if len(series.deltas) >= DROP_COARSEST_AT:
+        fit_series = BoxCountSeries(series.deltas[1:], series.counts[1:])
+        notes = tuple(notes) + ("coarsest scale dropped from the regression",)
+    estimate, r2 = fit_dimension(fit_series)
+    return DimensionReport(series=series, estimate=estimate, r_squared=r2,
+                           notes=tuple(notes))
 
 
 def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None, max_points=2 ** 23):
     """Box-count estimate of the curve's dimension over a geometric schedule.
 
-    Counts use per-column vertical covers of the sampled graph (raw point
-    counting cannot saturate fine meshes at any practical depth).  When
-    five or more scales are available the coarsest is dropped from the
-    regression, where boundary effects dominate.
+    Without a depth, `plan_depth` picks the first one whose x spacing is
+    at most the finest delta/4, within the `max_points` budget.  Counts
+    use per-column vertical covers of the sampled graph (raw point
+    counting cannot saturate fine meshes at any practical depth).  The
+    fit follows `fit_report`.
 
     Returns (report, sampling).
     """
     deltas = curve_scale_schedule(model, r_lo, r_hi)
-    notes = []
-    if depth is None:
-        sampling, note = _auto_depth_sampling(model, min(deltas), max_points)
-        if note:
-            notes.append(note)
-    else:
-        sampling = refine_attractor(model, depth)
+    plan = plan_depth(model, depth, min(deltas) / 4.0, max_points)
+    notes = [plan.note] if plan.note else []
+    sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
     # drop scales the sampling cannot saturate (spacing must be <= delta/4);
     # counts there would flatten and can even lose monotonicity
-    max_gap = float(np.diff(gx).max())
-    usable = [d for d in deltas if 4.0 * max_gap <= d * (1.0 + 1e-9)]
+    usable = [d for d in deltas if 4.0 * plan.gap <= d * (1.0 + 1e-9)]
     if len(usable) < 3:
         raise ValueError(
-            f"sampling too coarse for the requested scales: x spacing {max_gap:.3g} "
+            f"sampling too coarse for the requested scales: x spacing {plan.gap:.3g} "
             f"saturates only {len(usable)} of {len(deltas)} scales; "
             "raise the depth or the point budget")
     if len(usable) < len(deltas):
         dropped = len(deltas) - len(usable)
         notes.append(f"dropped {dropped} under-resolved scale{'s' if dropped > 1 else ''} "
-                     f"(x spacing {max_gap:.3g})")
+                     f"(x spacing {plan.gap:.3g})")
         deltas = usable
     counts = [box_count_graph(gx, gy, d) for d in deltas]
-    series = BoxCountSeries(tuple(deltas), tuple(counts))
-    if len(deltas) >= DROP_COARSEST_AT:
-        fit_series = BoxCountSeries(tuple(deltas[1:]), tuple(counts[1:]))
-        notes.append("coarsest scale dropped from the regression")
-    else:
-        fit_series = series
-    estimate, r2 = fit_dimension(fit_series)
-    report = DimensionReport(series=series, estimate=estimate, r_squared=r2,
-                             notes=tuple(notes))
-    return report, sampling
+    return fit_report(BoxCountSeries(tuple(deltas), tuple(counts)), notes), sampling
 
 
 def analyze_curve(model, r_lo=2, r_hi=6, depth=None, max_points=2 ** 23):
     """Theoretical bounds (when the hypotheses hold) merged with an estimate."""
     empirical, sampling = estimate_curve_dimension(model, r_lo, r_hi, depth, max_points)
-    notes = list(empirical.notes)
-    bounds = None
     try:
         bounds = curve_dimension_bounds(model)
-        notes.extend(bounds.notes)
     except HypothesisError as exc:
-        notes.append(f"closed-form bounds unavailable: {exc}")
-    report = DimensionReport(
-        spectral_lower=bounds.spectral_lower if bounds else None,
-        spectral_upper=bounds.spectral_upper if bounds else None,
-        regions_per_domain=bounds.regions_per_domain if bounds else None,
-        lower_bound=bounds.lower_bound if bounds else None,
-        upper_bound=bounds.upper_bound if bounds else None,
-        exact=bounds.exact if bounds else None,
-        series=empirical.series,
-        estimate=empirical.estimate,
-        r_squared=empirical.r_squared,
-        notes=tuple(notes),
-    )
+        bounds = DimensionReport(notes=(f"closed-form bounds unavailable: {exc}",))
+    report = replace(bounds, series=empirical.series, estimate=empirical.estimate,
+                     r_squared=empirical.r_squared, notes=empirical.notes + bounds.notes)
     return report, sampling

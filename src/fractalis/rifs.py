@@ -11,7 +11,7 @@ keeps interpolation exact and makes refinement bit-stable across depths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -25,12 +25,14 @@ __all__ = [
     "RegionAssignment",
     "RifsModel",
     "AttractorSampling",
+    "DepthPlan",
     "ContractionReport",
     "default_interpolant",
     "default_base",
     "derive_connectivity",
     "build_model",
     "eval_F",
+    "plan_depth",
     "refine_attractor",
     "merged_curve",
     "functional_residual",
@@ -40,6 +42,7 @@ __all__ = [
 NODE_TOL = 1e-9          # relative tolerance for node-value checks
 SCALE_GRID = 4097        # samples for the measure-zero scaling-bound probe
 SCALE_FRACTION = 1.0 / 64
+POINT_LIMIT = 2 ** 26    # ~2.4 GB at the ~36 bytes a refined point costs at peak
 
 
 class ModelError(ValueError):
@@ -159,6 +162,24 @@ class AttractorSampling:
 
 
 @dataclass(frozen=True)
+class DepthPlan:
+    """A refinement depth and the samples it yields, known before refining."""
+    depth: int
+    points: tuple        # samples per region
+    gaps: tuple          # largest x gap between adjacent samples, per region
+    note: str | None = None
+
+    @property
+    def total(self):
+        """Samples in the merged curve, shared region endpoints counted once."""
+        return sum(self.points) - (len(self.points) - 1)
+
+    @property
+    def gap(self):
+        return max(self.gaps)
+
+
+@dataclass(frozen=True)
 class ContractionReport:
     map_contraction: float     # worst |ratio| of the x maps
     scale_lipschitz: float     # worst Lipschitz constant of a scaling function
@@ -172,18 +193,7 @@ class ContractionReport:
     contractive: bool
 
     def to_dict(self):
-        return {
-            "map_contraction": self.map_contraction,
-            "scale_lipschitz": self.scale_lipschitz,
-            "offset_lipschitz": self.offset_lipschitz,
-            "range_abs_max": self.range_abs_max,
-            "scale_abs_max": self.scale_abs_max,
-            "range_lipschitz": self.range_lipschitz,
-            "weight_limit": self.weight_limit,
-            "weight_used": self.weight_used,
-            "overall_factor": self.overall_factor,
-            "contractive": self.contractive,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +329,7 @@ def build_model(data, domains, assignment, scaling, range_map=None,
     # only a structurally sound system reaches envelope sizing (the marginal
     # branch refines it, which diverges for broken map families)
     envelope, env_warnings = _size_envelope(model, margin)
-    model = RifsModel(data, domains, assignment, scaling, range_map, base,
-                      interpolant, flip, C, M, envelope)
+    model = replace(model, y_envelope=envelope)
     warnings = list(env_warnings)
 
     # scaling bound |s| * L_a < 1, with a measure-zero allowance at isolated points
@@ -340,8 +349,7 @@ def build_model(data, domains, assignment, scaling, range_map=None,
             f"region {i}: |scaling| * range Lipschitz touches {s_hi * L_a:.6g} >= 1 "
             "at isolated points; contraction is marginal there")
 
-    return RifsModel(data, domains, assignment, scaling, range_map, base,
-                     interpolant, flip, C, M, envelope, tuple(warnings))
+    return replace(model, warnings=tuple(warnings))
 
 
 def _signed_range(spec, lo, hi, grid=4097):
@@ -387,8 +395,7 @@ def _size_envelope(model, margin):
         return env, ()
 
     # marginal contraction: pad the range of a deep sample
-    a = max(len(model.feeders(i)) for i in range(model.n_regions))
-    depth = max(6, min(16, int(math.log(2e5 / model.n_regions, a))))
+    depth = max(6, plan_depth(model, max_points=200_000).depth)
     sampling = refine_attractor(model, depth)
     ys = np.concatenate([ry for _, ry in sampling.regions])
     if not np.all(np.isfinite(ys)):
@@ -424,12 +431,9 @@ def eval_F(model, i, x, y):
 
 
 def _depth_zero(model):
-    pts = []
-    for i in range(model.n_regions):
-        xs = np.array(model.data.region_bounds(i))
-        ys = np.array([model.data.ys[i], model.data.ys[i + 1]])
-        pts.append((xs, ys))
-    return AttractorSampling(0, tuple(pts))
+    xs, ys = model.data.xs, model.data.ys
+    return AttractorSampling(0, tuple((np.array(xs[i:i + 2]), np.array(ys[i:i + 2]))
+                                      for i in range(model.n_regions)))
 
 
 def _merge_run(sampling, regions):
@@ -462,6 +466,41 @@ def _refine_step(model, sampling):
     return AttractorSampling(sampling.depth + 1, tuple(out))
 
 
+def plan_depth(model, depth=None, spacing=None, max_points=POINT_LIMIT):
+    """Pick a refinement depth from the exact count and gap recursions.
+
+    A round maps each region's feeder run through one affine x map, so
+    its samples become sum(p over feeders) - (feeders - 1) and its
+    largest x gap |map ratio| * max(g over feeders).  Nothing is refined.
+    Without `depth` the plan stops at the first depth whose gap is at
+    most `spacing`, or, with a note, once the total times the widest
+    feeder run exceeds `max_points`.  Over POINT_LIMIT points is refused.
+    """
+    if depth is not None and depth < 0:
+        raise ModelError("depth must be >= 0")
+    runs = [model.feeders(i) for i in range(model.n_regions)]
+    widest = max(len(r) for r in runs)
+    xs = model.data.xs
+    plan = DepthPlan(0, (2,) * len(runs), tuple(b - a for a, b in zip(xs, xs[1:])))
+    while True:
+        if plan.total > POINT_LIMIT:
+            raise ModelError(
+                f"depth {plan.depth if depth is None else depth} needs more than "
+                f"{POINT_LIMIT} points ({plan.total} at depth {plan.depth})")
+        if plan.depth == depth or (depth is None and spacing is not None
+                                   and plan.gap <= spacing):
+            return plan
+        if depth is None and plan.total * widest > max_points:
+            return replace(plan, note=(
+                f"sampling budget of {max_points} points reached at depth "
+                f"{plan.depth}; finest scales may be under-resolved"))
+        plan = DepthPlan(
+            plan.depth + 1,
+            tuple(sum(plan.points[j] for j in r) - (len(r) - 1) for r in runs),
+            tuple(abs(model.map_ratio(i)) * max(plan.gaps[j] for j in r)
+                  for i, r in enumerate(runs)))
+
+
 def refine_attractor(model, depth):
     """Exact attractor samples after `depth` refinement rounds.
 
@@ -478,12 +517,7 @@ def refine_attractor(model, depth):
 
 def merged_curve(sampling):
     """Global (xs, ys) for the sampled curve, region boundaries deduplicated."""
-    xs = [sampling.regions[0][0]]
-    ys = [sampling.regions[0][1]]
-    for rx, ry in sampling.regions[1:]:
-        xs.append(rx[1:])
-        ys.append(ry[1:])
-    return np.concatenate(xs), np.concatenate(ys)
+    return _merge_run(sampling, range(len(sampling.regions)))
 
 
 def functional_residual(model, sampling):

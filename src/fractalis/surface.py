@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import BivariateSpec
-from .dimension import (BoxCountSeries, DimensionReport, DROP_COARSEST_AT,
-                        box_count_surface, fit_dimension)
+from .dimension import BoxCountSeries, box_count_surface, fit_report
 from .rifs import merged_curve, refine_attractor
 
 __all__ = [
@@ -52,7 +51,6 @@ class CurveSamples:
         x0, x1 = model.data.xs[0], model.data.xs[-1]
         if x0 != 0.0 or x1 != 1.0:
             gx = (gx - x0) / (x1 - x0)
-            gx = gx.copy()
             gx[0], gx[-1] = 0.0, 1.0
         return cls(gx, gy)
 
@@ -115,7 +113,8 @@ def eval_surface(spec, resolution):
     """Sum the layers on the grid: coeff(x, y) * curve(x or y).
 
     Every curve must be sampled finely enough that its largest x gap is
-    at most 1/(4 * resolution).
+    at most 1/(4 * resolution): `rifs.plan_depth` with spacing
+    (x1 - x0) / (4 * resolution) gives the shallowest such depth.
     """
     m = int(resolution)
     if m < 2:
@@ -149,21 +148,11 @@ def composed_surface_dimension(x_dims, y_dims):
 def estimate_surface_dimension(field, deltas):
     """Box-count estimate for a height field over grid-aligned scales.
 
-    Scales must be strictly decreasing, at least 3 of them.  As with the
-    curve estimator, the coarsest scale is dropped from the regression
-    when five or more scales are given.
+    Scales must be strictly decreasing, at least 3 of them.  The fit
+    follows `fit_report`, as for curves.
     """
     deltas = [float(d) for d in deltas]
     if len(deltas) < 3:
         raise ValueError("need at least 3 scales")
     counts = [box_count_surface(field, d) for d in deltas]
-    series = BoxCountSeries(tuple(deltas), tuple(counts))
-    notes = []
-    if len(deltas) >= DROP_COARSEST_AT:
-        fit_series = BoxCountSeries(tuple(deltas[1:]), tuple(counts[1:]))
-        notes.append("coarsest scale dropped from the regression")
-    else:
-        fit_series = series
-    estimate, r2 = fit_dimension(fit_series)
-    return DimensionReport(series=series, estimate=estimate, r_squared=r2,
-                           notes=tuple(notes))
+    return fit_report(BoxCountSeries(tuple(deltas), tuple(counts)))

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,13 @@ def curve_config(**over):
         "depth": 4,
     }
     cfg.update(over)
+    return cfg
+
+
+def fig4c_without_depths():
+    cfg = json.loads((FIXTURES / "fig4c.json").read_text())
+    for entry in cfg["x_curves"] + cfg["y_curves"]:
+        del entry["curve"]["depth"]
     return cfg
 
 
@@ -53,6 +61,27 @@ class TestParsing:
     def test_bad_function_kind_named(self):
         with pytest.raises(ConfigError, match="scaling"):
             parse_config(curve_config(scaling={"kind": "nope"}))
+
+    @pytest.mark.parametrize("value", [2.5, 9.0, True, False, "x", None, [4]])
+    def test_depth_must_be_an_integer(self, tmp_path, capsys, value):
+        code, _ = run(tmp_path, curve_config(depth=value))
+        assert code == 2
+        assert "config.depth: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [256.5, True, "x", None])
+    def test_resolution_must_be_an_integer(self, tmp_path, capsys, value):
+        cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+        cfg["resolution"] = value
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert "resolution: expected an integer" in capsys.readouterr().err
+
+    def test_surface_curve_depth_named(self, tmp_path, capsys):
+        cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+        cfg["y_curves"][0]["curve"]["depth"] = 1.5
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert "y_curves[0].curve.depth: expected an integer" in capsys.readouterr().err
 
 
 class TestCurveCommand:
@@ -98,6 +127,43 @@ class TestCurveCommand:
     def test_mode_mismatch_exits_2(self, tmp_path):
         code, _ = run(tmp_path, curve_config(), command="analyze")
         assert code == 2
+
+    def test_negative_depth_flag_exits_2(self, tmp_path, capsys):
+        code, _ = run(tmp_path, curve_config(), extra=["--depth", "-1"])
+        assert code == 2
+        assert "--depth" in capsys.readouterr().err
+
+
+class TestPointLimit:
+    """A depth above the point limit exits 2 before refining, naming its field."""
+
+    def test_analyze_depth_flag(self, tmp_path, capsys):
+        start = time.monotonic()
+        code = main(["analyze", "--config", str(FIXTURES / "uniform_s06.json"),
+                     "--out-dir", str(tmp_path), "--depth", "20"])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--depth: depth 20 needs more than {2 ** 26} points (67108865 at depth 12)" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_config_depth(self, tmp_path, capsys):
+        code, _ = run(tmp_path, curve_config(depth=40))
+        assert code == 2
+        assert "config.depth: depth 40 needs more than" in capsys.readouterr().err
+
+    def test_surface_curve_depth(self, tmp_path, capsys):
+        cfg = json.loads((FIXTURES / "fig4c.json").read_text())
+        cfg["x_curves"][0]["curve"]["depth"] = 40
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert "x_curves[0].curve.depth: depth 40" in capsys.readouterr().err
+
+    def test_surface_resolution_beyond_limit(self, tmp_path, capsys):
+        cfg = fig4c_without_depths()
+        code, _ = run(tmp_path, cfg, extra=["--resolution", "100000000"])
+        assert code == 2
+        assert "resolution (x_curves[0]): depth 24 needs more than" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -181,6 +247,19 @@ class TestSurfaceCommand:
         assert len(verts) == 9 * 9
         assert len(faces) == 2 * 8 * 8
         assert verts[0].split() == ["v", "0", "0", "0"]  # corner vanishes for fig4d
+
+    @pytest.mark.parametrize("resolution, depth", [(256, 8), (1024, 10)])
+    def test_planned_curve_depth(self, tmp_path, resolution, depth):
+        cfg = fig4c_without_depths()
+        code, out = run(tmp_path, cfg, extra=["--resolution", str(resolution)])
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert [c["depth"] for c in rep["curves"]] == [depth, depth]
+        if resolution == 256:   # the fixture's own depth 8: the same image
+            main(["surface", "--config", str(FIXTURES / "fig4c.json"),
+                  "--out-dir", str(tmp_path / "fixture")])
+            assert ((out / "surface.pgm").read_bytes()
+                    == (tmp_path / "fixture" / "surface.pgm").read_bytes())
 
     def test_surface_report_formula(self, tmp_path):
         code = main(["surface", "--config", str(FIXTURES / "fig3a.json"),
