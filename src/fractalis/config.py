@@ -11,15 +11,16 @@ One document drives a run.  Common curve-model fields:
                     through the domain-endpoint nodes
     interpolant     function spec or "interpolate" (default): polynomial
                     through every node
-    flip            optional per-region booleans (reverse map orientation)
+    flip            optional per-region JSON booleans (reverse map orientation)
     depth           optional refinement depth, a JSON integer >= 0
 
 Mode "curve" adds nothing.  Mode "analyze" adds optional "scales":
-{"r_lo": 2, "r_hi": 6}.  Mode "surface" replaces the model fields with
-"x_curves"/"y_curves", each entry {"curve": {model fields}, "coeff":
-bivariate spec}, plus an integer "resolution" (default 256) and optional
-"obj": true.  `rifs.plan_depth` plans each missing depth (README
-"Configuration" gives the rules).
+{"r_lo": 2, "r_hi": 6}, both JSON integers.  Mode "surface" replaces the
+model fields with "x_curves"/"y_curves", each entry {"curve": {model
+fields}, "coeff": bivariate spec}, plus an integer "resolution" (default
+256) and an optional JSON boolean "obj" (default false).
+`rifs.plan_depth` plans each missing depth (README "Configuration" gives
+the rules).
 Bivariate specs are {"terms": [{"fx": spec, "fy": spec}, ...]} or the
 shortcuts {"of_x": spec} / {"of_y": spec}.
 """
@@ -52,6 +53,13 @@ def _integer(obj, key, where, default):
     value = obj.get(key, default)
     if key in obj and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, where):
+    """value, which must be a JSON boolean (not a number, string or null)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a boolean, got {value!r}")
     return value
 
 
@@ -104,7 +112,11 @@ class CurveModelConfig:
         base = None if base == "interpolate" else _spec(base, f"{where}.base")
         interp = obj.get("interpolant", "interpolate")
         interp = None if interp == "interpolate" else _spec(interp, f"{where}.interpolant")
-        flip = tuple(bool(f) for f in obj["flip"]) if "flip" in obj else None
+        flip = None
+        if "flip" in obj:
+            if not isinstance(obj["flip"], list):
+                raise ConfigError(f"{where}.flip: expected a list of booleans")
+            flip = tuple(_boolean(f, f"{where}.flip[{i}]") for i, f in enumerate(obj["flip"]))
         depth = _integer(obj, "depth", f"{where}.depth", None)
         if depth is not None and depth < 0:
             raise ConfigError(f"{where}.depth: must be >= 0")
@@ -145,8 +157,8 @@ def parse_config(obj):
             raw = obj.get("scales", {})
             if not isinstance(raw, dict):
                 raise ConfigError("scales: expected an object with r_lo/r_hi")
-            r_lo = int(raw.get("r_lo", 2))
-            r_hi = int(raw.get("r_hi", 6))
+            r_lo = _integer(raw, "r_lo", "scales.r_lo", 2)
+            r_hi = _integer(raw, "r_hi", "scales.r_hi", 6)
             if r_lo < 1 or r_hi < r_lo:
                 raise ConfigError("scales: need 1 <= r_lo <= r_hi")
             scales = (r_lo, r_hi)
@@ -172,6 +184,6 @@ def parse_config(obj):
             raise ConfigError("resolution: must be >= 2")
         return RunConfig(mode=mode, out_dir=out_dir, x_curves=x_curves,
                          y_curves=y_curves, resolution=resolution,
-                         obj=bool(obj.get("obj", False)))
+                         obj=_boolean(obj.get("obj", False), "obj"))
 
     raise ConfigError(f"mode: expected 'curve', 'surface' or 'analyze', got {mode!r}")

@@ -12,7 +12,8 @@ deterministic.  Graph and height-field counting work per column: the
 vertical extent spanned by the samples is covered with floor-indexed
 cells, again closing the top edge.  Columns are closed intervals, so
 samples on a column boundary extend both neighbours; nested schedules
-then give monotone counts.
+then give monotone counts.  Graph columns are found by binary search on
+the sorted x samples, so only samples next to a gridline are classified.
 """
 from __future__ import annotations
 
@@ -75,19 +76,25 @@ def _as_square(A):
     return A
 
 
-def check_irreducible(A):
-    """True iff the support digraph is strongly connected.
+def _reachability(A):
+    """R[i, j] is True iff j is reachable from i in zero or more steps.
 
-    Evaluated as positivity of (I + A)^(n-1) on the 0/1 support, with
-    boolean matrix powers so large orders cannot overflow.
+    Boolean transitive closure of the support by repeated squaring: each
+    float64 product of 0/1 matrices is exact and is clipped back to 0/1,
+    and about log2(n) squarings cover every path of length <= n - 1.
     """
-    A = _as_square(A)
     n = A.shape[0]
-    S = (A > 0) | np.eye(n, dtype=bool)
-    P = np.eye(n, dtype=bool)
-    for _ in range(n - 1):
-        P = (P.astype(np.uint8) @ S.astype(np.uint8)) > 0
-    return bool(P.all())
+    R = ((A > 0) | np.eye(n, dtype=bool)).astype(np.float64)
+    reach = 1
+    while reach < n - 1:
+        R = np.minimum(R @ R, 1.0)
+        reach *= 2
+    return R > 0
+
+
+def check_irreducible(A):
+    """True iff the support digraph is strongly connected."""
+    return bool(_reachability(_as_square(A)).all())
 
 
 def spectral_radius(A, tol=POWER_TOL, max_iter=POWER_CAP):
@@ -138,16 +145,14 @@ def nonneg_spectral_radius(A, tol=POWER_TOL):
     """
     A = _as_square(A)
     n = A.shape[0]
-    S = (A > 0) | np.eye(n, dtype=bool)
-    R = np.eye(n, dtype=bool)
-    for _ in range(n - 1):
-        R = (R.astype(np.uint8) @ S.astype(np.uint8)) > 0
+    R = _reachability(A)
+    R = R & R.T   # R[i] marks the strongly connected component of i
     best = 0.0
     seen = np.zeros(n, dtype=bool)
     for i in range(n):
         if seen[i]:
             continue
-        comp = np.nonzero(R[i] & R[:, i])[0]
+        comp = np.nonzero(R[i])[0]
         seen[comp] = True
         block = A[np.ix_(comp, comp)]
         if comp.size == 1:
@@ -341,43 +346,71 @@ def _vspan_cells(vmin, vmax, delta):
 def box_count_graph(xs, ys, delta):
     """Mesh cells met by the sampled graph of a function.
 
-    xs must be sorted ascending.  Each closed x column contributes the
-    floor-indexed cover of the vertical extent of its samples; samples
-    exactly on a column boundary extend both neighbouring columns.  This
-    saturates for graphs where raw point counting would need one sample
-    per cell.
+    xs must be a finite, non-decreasing 1-D array and ys a 1-D array of
+    the same length; anything else raises ValueError.  Each closed x
+    column contributes the floor-indexed cover of the vertical extent of
+    its samples; samples exactly on a column boundary extend both
+    neighbouring columns.  This saturates for graphs where raw point
+    counting would need one sample per cell.
+
+    Column boundaries are found by binary search on xs: only the samples
+    within a few GRID_SNAP of an interior gridline, and the two end
+    samples, are classified with the snapped predicates.  Every other
+    sample lies strictly inside the column `floor(x / delta)`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 1 or ys.shape != xs.shape:
+        raise ValueError(f"xs and ys must be 1-D arrays of equal length, "
+                         f"got shapes {xs.shape} and {ys.shape}")
     if xs.size == 0:
         raise ValueError("empty sample set")
-    q = xs / delta
-    col = _snapped_floor(q)
-    grid = _on_gridline(q)
+    # with finite ends, ascending neighbours also rule out inf and NaN inside
+    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])
+            and np.all(xs[1:] >= xs[:-1])):
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("xs must be finite")
+        raise ValueError("xs must be sorted ascending")
+    n = xs.size
+    q_ends = xs[[0, -1]] / delta
+    first, last = (int(c) for c in _snapped_floor(q_ends))
     # top-edge closure in x: when the rightmost samples sit exactly on a
     # mesh line, fold that final run into the column below instead of
     # opening a new one
-    folded = np.zeros(col.shape, dtype=bool)
-    if grid[-1]:
-        folded = col == col[-1]
-        col = col - folded.astype(np.int64)
-    # per-column extents of the primary assignment (col is non-decreasing)
-    change = np.nonzero(np.diff(col))[0] + 1
-    starts = np.concatenate(([0], change))
-    occ = col[starts]
-    base, last = int(occ[0]), int(occ[-1])
-    cmin = np.full(last - base + 1, np.inf)
-    cmax = np.full(last - base + 1, -np.inf)
-    cmin[occ - base] = np.minimum.reduceat(ys, starts)
-    cmax[occ - base] = np.maximum.reduceat(ys, starts)
+    fold = bool(_on_gridline(q_ends[-1]))
+    top = last - fold
+    base = min(first, top)   # a set on one gridline folds whole
+    # windows around the interior gridlines; outside them floor(x / delta)
+    # is the column and no sample is on a gridline
+    k = np.arange(base + 1, top + 1, dtype=np.int64)
+    w = 4.0 * GRID_SNAP * np.maximum(1.0, np.abs(k))
+    lo = np.searchsorted(xs, (k - w) * delta, side="left")
+    hi = np.searchsorted(xs, (k + w) * delta, side="right")
+    size = hi - lo   # window samples, concatenated in order
+    win = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+    win = np.unique(win)   # windows overlap only beyond |k| ~ 1e11
+    q = xs[win] / delta
+    col = _snapped_floor(q)
+    grid = _on_gridline(q)
+    folded = fold & (col == last)
+    col -= folded
+    # column k starts at its first sample with col >= k (col never decreases)
+    pos = np.searchsorted(col, k, side="left")
+    starts = np.concatenate(([0], np.minimum(np.append(win, n)[pos], hi)))
+    ends = np.append(starts[1:], n)
+    full = starts < ends
+    cmin = np.full(top - base + 1, np.inf)
+    cmax = np.full(top - base + 1, -np.inf)
+    cmin[full] = np.minimum.reduceat(ys, starts[full])
+    cmax[full] = np.maximum.reduceat(ys, starts[full])
     # closed columns: interior boundary samples also extend the column below
     dup = grid & ~folded & (col > base)
     if np.any(dup):
-        k = col[dup] - 1 - base
-        np.minimum.at(cmin, k, ys[dup])
-        np.maximum.at(cmax, k, ys[dup])
+        below = col[dup] - 1 - base
+        np.minimum.at(cmin, below, ys[win[dup]])
+        np.maximum.at(cmax, below, ys[win[dup]])
     hit = np.isfinite(cmin)
     return int(_vspan_cells(cmin[hit], cmax[hit], delta).sum())
 

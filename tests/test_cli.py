@@ -83,6 +83,47 @@ class TestParsing:
         assert code == 2
         assert "y_curves[0].curve.depth: expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+    def test_obj_must_be_a_boolean(self, tmp_path, capsys, value):
+        cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+        cfg["obj"] = value
+        code, out = run(tmp_path, cfg)
+        assert code == 2
+        assert "obj: expected a boolean" in capsys.readouterr().err
+        assert not (out / "surface.obj").exists()
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_surface_flip_must_be_booleans(self, tmp_path, capsys, value):
+        cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+        curve = cfg["x_curves"][0]["curve"]
+        curve["flip"] = [False] * len(curve["region_domains"])
+        curve["flip"][2] = value
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert "x_curves[0].curve.flip[2]: expected a boolean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_curve_flip_must_be_booleans(self, tmp_path, capsys, value):
+        code, _ = run(tmp_path, curve_config(flip=[False, value, False, False]))
+        assert code == 2
+        assert "config.flip[1]: expected a boolean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["no", True, None, {"0": True}])
+    def test_flip_must_be_a_list(self, tmp_path, capsys, value):
+        code, _ = run(tmp_path, curve_config(flip=value))
+        assert code == 2
+        assert "config.flip: expected a list of booleans" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["r_lo", "r_hi"])
+    @pytest.mark.parametrize("value", [2.9, 6.0, True, "3", None])
+    def test_scales_must_be_integers(self, tmp_path, capsys, key, value):
+        cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+        cfg["scales"] = {"r_lo": 2, "r_hi": 6, key: value}
+        code, out = run(tmp_path, cfg)
+        assert code == 2
+        assert f"scales.{key}: expected an integer" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestCurveCommand:
     def test_fixture_endpoints(self, tmp_path):
