@@ -8,9 +8,11 @@ needs as *inputs*: a certified Lipschitz constant and certified bounds on
 min/max of |f| over an interval.
 
 Bounds are exact for Constant/Affine/Sinusoid (closed-form critical
-points) and certified-by-refinement for Polynomial/Lagrange/Sum: the
-interval is subdivided until either the enclosure gap is below 1e-9 or
-piece widths fall below 1e-6.
+points).  Polynomial/Lagrange/Sum ranges come from one bisection,
+`_certified_abs_range`, over per-piece Lipschitz bounds that every
+variant computes on arrays of pieces (`_seg_lip`).  A polynomial's
+Lipschitz bound is its derivative's bisected max |.|; Lagrange nodes
+take both bounds from their power-basis polynomial.
 """
 from __future__ import annotations
 
@@ -45,8 +47,9 @@ __all__ = [
     "bivariate_from_json",
 ]
 
-REFINE_WIDTH = 1e-6
-REFINE_GAP = 1e-9
+REFINE_WIDTH = 1e-6     # pieces narrower than this are not bisected
+REFINE_GAP = 1e-9       # enclosure gap at which bisection stops
+MAX_PIECES = 262144     # bisection stops before holding more pieces
 
 
 class FunctionSpecError(ValueError):
@@ -92,63 +95,59 @@ def _trig_abs_range(amplitude, omega, phase, wave, lo, hi):
 # certified range refinement
 # ---------------------------------------------------------------------------
 
-def _certified_abs_range(value, seg_lip, lo, hi,
-                         width_tol=REFINE_WIDTH, gap_tol=REFINE_GAP,
-                         max_pieces=262144):
-    """Certified (min |f|, max |f|) over [lo, hi] by adaptive bisection.
+def _abs_enclosure(fmid, rad):
+    """Per piece, an upper bound on max |f| and a lower bound on min |f|."""
+    enc_lo, enc_hi = fmid - rad, fmid + rad
+    top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
+    bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
+                   np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
+    return top, bot
 
-    ``seg_lip(u, v)`` must upper-bound the Lipschitz constant of f on
-    [u, v]; each piece then encloses f within f(mid) +- L*(width/2).
-    Pieces that could still move the global bounds are bisected until the
-    enclosure gap drops below gap_tol or their width below width_tol.
-    Returned bounds are outward: min <= true min, max >= true max.
+
+def _certified_abs_range(spec, lo, hi):
+    """Certified (min |f|, max |f|) of a catalog spec over [lo, hi].
+
+    ``spec._seg_lip(u, v)`` bounds f's Lipschitz constant on each piece
+    [u, v] (arrays of piece ends), so a piece encloses f within f(mid) +-
+    L*(width/2).  Each round evaluates spec and its bounds once, on all
+    new pieces.  Pieces that could still move the global bounds are
+    bisected until the enclosure gap is below REFINE_GAP or their width
+    below REFINE_WIDTH, up to MAX_PIECES.  The bounds are outward.
     """
     edges = np.linspace(lo, hi, 9)
-    u, v = edges[:-1].copy(), edges[1:].copy()
-    fmid = np.asarray(value(0.5 * (u + v)), dtype=np.float64)
-    rad = np.array([seg_lip(a, b) for a, b in zip(u, v)]) * (v - u) * 0.5
-    ends = np.abs(np.asarray(value(np.array([lo, hi])), dtype=np.float64))
+    u, v = edges[:-1], edges[1:]
+    fmid = _arr(spec(0.5 * (u + v)))
+    rad = spec._seg_lip(u, v) * (v - u) * 0.5
+    ends = np.abs(_arr(spec(np.array([lo, hi]))))
 
     for _ in range(64):
-        enc_lo, enc_hi = fmid - rad, fmid + rad
+        top, bot = _abs_enclosure(fmid, rad)
         abs_mid = np.abs(fmid)
-        abs_top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
-        abs_bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
-                           np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
         best_max = max(float(ends.max()), float(abs_mid.max()))
         best_min = min(float(ends.min()), float(abs_mid.min()))
-        ub_max = float(abs_top.max())
-        lb_min = float(abs_bot.min())
-        if ub_max - best_max <= gap_tol and best_min - lb_min <= gap_tol:
+        if top.max() - best_max <= REFINE_GAP and best_min - bot.min() <= REFINE_GAP:
             break
-        cand = ((v - u) > width_tol) & ((abs_top > best_max + gap_tol)
-                                        | (abs_bot < best_min - gap_tol))
+        cand = ((v - u) > REFINE_WIDTH) & ((top > best_max + REFINE_GAP)
+                                           | (bot < best_min - REFINE_GAP))
         n_new = int(cand.sum())
-        if n_new == 0 or u.size + n_new > max_pieces:
+        if n_new == 0 or u.size + n_new > MAX_PIECES:
             break
         cu, cv = u[cand], v[cand]
         cm = 0.5 * (cu + cv)
+        nu, nv = np.concatenate([cu, cm]), np.concatenate([cm, cv])
         keep = ~cand
-        u = np.concatenate([u[keep], cu, cm])
-        v = np.concatenate([v[keep], cm, cv])
-        new_mids = 0.5 * (np.concatenate([cu, cm]) + np.concatenate([cm, cv]))
-        new_f = np.asarray(value(new_mids), dtype=np.float64)
-        new_rad = np.array([seg_lip(a, b) for a, b in
-                            zip(np.concatenate([cu, cm]), np.concatenate([cm, cv]))])
-        new_rad *= 0.5 * (np.concatenate([cm, cv]) - np.concatenate([cu, cm]))
-        fmid = np.concatenate([fmid[keep], new_f])
-        rad = np.concatenate([rad[keep], new_rad])
+        u = np.concatenate([u[keep], nu])
+        v = np.concatenate([v[keep], nv])
+        fmid = np.concatenate([fmid[keep], _arr(spec(0.5 * (nu + nv)))])
+        rad = np.concatenate([rad[keep], spec._seg_lip(nu, nv) * (nv - nu) * 0.5])
 
-    enc_lo, enc_hi = fmid - rad, fmid + rad
-    abs_top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
-    abs_bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
-                       np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
-    return max(0.0, float(abs_bot.min())), float(abs_top.max())
+    top, bot = _abs_enclosure(fmid, rad)
+    return max(0.0, float(bot.min())), float(top.max())
 
 
 def _poly_lip_coeff(coeffs, u, v):
-    # sum_k k*|c_k| * X^(k-1) with X = max(|u|, |v|): cheap certified bound
-    X = max(abs(u), abs(v))
+    # sum_k k*|c_k| * X^(k-1), X = max(|u|, |v|) per piece: cheap certified bound
+    X = np.maximum(np.abs(u), np.abs(v))
     total = 0.0
     p = 1.0
     for k in range(1, len(coeffs)):
@@ -226,21 +225,15 @@ class Polynomial:
         return _horner(self.coefficients, _arr(x))
 
     @cached_property
-    def _deriv_coeffs(self):
+    def _derivative(self):
         c = self.coefficients
-        if len(c) == 1:
-            return (0.0,)
-        return tuple(k * c[k] for k in range(1, len(c)))
+        return Polynomial(tuple(k * c[k] for k in range(1, len(c))) or (0.0,))
 
     def lipschitz_bound(self, lo, hi):
-        d = self._deriv_coeffs
-        return _certified_abs_range(
-            lambda x: _horner(d, _arr(x)),
-            lambda u, v: _poly_lip_coeff(d, u, v),
-            lo, hi)[1]
+        return _certified_abs_range(self._derivative, lo, hi)[1]
 
     def abs_extrema(self, lo, hi):
-        return _certified_abs_range(self, self._seg_lip, lo, hi)
+        return _certified_abs_range(self, lo, hi)
 
     def _seg_lip(self, u, v):
         return _poly_lip_coeff(self.coefficients, u, v)
@@ -304,14 +297,11 @@ class LagrangeNodes:
         return tuple(w)
 
     @cached_property
-    def _power_coeffs(self):
-        # power-basis coefficients, used only for derivative bounds
+    def _power(self):
+        # the same polynomial in the power basis: piece and derivative bounds
         xs = np.array([x for x, _ in self.nodes])
         ys = np.array([y for _, y in self.nodes])
-        if len(xs) == 1:
-            return (float(ys[0]),)
-        V = np.vander(xs, increasing=True)
-        return tuple(float(c) for c in np.linalg.solve(V, ys))
+        return Polynomial(tuple(np.linalg.solve(np.vander(xs, increasing=True), ys)))
 
     def __call__(self, x):
         x = _arr(x)
@@ -334,18 +324,14 @@ class LagrangeNodes:
         return np.where(hit, exact, interp)
 
     def lipschitz_bound(self, lo, hi):
-        c = self._power_coeffs
-        d = (0.0,) if len(c) == 1 else tuple(k * c[k] for k in range(1, len(c)))
-        return _certified_abs_range(
-            lambda x: _horner(d, _arr(x)),
-            lambda u, v: _poly_lip_coeff(d, u, v),
-            lo, hi)[1]
+        return self._power.lipschitz_bound(lo, hi)
 
     def abs_extrema(self, lo, hi):
-        return _certified_abs_range(self, self._seg_lip, lo, hi)
+        # barycentric values; only the piece bounds use the power basis
+        return _certified_abs_range(self, lo, hi)
 
     def _seg_lip(self, u, v):
-        return _poly_lip_coeff(self._power_coeffs, u, v)
+        return self._power._seg_lip(u, v)
 
 
 @dataclass(frozen=True)
@@ -369,7 +355,7 @@ class Sum:
         return sum(t.lipschitz_bound(lo, hi) for t in self.terms)
 
     def abs_extrema(self, lo, hi):
-        return _certified_abs_range(self, self._seg_lip, lo, hi)
+        return _certified_abs_range(self, lo, hi)
 
     def _seg_lip(self, u, v):
         return sum(t._seg_lip(u, v) for t in self.terms)
@@ -490,7 +476,7 @@ def lagrange_from_nodes(nodes):
         (x0, y0), (x1, y1) = nodes
         slope = (y1 - y0) / (x1 - x0)
         return Affine(slope, y0 - slope * x0)
-    return Polynomial(LagrangeNodes(tuple(nodes))._power_coeffs)
+    return LagrangeNodes(tuple(nodes))._power
 
 
 # ---------------------------------------------------------------------------

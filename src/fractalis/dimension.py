@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .catalog import abs_extrema, lipschitz_bound
-from .rifs import merged_curve, plan_depth, refine_attractor
+from .rifs import _offset_lipschitz, merged_curve, plan_depth, refine_attractor
 
 __all__ = [
     "NumericalError",
@@ -346,8 +346,8 @@ def _vspan_cells(vmin, vmax, delta):
 def box_count_graph(xs, ys, delta):
     """Mesh cells met by the sampled graph of a function.
 
-    xs must be a finite, non-decreasing 1-D array and ys a 1-D array of
-    the same length; anything else raises ValueError.  Each closed x
+    xs must be a finite, non-decreasing 1-D array and ys a finite 1-D
+    array of the same length; anything else raises ValueError.  Each closed x
     column contributes the floor-indexed cover of the vertical extent of
     its samples; samples exactly on a column boundary extend both
     neighbouring columns.  This saturates for graphs where raw point
@@ -411,7 +411,10 @@ def box_count_graph(xs, ys, delta):
         below = col[dup] - 1 - base
         np.minimum.at(cmin, below, ys[win[dup]])
         np.maximum.at(cmax, below, ys[win[dup]])
-    hit = np.isfinite(cmin)
+    # only a column without samples may keep a non-finite extent, (inf, -inf)
+    hit = np.isfinite(cmin) & np.isfinite(cmax)
+    if not np.all(hit | ((cmin == np.inf) & (cmax == -np.inf))):
+        raise ValueError("ys must be finite")
     return int(_vspan_cells(cmin[hit], cmax[hit], delta).sum())
 
 
@@ -505,10 +508,7 @@ def variation_bound_report(model, sampling):
         a_f = float(np.max(np.abs(model.range_map(gy[in_dom]))))
         s_hi = abs_extrema(model.scaling[i], reg)[1]
         c_s = lipschitz_bound(model.scaling[i], reg)
-        c = abs(model.map_ratio(i))
-        L_b = (c_s * c * abs_extrema(model.base, dom)[1]
-               + s_hi * lipschitz_bound(model.base, dom)
-               + lipschitz_bound(model.interpolant, reg) * c)
+        L_b = _offset_lipschitz(model, i, c_s, s_hi)
         rhs = s_hi * L_a * r_dom + (dom[1] - dom[0]) * (c_s * a_f + L_b)
         rows.append(VariationCheck(i, lhs, rhs, bool(lhs <= rhs + 1e-9 * scale)))
     return rows

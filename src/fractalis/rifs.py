@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 NODE_TOL = 1e-9          # relative tolerance for node-value checks
-SCALE_GRID = 4097        # samples for the measure-zero scaling-bound probe
+GRID = 4097              # samples of a sampled enclosure and the scaling probe
 SCALE_FRACTION = 1.0 / 64
 POINT_LIMIT = 2 ** 26    # ~2.4 GB at the ~36 bytes a refined point costs at peak
 
@@ -221,7 +221,8 @@ def derive_connectivity(data, domains, assignment):
 
     C[i, j] = 1 iff region j lies inside region i's source domain;
     M[i, j] = 1/a_i over the a_i regions j whose source domain contains
-    region i.  Containment is index arithmetic, so both are exact.
+    region i.  Each region's source span is compared with every region
+    index at once, so both are exact.
     """
     n = data.n_regions
     dom = assignment.domain_of
@@ -235,24 +236,15 @@ def derive_connectivity(data, domains, assignment):
         if e > n:
             raise ModelError(f"domains[{k}]: end node {e} exceeds node count")
 
-    def contains(region, k):
-        s, e = domains.spans[k]
-        return s <= region and region + 1 <= e
-
-    C = np.zeros((n, n), dtype=np.int64)
-    M = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            C[i, j] = 1 if contains(j, dom[i]) else 0
-    for i in range(n):
-        hits = [j for j in range(n) if contains(i, dom[j])]
-        if not hits:
-            raise ModelError(
-                f"region {i} is contained in no assigned domain; "
-                "its content would never be used")
-        for j in hits:
-            M[i, j] = 1.0 / len(hits)
-    return C, M
+    spans = np.array(domains.spans, dtype=np.int64)[list(dom)]
+    j = np.arange(n)
+    C = ((spans[:, :1] <= j) & (j + 1 <= spans[:, 1:])).astype(np.int64)
+    users = C.sum(axis=0)
+    if not users.all():
+        raise ModelError(
+            f"region {int(np.argmin(users))} is contained in no assigned domain; "
+            "its content would never be used")
+    return C, np.ascontiguousarray(C.T / users[:, None])
 
 
 def build_model(data, domains, assignment, scaling, range_map=None,
@@ -339,7 +331,7 @@ def build_model(data, domains, assignment, scaling, range_map=None,
         s_hi = abs_extrema(scaling[i], (lo, hi))[1]
         if s_hi * L_a < 1.0:
             continue
-        grid = np.linspace(lo, hi, SCALE_GRID)
+        grid = np.linspace(lo, hi, GRID)
         frac = float(np.mean(np.abs(scaling[i](grid)) * L_a >= 1.0 - 1e-12))
         if frac > SCALE_FRACTION:
             raise ModelError(
@@ -352,11 +344,12 @@ def build_model(data, domains, assignment, scaling, range_map=None,
     return replace(model, warnings=tuple(warnings))
 
 
-def _signed_range(spec, lo, hi, grid=4097):
-    """Certified enclosure of the range of a catalog spec on [lo, hi]."""
-    xs = np.linspace(lo, hi, grid)
-    vals = spec(xs)
-    slack = lipschitz_bound(spec, (lo, hi)) * (hi - lo) / (grid - 1) * 0.5
+def _sampled_range(f, lip, lo, hi):
+    """Enclosure of the range of f on [lo, hi] from GRID samples, padded
+    by `lip` (a Lipschitz bound of f) times half a grid step."""
+    xs = np.linspace(lo, hi, GRID)
+    vals = f(xs)
+    slack = lip * (hi - lo) / (GRID - 1) * 0.5
     return float(vals.min()) - slack, float(vals.max()) + slack
 
 
@@ -371,7 +364,9 @@ def _size_envelope(model, margin):
     """
     data = model.data
     lo, hi = data.xs[0], data.xs[-1]
-    h_lo, h_hi = _signed_range(model.interpolant, lo, hi)
+    lip_h = lipschitz_bound(model.interpolant, (lo, hi))
+    lip_b = lipschitz_bound(model.base, (lo, hi))
+    h_lo, h_hi = _sampled_range(model.interpolant, lip_h, lo, hi)
     base_lo = min(h_lo, min(data.ys))
     base_hi = max(h_hi, max(data.ys))
     s_max = max(abs_extrema(model.scaling[i], data.region_bounds(i))[1]
@@ -382,11 +377,10 @@ def _size_envelope(model, margin):
         L_a = lipschitz_bound(model.range_map, env)
         if s_max * L_a >= 1.0:
             break
-        xs = np.linspace(lo, hi, 4097)
-        gap = model.range_map(model.interpolant(xs)) - model.base(xs)
-        slack = (L_a * lipschitz_bound(model.interpolant, (lo, hi))
-                 + lipschitz_bound(model.base, (lo, hi))) * (hi - lo) / 4096 * 0.5
-        detail = s_max * (float(np.abs(gap).max()) + slack) / (1.0 - s_max * L_a)
+        g_lo, g_hi = _sampled_range(
+            lambda x: model.range_map(model.interpolant(x)) - model.base(x),
+            L_a * lip_h + lip_b, lo, hi)
+        detail = s_max * max(-g_lo, g_hi) / (1.0 - s_max * L_a)
         new_env = (base_lo - detail - margin, base_hi + detail + margin)
         if new_env[0] >= env[0] - 1e-12 and new_env[1] <= env[1] + 1e-12:
             return new_env, ()
@@ -542,6 +536,16 @@ def functional_residual(model, sampling):
     return worst
 
 
+def _offset_lipschitz(model, i, lip_s, max_s):
+    """Lipschitz bound of region i's offset term -s(L(x))*base(x) +
+    interpolant(L(x)) on its domain, from the scaling's lip_s and max_s."""
+    reg, dom = model.data.region_bounds(i), model.domain_bounds(i)
+    c = abs(model.map_ratio(i))
+    return (lip_s * c * abs_extrema(model.base, dom)[1]
+            + max_s * lipschitz_bound(model.base, dom)
+            + lipschitz_bound(model.interpolant, reg) * c)
+
+
 def contraction_report(model):
     """Constants showing the region maps contract in a weighted metric.
 
@@ -559,18 +563,11 @@ def contraction_report(model):
     c_s = s_bar = L_b = 0.0
     for i in range(model.n_regions):
         reg = data.region_bounds(i)
-        dom = model.domain_bounds(i)
-        c = abs(model.map_ratio(i))
         lip_s = lipschitz_bound(model.scaling[i], reg)
         max_s = abs_extrema(model.scaling[i], reg)[1]
-        g_max = abs_extrema(model.base, dom)[1]
-        lip_g = lipschitz_bound(model.base, dom)
-        lip_h = lipschitz_bound(model.interpolant, reg)
-        # offset term b(x) = -s(L(x))*base(x) + interpolant(L(x)) on the domain
-        L_b_i = lip_s * c * g_max + max_s * lip_g + lip_h * c
         c_s = max(c_s, lip_s)
         s_bar = max(s_bar, max_s)
-        L_b = max(L_b, L_b_i)
+        L_b = max(L_b, _offset_lipschitz(model, i, lip_s, max_s))
 
     coupling = c_s * c_L * a_bar + L_b
     if coupling > 0.0:

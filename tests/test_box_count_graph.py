@@ -130,6 +130,22 @@ class TestInputContract:
         with pytest.raises(ValueError, match="finite"):
             box_count_graph(xs, np.zeros(len(xs)), 0.5)
 
+    @pytest.mark.parametrize("xs, ys", [([0.1, 0.6], [0.0, np.nan]),
+                                        ([0.1, 0.6], [0.0, np.inf]),
+                                        ([0.1, 0.6], [-np.inf, 1.0]),
+                                        ([0.1, 0.2, 0.6], [np.nan, 0.0, 1.0]),
+                                        ([0.1, 0.5, 0.7], [0.0, np.nan, 1.0]),
+                                        ([0.1, 2.7], [np.inf, -np.inf])])
+    def test_non_finite_ys_rejected(self, xs, ys):
+        # NaN and inf reach the column extents, which used to drop the column
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="ys must be finite"):
+            box_count_graph(xs, ys, 0.5)
+
+    def test_empty_columns_accepted(self):
+        assert box_count_graph([0.1, 0.6], [0.0, 1.0], 0.5) == 2
+        assert_same([0.1, 2.7], [0.0, 1.0], 0.5)
+
     @pytest.mark.parametrize("xs, ys", [([0.1, 0.2], [0.0]),
                                         ([[0.1, 0.2]], [[0.0, 1.0]]),
                                         (0.5, 0.5)])

@@ -252,3 +252,206 @@ def test_sinusoid_extrema_bracket_samples(amp, omega, phase, wave, lo, width):
     vals = np.abs(spec(xs))
     assert vals.max() <= mx + 1e-9 * max(1.0, mx)
     assert vals.min() >= mn - 1e-9 * max(1.0, mx)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-piece bisection and the two derivative bodies the
+# catalog used before piece bounds took arrays.  Every certified number
+# must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_certified_abs_range(value, seg_lip, lo, hi,
+                            width_tol=1e-6, gap_tol=1e-9, max_pieces=262144):
+    edges = np.linspace(lo, hi, 9)
+    u, v = edges[:-1].copy(), edges[1:].copy()
+    fmid = np.asarray(value(0.5 * (u + v)), dtype=np.float64)
+    rad = np.array([seg_lip(a, b) for a, b in zip(u, v)]) * (v - u) * 0.5
+    ends = np.abs(np.asarray(value(np.array([lo, hi])), dtype=np.float64))
+
+    for _ in range(64):
+        enc_lo, enc_hi = fmid - rad, fmid + rad
+        abs_mid = np.abs(fmid)
+        abs_top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
+        abs_bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
+                           np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
+        best_max = max(float(ends.max()), float(abs_mid.max()))
+        best_min = min(float(ends.min()), float(abs_mid.min()))
+        ub_max = float(abs_top.max())
+        lb_min = float(abs_bot.min())
+        if ub_max - best_max <= gap_tol and best_min - lb_min <= gap_tol:
+            break
+        cand = ((v - u) > width_tol) & ((abs_top > best_max + gap_tol)
+                                        | (abs_bot < best_min - gap_tol))
+        n_new = int(cand.sum())
+        if n_new == 0 or u.size + n_new > max_pieces:
+            break
+        cu, cv = u[cand], v[cand]
+        cm = 0.5 * (cu + cv)
+        keep = ~cand
+        u = np.concatenate([u[keep], cu, cm])
+        v = np.concatenate([v[keep], cm, cv])
+        new_mids = 0.5 * (np.concatenate([cu, cm]) + np.concatenate([cm, cv]))
+        new_f = np.asarray(value(new_mids), dtype=np.float64)
+        new_rad = np.array([seg_lip(a, b) for a, b in
+                            zip(np.concatenate([cu, cm]), np.concatenate([cm, cv]))])
+        new_rad *= 0.5 * (np.concatenate([cm, cv]) - np.concatenate([cu, cm]))
+        fmid = np.concatenate([fmid[keep], new_f])
+        rad = np.concatenate([rad[keep], new_rad])
+
+    enc_lo, enc_hi = fmid - rad, fmid + rad
+    abs_top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
+    abs_bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
+                       np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
+    return max(0.0, float(abs_bot.min())), float(abs_top.max())
+
+
+def ref_poly_lip(coeffs, u, v):
+    X = max(abs(u), abs(v))
+    total = 0.0
+    p = 1.0
+    for k in range(1, len(coeffs)):
+        total += k * abs(coeffs[k]) * p
+        p *= X
+    return total
+
+
+def ref_horner(coeffs, x):
+    r = np.zeros_like(x)
+    for c in reversed(coeffs):
+        r = r * x + c
+    return r
+
+
+def ref_power_coeffs(spec):
+    xs = np.array([x for x, _ in spec.nodes])
+    ys = np.array([y for _, y in spec.nodes])
+    if len(xs) == 1:
+        return (float(ys[0]),)
+    V = np.vander(xs, increasing=True)
+    return tuple(float(c) for c in np.linalg.solve(V, ys))
+
+
+def ref_derivative_max(c, lo, hi):
+    d = (0.0,) if len(c) == 1 else tuple(k * c[k] for k in range(1, len(c)))
+    return ref_certified_abs_range(
+        lambda x: ref_horner(d, np.asarray(x, dtype=np.float64)),
+        lambda u, v: ref_poly_lip(d, u, v),
+        lo, hi)[1]
+
+
+def ref_seg_lip(spec, u, v):
+    if isinstance(spec, Constant):
+        return 0.0
+    if isinstance(spec, Affine):
+        return abs(float(spec.slope))
+    if isinstance(spec, Sinusoid):
+        return abs(spec.amplitude * spec.omega)
+    if isinstance(spec, Polynomial):
+        return ref_poly_lip(spec.coefficients, u, v)
+    if isinstance(spec, LagrangeNodes):
+        return ref_poly_lip(ref_power_coeffs(spec), u, v)
+    if isinstance(spec, Sum):
+        return sum(ref_seg_lip(t, u, v) for t in spec.terms)
+    return abs(spec.factor) * ref_seg_lip(spec.spec, u, v)
+
+
+def ref_abs_extrema(spec, lo, hi):
+    if isinstance(spec, (Polynomial, LagrangeNodes, Sum)):
+        return ref_certified_abs_range(spec, lambda u, v: ref_seg_lip(spec, u, v), lo, hi)
+    if isinstance(spec, Scaled):
+        mn, mx = ref_abs_extrema(spec.spec, lo, hi)
+        return abs(spec.factor) * mn, abs(spec.factor) * mx
+    return spec.abs_extrema(lo, hi)
+
+
+def ref_lipschitz(spec, lo, hi):
+    if isinstance(spec, Polynomial):
+        return ref_derivative_max(spec.coefficients, lo, hi)
+    if isinstance(spec, LagrangeNodes):
+        return ref_derivative_max(ref_power_coeffs(spec), lo, hi)
+    if isinstance(spec, Sum):
+        return sum(ref_lipschitz(t, lo, hi) for t in spec.terms)
+    if isinstance(spec, Scaled):
+        return abs(spec.factor) * ref_lipschitz(spec.spec, lo, hi)
+    return spec.lipschitz_bound(lo, hi)
+
+
+def assert_same_bits(spec, lo, hi):
+    assert abs_extrema(spec, (lo, hi)) == tuple(map(float, ref_abs_extrema(spec, lo, hi)))
+    assert lipschitz_bound(spec, (lo, hi)) == float(ref_lipschitz(spec, lo, hi))
+
+
+SHIFTS = [(-1.3, 0.7), (0.0, 1.0), (0.0, 0.25), (2.0, 3.0), (5.0, 1.1), (-0.5, 2.0)]
+
+
+@pytest.mark.parametrize("lo,width", SHIFTS)
+def test_zoo_bounds_match_per_piece_reference(lo, width):
+    for spec in spec_zoo():
+        assert_same_bits(spec, lo, lo + width)
+
+
+coeff = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def lagrange_specs(draw):
+    n = draw(st.integers(1, 7))
+    x0, span = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.7), (2.0, 3.0), (5.0, 1.1)]))
+    cuts = sorted(draw(st.sets(st.integers(0, 24), min_size=n, max_size=n)))
+    ys = draw(st.lists(coeff, min_size=n, max_size=n))
+    return LagrangeNodes(tuple((x0 + span * c / 24, y) for c, y in zip(cuts, ys)))
+
+
+polynomials = st.lists(coeff, min_size=1, max_size=6).map(lambda c: Polynomial(tuple(c)))
+leaves = st.one_of(
+    polynomials,
+    lagrange_specs(),
+    st.builds(Affine, coeff, coeff),
+    st.builds(Constant, coeff),
+    st.builds(Sinusoid, coeff, st.floats(-20.0, 20.0), st.floats(-3.0, 3.0),
+              st.sampled_from(["cos", "sin"])))
+specs = st.one_of(
+    leaves,
+    st.lists(leaves, min_size=1, max_size=3).map(lambda t: Sum(tuple(t))),
+    st.builds(Scaled, coeff, st.one_of(
+        leaves, st.lists(leaves, min_size=1, max_size=3).map(lambda t: Sum(tuple(t))))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs, st.sampled_from(SHIFTS))
+def test_random_bounds_match_per_piece_reference(spec, shift):
+    lo, width = shift
+    assert_same_bits(spec, lo, lo + width)
+
+
+def test_lagrange_from_nodes_is_the_power_basis_of_the_nodes():
+    for nodes in (EX2_NODES, ((0.0, 0.5), (0.5, 0.9), (1.0, 0.2)),
+                  ((5.0, 1.0), (5.5, -2.0), (5.75, 0.0), (6.1, 3.0))):
+        poly = lagrange_from_nodes(nodes)
+        assert poly.coefficients == ref_power_coeffs(LagrangeNodes(nodes))
+
+
+def test_piece_bounds_take_arrays_of_piece_ends():
+    u = np.array([-2.0, -0.5, 0.0, 1.5])
+    v = np.array([-1.0, 0.5, 0.25, 3.0])
+    for spec in spec_zoo():
+        got = np.broadcast_to(spec._seg_lip(u, v), u.shape)
+        ref = [ref_seg_lip(spec, a, b) for a, b in zip(u, v)]
+        assert got.tolist() == ref
+
+
+def test_non_finite_derivative_coefficient_raises():
+    # 2 * 1e308 overflows: the derivative is no finite polynomial, and the
+    # bound used to come back as inf or NaN
+    with pytest.raises(FunctionSpecError, match="finite"):
+        lipschitz_bound(Polynomial((0.0, 1e308, 1e308)), (0.0, 1.0))
+
+
+def test_non_finite_power_basis_raises():
+    # x**2 overflows in the Vandermonde matrix, so the power basis is NaN
+    spec = LagrangeNodes(((0.0, 0.0), (1e160, 1.0), (2e160, 0.0)))
+    with np.errstate(all="ignore"):
+        with pytest.raises(FunctionSpecError, match="finite"):
+            lipschitz_bound(spec, (0.0, 1e160))
+        with pytest.raises(FunctionSpecError, match="finite"):
+            abs_extrema(spec, (0.0, 1e160))

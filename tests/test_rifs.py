@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalis import (Affine, Constant, LagrangeNodes, ModelError, Polynomial,
-                       Sinusoid, build_model, contraction_report, default_base,
-                       default_interpolant, derive_connectivity, eval_F,
-                       eval_scalar, functional_residual, merged_curve,
-                       refine_attractor)
+                       Sinusoid, abs_extrema, build_model, contraction_report,
+                       default_base, default_interpolant, derive_connectivity,
+                       eval_F, eval_scalar, functional_residual, lipschitz_bound,
+                       merged_curve, refine_attractor)
 from fractalis.rifs import DomainSpec, InterpolationData, RegionAssignment
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
@@ -60,6 +60,58 @@ class TestConnectivity:
                             Constant(0.3))
         assert np.all(model.connection == 1)
         assert np.allclose(model.transition, 0.5)
+
+
+def ref_connectivity(data, domains, assignment):
+    """The loop body derive_connectivity replaced; validation is shared."""
+    n = data.n_regions
+    dom = assignment.domain_of
+
+    def contains(region, k):
+        s, e = domains.spans[k]
+        return s <= region and region + 1 <= e
+
+    C = np.zeros((n, n), dtype=np.int64)
+    M = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(n):
+            C[i, j] = 1 if contains(j, dom[i]) else 0
+    for i in range(n):
+        hits = [j for j in range(n) if contains(i, dom[j])]
+        if not hits:
+            raise ModelError(
+                f"region {i} is contained in no assigned domain; "
+                "its content would never be used")
+        for j in hits:
+            M[i, j] = 1.0 / len(hits)
+    return C, M
+
+
+@st.composite
+def span_wirings(draw):
+    n = draw(st.integers(2, 40))
+    starts = draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=6))
+    spans = tuple((s, draw(st.integers(s + 2, n))) for s in starts)
+    dom = draw(st.lists(st.integers(0, len(spans) - 1), min_size=n, max_size=n))
+    data = InterpolationData(tuple(range(n + 1)), (0.0,) * (n + 1))
+    return data, DomainSpec(spans), RegionAssignment(tuple(dom))
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_wirings())
+def test_connectivity_matches_loop_reference(wiring):
+    try:
+        ref = ref_connectivity(*wiring)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            derive_connectivity(*wiring)
+        assert str(got.value) == str(exc)
+        return
+    C, M = derive_connectivity(*wiring)
+    for got, want in zip((C, M), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBuildValidation:
@@ -249,6 +301,46 @@ class TestGridFixedPointOracle:
         sampled = np.interp(grid, gx, gy)
         span = model.y_envelope[1] - model.y_envelope[0]
         assert np.max(np.abs(sampled - f)) <= 1e-5 * span
+
+
+def ref_certified_envelope(model):
+    """The envelope sizing before the gap took the sampled enclosure:
+    max |range(interpolant) - base| on the grid, plus its slack."""
+    data = model.data
+    margin = 0.5 * (max(data.ys) - min(data.ys)) + 1.0
+    lo, hi = data.xs[0], data.xs[-1]
+    xs = np.linspace(lo, hi, 4097)
+    lip_h = lipschitz_bound(model.interpolant, (lo, hi))
+    vals = model.interpolant(xs)
+    slack = lip_h * (hi - lo) / 4096 * 0.5
+    base_lo = min(float(vals.min()) - slack, min(data.ys))
+    base_hi = max(float(vals.max()) + slack, max(data.ys))
+    s_max = max(abs_extrema(model.scaling[i], data.region_bounds(i))[1]
+                for i in range(model.n_regions))
+    env = (base_lo - margin, base_hi + margin)
+    for _ in range(2):
+        L_a = lipschitz_bound(model.range_map, env)
+        assert s_max * L_a < 1.0
+        gap = model.range_map(model.interpolant(xs)) - model.base(xs)
+        slack = (L_a * lip_h + lipschitz_bound(model.base, (lo, hi))) * (hi - lo) / 4096 * 0.5
+        detail = s_max * (float(np.abs(gap).max()) + slack) / (1.0 - s_max * L_a)
+        new_env = (base_lo - detail - margin, base_hi + detail + margin)
+        if new_env[0] >= env[0] - 1e-12 and new_env[1] <= env[1] + 1e-12:
+            return new_env
+        env = new_env
+    return env
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("wiring", [(TWO_DOMAINS, SPLIT), ([(0, 4)], [0] * 4),
+                                    ([(0, 2), (1, 4)], [1, 0, 1, 0])])
+@pytest.mark.parametrize("scaling", [Constant(0.4), Constant(-0.8),
+                                     Sinusoid(0.5, 8 * math.pi, 0.0, "cos")])
+def test_certified_envelope_matches_reference(sign, wiring, scaling):
+    # the sign flip makes the negative side of the gap the larger one
+    data = [(x, sign * y) for x, y in DATA]
+    model = build_model(data, *wiring, scaling)
+    assert model.y_envelope == ref_certified_envelope(model)
 
 
 class TestContractionReport:
