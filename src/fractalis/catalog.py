@@ -301,7 +301,9 @@ class LagrangeNodes:
         # the same polynomial in the power basis: piece and derivative bounds
         xs = np.array([x for x, _ in self.nodes])
         ys = np.array([y for _, y in self.nodes])
-        return Polynomial(tuple(np.linalg.solve(np.vander(xs, increasing=True), ys)))
+        with np.errstate(over="ignore"):   # Polynomial rejects what overflows
+            vander = np.vander(xs, increasing=True)
+        return Polynomial(tuple(np.linalg.solve(vander, ys)))
 
     def __call__(self, x):
         x = _arr(x)

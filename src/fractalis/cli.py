@@ -25,9 +25,15 @@ __all__ = ["main"]
 
 
 def _load_config(path):
+    def finite(text):   # json reads NaN, +/-Infinity and 1e400 as non-finite floats
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path}: {text} is not a finite JSON number")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -48,17 +54,17 @@ def _depth(args, model_cfg, where):
     return model_cfg.depth, f"{where}.depth"
 
 
-def _plan(model, depth, field, **auto):
-    """plan_depth, with a refused depth reported against the field that asked."""
+def _for_field(field, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ModelError reported against `field`."""
     try:
-        return plan_depth(model, depth, **auto)
+        return fn(*args, **kwargs)
     except ModelError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _model_summary(model, sampling):
     report = contraction_report(model)
-    sizes = [int(x.size) for x, _ in sampling.regions]
+    sizes = [b - a + 1 for a, b in zip(sampling.starts, sampling.starts[1:])]
     return {
         "contraction": report.to_dict(),
         "connection_matrix": model.connection.tolist(),
@@ -74,8 +80,8 @@ def _model_summary(model, sampling):
 def _cmd_curve(cfg, args):
     out = _out_dir(cfg, args)
     depth, field = _depth(args, cfg.curve, "config")
-    model = cfg.curve.build()
-    plan = _plan(model, DEFAULT_DEPTH if depth is None else depth, field)
+    model = _for_field("config", cfg.curve.build)
+    plan = _for_field(field, plan_depth, model, DEFAULT_DEPTH if depth is None else depth)
     sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
     io.write_curve_csv(out / "curve.csv", gx, gy)
@@ -87,9 +93,9 @@ def _cmd_curve(cfg, args):
 def _cmd_analyze(cfg, args):
     out = _out_dir(cfg, args)
     depth, field = _depth(args, cfg.curve, "config")
-    model = cfg.curve.build()
+    model = _for_field("config", cfg.curve.build)
     if depth is not None:
-        _plan(model, depth, field)   # refuse it here, where the field is known
+        _for_field(field, plan_depth, model, depth)   # refused here, where the field is known
     r_lo, r_hi = cfg.scales or (2, 6)
     report, sampling = dimension.analyze_curve(model, r_lo, r_hi, depth=depth)
     payload = report.to_dict()
@@ -117,10 +123,10 @@ def _cmd_surface(cfg, args):
             depth, field = _depth(args, model_cfg, f"{key}[{i}].curve")
             if depth is None:
                 field = f"resolution ({key}[{i}])"
-            model = model_cfg.build()
+            model = _for_field(f"{key}[{i}].curve", model_cfg.build)
             xs = model.data.xs
-            plan = _plan(model, depth, field, max_points=math.inf,
-                         spacing=(xs[-1] - xs[0]) / (4.0 * resolution))
+            plan = _for_field(field, plan_depth, model, depth, max_points=math.inf,
+                              spacing=(xs[-1] - xs[0]) / (4.0 * resolution))
             samples = surface.CurveSamples.from_model(model, plan.depth)
             layers[axis].append(surface.SurfaceLayer(samples, coeff))
             detail = {"axis": axis, "depth": plan.depth,

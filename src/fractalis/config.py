@@ -124,12 +124,8 @@ class CurveModelConfig:
                    flip, depth)
 
     def build(self):
-        try:
-            return build_model(self.data, self.domains, self.assignment,
-                               self.scaling, self.range_map, self.base,
-                               self.interpolant, self.flip)
-        except ModelError as exc:
-            raise ConfigError(str(exc)) from exc
+        return build_model(self.data, self.domains, self.assignment, self.scaling,
+                           self.range_map, self.base, self.interpolant, self.flip)
 
 
 @dataclass(frozen=True)

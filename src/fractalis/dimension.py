@@ -409,8 +409,9 @@ def box_count_graph(xs, ys, delta):
     dup = grid & ~folded & (col > base)
     if np.any(dup):
         below = col[dup] - 1 - base
-        np.minimum.at(cmin, below, ys[win[dup]])
-        np.maximum.at(cmax, below, ys[win[dup]])
+        with np.errstate(invalid="ignore"):   # a NaN is rejected just below
+            np.minimum.at(cmin, below, ys[win[dup]])
+            np.maximum.at(cmax, below, ys[win[dup]])
     # only a column without samples may keep a non-finite extent, (inf, -inf)
     hit = np.isfinite(cmin) & np.isfinite(cmax)
     if not np.all(hit | ((cmin == np.inf) & (cmax == -np.inf))):

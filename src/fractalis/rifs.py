@@ -4,14 +4,17 @@ A model bundles interpolation data, domain/region wiring, per-region
 vertical scaling functions and the base/interpolant pair.  Curve points
 are produced by exact forward refinement: every emitted point is the
 image of attractor points under the region maps, so no convergence
-tolerance is involved.  Region-endpoint samples are pinned to the exact
-data nodes (their map images agree with the nodes up to rounding); this
-keeps interpolation exact and makes refinement bit-stable across depths.
+tolerance is involved.  The curve is one x-sorted array pair: region i's
+samples are the images of the run of samples on its source domain.
+Region-endpoint samples are pinned to the exact data nodes (their map
+images agree with the nodes up to rounding); this keeps interpolation
+exact and makes refinement bit-stable across depths.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,8 +160,21 @@ class RifsModel:
 
 @dataclass(frozen=True)
 class AttractorSampling:
+    """Read-only x-sorted curve samples after `depth` rounds; region i holds
+    samples starts[i]..starts[i + 1], sharing its ends with its neighbours."""
     depth: int
-    regions: tuple  # per region (xs, ys) arrays sorted by x
+    xs: np.ndarray
+    ys: np.ndarray
+    starts: tuple   # n_regions + 1 offsets; starts[-1] is the last sample
+
+    def __post_init__(self):
+        self.xs.flags.writeable = self.ys.flags.writeable = False
+
+    @property
+    def regions(self):
+        """Per region (xs, ys) views into the curve."""
+        return tuple((self.xs[a:b + 1], self.ys[a:b + 1])
+                     for a, b in zip(self.starts, self.starts[1:]))
 
 
 @dataclass(frozen=True)
@@ -390,8 +406,7 @@ def _size_envelope(model, margin):
 
     # marginal contraction: pad the range of a deep sample
     depth = max(6, plan_depth(model, max_points=200_000).depth)
-    sampling = refine_attractor(model, depth)
-    ys = np.concatenate([ry for _, ry in sampling.regions])
+    ys = refine_attractor(model, depth).ys
     if not np.all(np.isfinite(ys)):
         raise ModelError("vertical maps diverge under refinement; "
                          "|scaling| must stay below 1/L_range on the regions")
@@ -426,38 +441,23 @@ def eval_F(model, i, x, y):
 
 def _depth_zero(model):
     xs, ys = model.data.xs, model.data.ys
-    return AttractorSampling(0, tuple((np.array(xs[i:i + 2]), np.array(ys[i:i + 2]))
-                                      for i in range(model.n_regions)))
-
-
-def _merge_run(sampling, regions):
-    """Concatenate a run of adjacent region samplings, dropping shared endpoints."""
-    regions = list(regions)
-    xs = [sampling.regions[regions[0]][0]]
-    ys = [sampling.regions[regions[0]][1]]
-    for j in regions[1:]:
-        xj, yj = sampling.regions[j]
-        xs.append(xj[1:])
-        ys.append(yj[1:])
-    return np.concatenate(xs), np.concatenate(ys)
+    return AttractorSampling(0, np.array(xs), np.array(ys), tuple(range(len(xs))))
 
 
 def _refine_step(model, sampling):
-    out = []
-    for i in range(model.n_regions):
-        ux, uy = _merge_run(sampling, model.feeders(i))
-        nx = model.map_apply(i, ux)
-        ny = _eval_region_map(model, i, ux, uy)
-        if model.flip[i]:
-            nx = nx[::-1]
-            ny = ny[::-1]
-        nx = np.ascontiguousarray(nx)
-        ny = np.ascontiguousarray(ny)
-        rl, rh = model.data.region_bounds(i)
-        nx[0], nx[-1] = rl, rh
-        ny[0], ny[-1] = model.data.ys[i], model.data.ys[i + 1]
-        out.append((nx, ny))
-    return AttractorSampling(sampling.depth + 1, tuple(out))
+    prev = sampling.starts
+    runs = [(prev[r.start], prev[r.stop]) for r in map(model.feeders, range(model.n_regions))]
+    starts = tuple(accumulate((e - s for s, e in runs), initial=0))
+    xs, ys = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
+    for i, (s, e) in enumerate(runs):
+        ux, uy = sampling.xs[s:e + 1], sampling.ys[s:e + 1]
+        step = -1 if model.flip[i] else 1
+        a, b = starts[i], starts[i + 1]
+        xs[a:b + 1] = model.map_apply(i, ux)[::step]
+        ys[a:b + 1] = _eval_region_map(model, i, ux, uy)[::step]
+        xs[a], xs[b] = model.data.region_bounds(i)
+        ys[a], ys[b] = model.data.ys[i], model.data.ys[i + 1]
+    return AttractorSampling(sampling.depth + 1, xs, ys, starts)
 
 
 def plan_depth(model, depth=None, spacing=None, max_points=POINT_LIMIT):
@@ -510,8 +510,8 @@ def refine_attractor(model, depth):
 
 
 def merged_curve(sampling):
-    """Global (xs, ys) for the sampled curve, region boundaries deduplicated."""
-    return _merge_run(sampling, range(len(sampling.regions)))
+    """Global (xs, ys) of the sampled curve: the sampling's own read-only arrays."""
+    return sampling.xs, sampling.ys
 
 
 def functional_residual(model, sampling):

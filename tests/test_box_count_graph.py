@@ -4,6 +4,8 @@
 only the samples next to a gridline.  The per-sample body it replaced is
 kept below as the reference; every case here must give the same count.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,9 +140,10 @@ class TestInputContract:
                                         ([0.1, 2.7], [np.inf, -np.inf])])
     def test_non_finite_ys_rejected(self, xs, ys):
         # NaN and inf reach the column extents, which used to drop the column
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="ys must be finite"):
-            box_count_graph(xs, ys, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ys must be finite"):
+                box_count_graph(xs, ys, 0.5)
 
     def test_empty_columns_accepted(self):
         assert box_count_graph([0.1, 0.6], [0.0, 1.0], 0.5) == 2

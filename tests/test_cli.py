@@ -125,6 +125,35 @@ class TestParsing:
         assert not out.exists() or not any(out.iterdir())
 
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_constants_rejected(self, tmp_path, capsys, constant):
+        # json reads these as non-finite floats, which used to reach the model
+        text = (FIXTURES / "uniform_s06.json").read_text()
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace('"value": 0.6', f'"value": {constant}'))
+        code = main(["analyze", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config {path}: {constant} is not a finite JSON number" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_failing_surface_curve_named(self, tmp_path, capsys):
+        cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+        cfg["y_curves"][0]["curve"]["scaling"] = {"kind": "constant", "value": 1.5}
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert ("error: y_curves[0].curve: region 0: |scaling| * range Lipschitz reaches 1.5"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("mode", ["curve", "analyze"])
+    def test_failing_curve_named(self, tmp_path, capsys, mode):
+        cfg = curve_config(mode=mode, scaling={"kind": "constant", "value": 1.5})
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert ("error: config: region 0: |scaling| * range Lipschitz reaches 1.5"
+                in capsys.readouterr().err)
+
+
 class TestCurveCommand:
     def test_fixture_endpoints(self, tmp_path):
         code = main(["curve", "--config", str(FIXTURES / "fig1a.json"),

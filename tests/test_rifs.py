@@ -10,7 +10,9 @@ from fractalis import (Affine, Constant, LagrangeNodes, ModelError, Polynomial,
                        default_base, default_interpolant, derive_connectivity,
                        eval_F, eval_scalar, functional_residual, lipschitz_bound,
                        merged_curve, refine_attractor)
-from fractalis.rifs import DomainSpec, InterpolationData, RegionAssignment
+from fractalis.rifs import (DomainSpec, InterpolationData, RegionAssignment,
+                            _depth_zero, _eval_region_map, _refine_step, plan_depth)
+from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
 TWO_DOMAINS = [(0, 2), (2, 4)]
@@ -400,6 +402,87 @@ class TestRangeMap:
         with pytest.raises(ModelError, match="vertical map sends node"):
             build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5),
                         range_map=Affine(0.5, 5.0))
+
+
+# ---------------------------------------------------------------------------
+# reference: per-region arrays, each feeder run rebuilt by concatenation
+# ---------------------------------------------------------------------------
+
+def reference_depth_zero(model):
+    xs, ys = model.data.xs, model.data.ys
+    return [(np.array(xs[i:i + 2]), np.array(ys[i:i + 2])) for i in range(model.n_regions)]
+
+
+def reference_merge_run(regions, run):
+    """Concatenate a run of adjacent region samplings, dropping shared endpoints."""
+    run = list(run)
+    xs = [regions[run[0]][0]]
+    ys = [regions[run[0]][1]]
+    for j in run[1:]:
+        xs.append(regions[j][0][1:])
+        ys.append(regions[j][1][1:])
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def reference_refine_step(model, regions):
+    out = []
+    for i in range(model.n_regions):
+        ux, uy = reference_merge_run(regions, model.feeders(i))
+        nx = model.map_apply(i, ux)
+        ny = _eval_region_map(model, i, ux, uy)
+        if model.flip[i]:
+            nx = nx[::-1]
+            ny = ny[::-1]
+        nx = np.ascontiguousarray(nx)
+        ny = np.ascontiguousarray(ny)
+        rl, rh = model.data.region_bounds(i)
+        nx[0], nx[-1] = rl, rh
+        ny[0], ny[-1] = model.data.ys[i], model.data.ys[i + 1]
+        out.append((nx, ny))
+    return out
+
+
+def assert_curve_matches_reference(model, max_depth=8, max_total=2 ** 19):
+    ref = reference_depth_zero(model)
+    sampling = _depth_zero(model)
+    while True:
+        gx, gy = merged_curve(sampling)
+        assert gx is sampling.xs and gy is sampling.ys
+        assert not gx.flags.writeable and not gy.flags.writeable
+        rx, ry = reference_merge_run(ref, range(model.n_regions))
+        assert gx.tobytes() == rx.tobytes() and gy.tobytes() == ry.tobytes()
+        assert len(sampling.regions) == len(ref)
+        for (vx, vy), (ex, ey) in zip(sampling.regions, ref):
+            assert np.shares_memory(vx, gx) and np.shares_memory(vy, gy)
+            assert vx.tobytes() == ex.tobytes() and vy.tobytes() == ey.tobytes()
+        if (sampling.depth == max_depth
+                or plan_depth(model, sampling.depth + 1).total > max_total):
+            break
+        ref = reference_refine_step(model, ref)
+        sampling = _refine_step(model, sampling)
+    final = refine_attractor(model, sampling.depth)
+    assert final.starts == sampling.starts
+    assert final.xs.tobytes() == gx.tobytes() and final.ys.tobytes() == gy.tobytes()
+
+
+class TestOneCurve:
+    """The single x-sorted curve against the per-region arrays it replaced."""
+
+    @pytest.mark.parametrize("model", FIXTURE_MODELS + EXACT_FAMILY)
+    def test_fixture_models_match_reference(self, model):
+        assert_curve_matches_reference(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wirings())
+    def test_random_wirings_match_reference(self, model):
+        if model is not None:
+            assert_curve_matches_reference(model)
+
+    def test_starts_delimit_regions(self):
+        s = refine_attractor(example_model(), 3)
+        assert s.starts == (0, 8, 16, 24, 32) and s.xs.size == 33
+        for i, (vx, _) in enumerate(s.regions):
+            assert (vx[0], vx[-1]) == example_model().data.region_bounds(i)
 
 
 @st.composite
