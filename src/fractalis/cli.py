@@ -96,8 +96,7 @@ def _cmd_analyze(cfg, args):
     model = _for_field("config", cfg.curve.build)
     if depth is not None:
         _for_field(field, plan_depth, model, depth)   # refused here, where the field is known
-    r_lo, r_hi = cfg.scales or (2, 6)
-    report, sampling = dimension.analyze_curve(model, r_lo, r_hi, depth=depth)
+    report, sampling = dimension.analyze_curve(model, *cfg.scales, depth=depth)
     payload = report.to_dict()
     payload["model"] = _model_summary(model, sampling)
     io.write_json(out / "dimension.json", payload)
@@ -150,12 +149,13 @@ def _cmd_surface(cfg, args):
         io.write_obj(out / "surface.obj", field)
 
     formula = None
-    bounds = [d["dimension_bounds"] for d in curve_details if "dimension_bounds" in d]
-    if len(bounds) == len(curve_details):
+    if all("dimension_bounds" in d for d in curve_details):
+        lower, upper = zip(*(d["dimension_bounds"] for d in curve_details))
         exact = [d["dimension_exact"] for d in curve_details]
-        formula = {"lower": 1.0 + max(b[0] for b in bounds),
-                   "upper": 1.0 + max(b[1] for b in bounds),
-                   "exact": 1.0 + max(exact) if None not in exact else None}
+        formula = {"lower": surface.composed_surface_dimension(lower, ()),
+                   "upper": surface.composed_surface_dimension(upper, ()),
+                   "exact": (surface.composed_surface_dimension(exact, ())
+                             if None not in exact else None)}
     io.write_json(out / "report.json", {
         "resolution": resolution,
         "height_min": lo,

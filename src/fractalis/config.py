@@ -2,9 +2,9 @@
 
 One document drives a run.  Common curve-model fields:
 
-    data            [[x, y], ...] interpolation nodes
-    domains         [[start_node, end_node], ...] node-index spans
-    region_domains  per region, 0-based index into "domains"
+    data            [[x, y], ...] interpolation nodes (JSON numbers)
+    domains         [[start_node, end_node], ...] node-index spans (JSON integers)
+    region_domains  per region, 0-based JSON integer index into "domains"
     scaling         function spec or list of per-region specs
     range_map       function spec (default: identity)
     base            function spec or "interpolate" (default): polynomial
@@ -48,12 +48,39 @@ def _require(obj, key, where):
     return obj[key]
 
 
-def _integer(obj, key, where, default):
-    """obj[key], which must be a JSON integer (not a bool, float or string)."""
-    value = obj.get(key, default)
-    if key in obj and (isinstance(value, bool) or not isinstance(value, int)):
+def _int(value, where):
+    """value, which must be a JSON integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _integer(obj, key, where, default):
+    """obj[key] as by `_int`, or default when the key is absent."""
+    return _int(obj[key], where) if key in obj else default
+
+
+def _number(value, where):
+    """value, which must be a JSON number (not a bool or string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return value
+
+
+def _list(value, where, what, length=None):
+    """value, which must be a JSON list, of `length` items when given."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
+    return value
+
+
+def _pairs(obj, key, where, names, item):
+    """obj[key]: a list of two-item lists `names`, each item checked by `item`."""
+    raw = _list(_require(obj, key, where), f"{where}.{key}", f"a list of pairs {names}")
+    return tuple(
+        tuple(item(v, f"{where}.{key}[{i}][{j}]") for j, v in enumerate(
+            _list(pair, f"{where}.{key}[{i}]", f"a pair {names}", 2)))
+        for i, pair in enumerate(raw))
 
 
 def _boolean(value, where):
@@ -93,12 +120,16 @@ class CurveModelConfig:
     def from_dict(cls, obj, where="config"):
         if not isinstance(obj, dict):
             raise ConfigError(f"{where}: expected an object")
+        nodes = _pairs(obj, "data", where, "[x, y]", _number)
+        spans = _pairs(obj, "domains", where, "[start_node, end_node]", _int)
+        raw = _list(_require(obj, "region_domains", where), f"{where}.region_domains",
+                    "a list of domain indices")
+        domain_of = tuple(_int(k, f"{where}.region_domains[{i}]") for i, k in enumerate(raw))
         try:
-            raw = _require(obj, "data", where)
-            data = InterpolationData(tuple(p[0] for p in raw), tuple(p[1] for p in raw))
-            domains = DomainSpec(tuple((s, e) for s, e in _require(obj, "domains", where)))
-            assignment = RegionAssignment(tuple(_require(obj, "region_domains", where)))
-        except (ModelError, TypeError, IndexError) as exc:
+            data = InterpolationData(tuple(x for x, _ in nodes), tuple(y for _, y in nodes))
+            domains = DomainSpec(spans)
+            assignment = RegionAssignment(domain_of)
+        except ModelError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         raw_scaling = _require(obj, "scaling", where)
         if isinstance(raw_scaling, list):
@@ -114,9 +145,8 @@ class CurveModelConfig:
         interp = None if interp == "interpolate" else _spec(interp, f"{where}.interpolant")
         flip = None
         if "flip" in obj:
-            if not isinstance(obj["flip"], list):
-                raise ConfigError(f"{where}.flip: expected a list of booleans")
-            flip = tuple(_boolean(f, f"{where}.flip[{i}]") for i, f in enumerate(obj["flip"]))
+            raw = _list(obj["flip"], f"{where}.flip", "a list of booleans")
+            flip = tuple(_boolean(f, f"{where}.flip[{i}]") for i, f in enumerate(raw))
         depth = _integer(obj, "depth", f"{where}.depth", None)
         if depth is not None and depth < 0:
             raise ConfigError(f"{where}.depth: must be >= 0")

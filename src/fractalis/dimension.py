@@ -3,7 +3,7 @@
 Connectivity predicates and Perron growth rates for nonnegative matrices,
 scaling envelopes, closed-form dimension bounds for uniform models, mesh
 box counting for point sets / sampled graphs / height fields, and the
-log-log regression estimator.
+log-log regression estimator.  Certified constants are read from `rifs`.
 
 Mesh convention: cells are half-open and anchored at the origin.  For
 point counting, a coordinate sitting exactly on the top boundary of the
@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .catalog import abs_extrema, lipschitz_bound
-from .rifs import _offset_lipschitz, merged_curve, plan_depth, refine_attractor
+from .catalog import abs_extrema  # noqa: F401  (unused; perfbench's tracer test patches it)
+from .rifs import lipschitz_bounds, merged_curve, plan_depth, refine_attractor
 
 __all__ = [
     "NumericalError",
@@ -53,6 +53,7 @@ POWER_CAP = 100000
 GRID_SNAP = 1e-12   # relative; fp noise in coord/delta is ~2e-16 * q
 COLLINEAR_TOL = 1e-12
 DROP_COARSEST_AT = 5
+MAX_POINTS = 2 ** 23   # sampling budget of an auto-depth estimate
 
 
 class NumericalError(RuntimeError):
@@ -167,12 +168,8 @@ def nonneg_spectral_radius(A, tol=POWER_TOL):
 # ---------------------------------------------------------------------------
 
 def scaling_envelopes(model):
-    """Per-region (min, max) of |scaling| over the region, as diagonal vectors."""
-    lo = np.empty(model.n_regions)
-    hi = np.empty(model.n_regions)
-    for i in range(model.n_regions):
-        lo[i], hi[i] = abs_extrema(model.scaling[i], model.data.region_bounds(i))
-    return lo, hi
+    """Per-region (min, max) of |scaling|: read-only views of `scale_range`."""
+    return model.scale_range[:, 0], model.scale_range[:, 1]
 
 
 def nodes_collinear(data, span):
@@ -492,25 +489,21 @@ def variation_bound_report(model, sampling):
 
     For region i fed from domain D: the oscillation of the curve on the
     region must not exceed s_max * L_range * osc(D) plus |D| times the
-    coupling of the scaling and offset terms.  All constants are the
-    certified catalog bounds, the oscillations come from the samples.
+    coupling of the scaling and offset terms.  The constants come from
+    `rifs`, the oscillations from the samples.
     """
     gx, gy = merged_curve(sampling)
-    env = model.y_envelope
-    scale = max(1.0, env[1] - env[0])
-    L_a = lipschitz_bound(model.range_map, env)
+    scale = max(1.0, model.y_envelope[1] - model.y_envelope[0])
+    L_a, lip_s, lip_off = lipschitz_bounds(model)
     rows = []
-    for i in range(model.n_regions):
+    for i, s_hi in enumerate(model.scale_range[:, 1].tolist()):
         reg = model.data.region_bounds(i)
         dom = model.domain_bounds(i)
         lhs = max_variation(gx, gy, reg[0], reg[1])
         r_dom = max_variation(gx, gy, dom[0], dom[1])
         in_dom = (gx >= dom[0]) & (gx <= dom[1])
         a_f = float(np.max(np.abs(model.range_map(gy[in_dom]))))
-        s_hi = abs_extrema(model.scaling[i], reg)[1]
-        c_s = lipschitz_bound(model.scaling[i], reg)
-        L_b = _offset_lipschitz(model, i, c_s, s_hi)
-        rhs = s_hi * L_a * r_dom + (dom[1] - dom[0]) * (c_s * a_f + L_b)
+        rhs = float(s_hi * L_a * r_dom + (dom[1] - dom[0]) * (lip_s[i] * a_f + lip_off[i]))
         rows.append(VariationCheck(i, lhs, rhs, bool(lhs <= rhs + 1e-9 * scale)))
     return rows
 
@@ -549,11 +542,11 @@ def fit_report(series, notes=()):
                            notes=tuple(notes))
 
 
-def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None, max_points=2 ** 23):
+def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     """Box-count estimate of the curve's dimension over a geometric schedule.
 
     Without a depth, `plan_depth` picks the first one whose x spacing is
-    at most the finest delta/4, within the `max_points` budget.  Counts
+    at most the finest delta/4, within the MAX_POINTS budget.  Counts
     use per-column vertical covers of the sampled graph (raw point
     counting cannot saturate fine meshes at any practical depth).  The
     fit follows `fit_report`.
@@ -561,7 +554,7 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None, max_points=2 ** 
     Returns (report, sampling).
     """
     deltas = curve_scale_schedule(model, r_lo, r_hi)
-    plan = plan_depth(model, depth, min(deltas) / 4.0, max_points)
+    plan = plan_depth(model, depth, min(deltas) / 4.0, MAX_POINTS)
     notes = [plan.note] if plan.note else []
     sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
@@ -582,9 +575,9 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None, max_points=2 ** 
     return fit_report(BoxCountSeries(tuple(deltas), tuple(counts)), notes), sampling
 
 
-def analyze_curve(model, r_lo=2, r_hi=6, depth=None, max_points=2 ** 23):
+def analyze_curve(model, r_lo=2, r_hi=6, depth=None):
     """Theoretical bounds (when the hypotheses hold) merged with an estimate."""
-    empirical, sampling = estimate_curve_dimension(model, r_lo, r_hi, depth, max_points)
+    empirical, sampling = estimate_curve_dimension(model, r_lo, r_hi, depth)
     try:
         bounds = curve_dimension_bounds(model)
     except HypothesisError as exc:

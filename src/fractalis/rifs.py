@@ -9,6 +9,9 @@ samples are the images of the run of samples on its source domain.
 Region-endpoint samples are pinned to the exact data nodes (their map
 images agree with the nodes up to rounding); this keeps interpolation
 exact and makes refinement bit-stable across depths.
+
+Each region's |scaling| range is certified once (`RifsModel.scale_range`)
+and every Lipschitz bound the reports use comes from `lipschitz_bounds`.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ __all__ = [
     "refine_attractor",
     "merged_curve",
     "functional_residual",
+    "lipschitz_bounds",
     "contraction_report",
 ]
 
@@ -117,6 +121,7 @@ class RifsModel:
     flip: tuple               # per region bool, orientation of the x map
     connection: np.ndarray    # 0/1, row i marks regions feeding region i
     transition: np.ndarray    # row-stochastic companion matrix
+    scale_range: np.ndarray   # read-only (n, 2): certified min/max |scaling| per region
     y_envelope: tuple         # (lo, hi)
     warnings: tuple = ()
 
@@ -267,10 +272,11 @@ def build_model(data, domains, assignment, scaling, range_map=None,
                 base=None, interpolant=None, flip=None):
     """Validate the ingredients and assemble a RifsModel.
 
-    Endpoint identities (base/interpolant node values and the endpoint
-    behaviour of the composed vertical map) are checked numerically; the
-    y envelope is then sized to provably (or, for marginal scalings,
-    empirically) contain the fixed curve.
+    The wiring is checked first; each region's |scaling| range is certified
+    once, into the read-only `scale_range`.  Endpoint identities (base/
+    interpolant node values, the endpoint behaviour of the composed vertical
+    map) are checked numerically; the y envelope is then sized to provably
+    (or, for marginal scalings, empirically) contain the fixed curve.
     """
     if not isinstance(data, InterpolationData):
         data = InterpolationData(tuple(p[0] for p in data), tuple(p[1] for p in data))
@@ -284,21 +290,25 @@ def build_model(data, domains, assignment, scaling, range_map=None,
         scaling = scaling * n
     if len(scaling) != n:
         raise ModelError(f"scaling: expected 1 or {n} function specs, got {len(scaling)}")
-    range_map = range_map if range_map is not None else identity()
-    interpolant = interpolant if interpolant is not None else default_interpolant(data)
-    base = base if base is not None else default_base(data, domains)
     flip = tuple(bool(f) for f in flip) if flip is not None else (False,) * n
     if len(flip) != n:
         raise ModelError(f"flip: expected {n} entries, got {len(flip)}")
 
     C, M = derive_connectivity(data, domains, assignment)
 
+    range_map = range_map if range_map is not None else identity()
+    interpolant = interpolant if interpolant is not None else default_interpolant(data)
+    base = base if base is not None else default_base(data, domains)
+    scale_range = np.array([abs_extrema(s, data.region_bounds(i))
+                            for i, s in enumerate(scaling)])
+    scale_range.flags.writeable = False
+
     ys = np.array(data.ys)
     spread = float(ys.max() - ys.min())
     margin = 0.5 * spread + 1.0
     envelope = (float(ys.min() - margin), float(ys.max() + margin))
     model = RifsModel(data, domains, assignment, scaling, range_map, base,
-                      interpolant, flip, C, M, envelope)
+                      interpolant, flip, C, M, scale_range, envelope)
 
     for i in range(n):
         if not abs(model.map_ratio(i)) < 1.0:
@@ -342,12 +352,10 @@ def build_model(data, domains, assignment, scaling, range_map=None,
 
     # scaling bound |s| * L_a < 1, with a measure-zero allowance at isolated points
     L_a = lipschitz_bound(range_map, envelope)
-    for i in range(n):
-        lo, hi = data.region_bounds(i)
-        s_hi = abs_extrema(scaling[i], (lo, hi))[1]
+    for i, s_hi in enumerate(scale_range[:, 1].tolist()):
         if s_hi * L_a < 1.0:
             continue
-        grid = np.linspace(lo, hi, GRID)
+        grid = np.linspace(*data.region_bounds(i), GRID)
         frac = float(np.mean(np.abs(scaling[i](grid)) * L_a >= 1.0 - 1e-12))
         if frac > SCALE_FRACTION:
             raise ModelError(
@@ -385,8 +393,7 @@ def _size_envelope(model, margin):
     h_lo, h_hi = _sampled_range(model.interpolant, lip_h, lo, hi)
     base_lo = min(h_lo, min(data.ys))
     base_hi = max(h_hi, max(data.ys))
-    s_max = max(abs_extrema(model.scaling[i], data.region_bounds(i))[1]
-                for i in range(model.n_regions))
+    s_max = float(model.scale_range[:, 1].max())
 
     env = (base_lo - margin, base_hi + margin)
     for _ in range(2):
@@ -536,14 +543,20 @@ def functional_residual(model, sampling):
     return worst
 
 
-def _offset_lipschitz(model, i, lip_s, max_s):
-    """Lipschitz bound of region i's offset term -s(L(x))*base(x) +
-    interpolant(L(x)) on its domain, from the scaling's lip_s and max_s."""
-    reg, dom = model.data.region_bounds(i), model.domain_bounds(i)
-    c = abs(model.map_ratio(i))
-    return (lip_s * c * abs_extrema(model.base, dom)[1]
-            + max_s * lipschitz_bound(model.base, dom)
-            + lipschitz_bound(model.interpolant, reg) * c)
+def lipschitz_bounds(model):
+    """Certified Lipschitz bounds: range map on the y envelope, and per region
+    the scaling and the offset term -s(L(x))*base(x) + interpolant(L(x)) on
+    the domain.  The base is certified once per domain span."""
+    data, n = model.data, model.n_regions
+    regions = [data.region_bounds(i) for i in range(n)]
+    lip_s = np.array([lipschitz_bound(f, r) for f, r in zip(model.scaling, regions)])
+    lip_h = np.array([lipschitz_bound(model.interpolant, r) for r in regions])
+    doms = [(data.xs[s], data.xs[e]) for s, e in model.domains.spans]
+    b_max, b_lip = np.array([(abs_extrema(model.base, d)[1], lipschitz_bound(model.base, d))
+                             for d in doms])[list(model.assignment.domain_of)].T
+    c = np.abs([model.map_ratio(i) for i in range(n)])
+    return (lipschitz_bound(model.range_map, model.y_envelope), lip_s,
+            lip_s * c * b_max + model.scale_range[:, 1] * b_lip + lip_h * c)
 
 
 def contraction_report(model):
@@ -554,20 +567,12 @@ def contraction_report(model):
     |dx| + w*|dy| and any weight 0 < w < weight_limit the joint factor is
     max(map_contraction + w*coupling, scale_abs_max*range_lipschitz),
     which stays below 1 exactly when scale_abs_max*range_lipschitz < 1.
+    Per-region constants are maxima of `scale_range` and `lipschitz_bounds`.
     """
-    data, env = model.data, model.y_envelope
     c_L = max(abs(model.map_ratio(i)) for i in range(model.n_regions))
-    a_bar = abs_extrema(model.range_map, env)[1]
-    L_a = lipschitz_bound(model.range_map, env)
-
-    c_s = s_bar = L_b = 0.0
-    for i in range(model.n_regions):
-        reg = data.region_bounds(i)
-        lip_s = lipschitz_bound(model.scaling[i], reg)
-        max_s = abs_extrema(model.scaling[i], reg)[1]
-        c_s = max(c_s, lip_s)
-        s_bar = max(s_bar, max_s)
-        L_b = max(L_b, _offset_lipschitz(model, i, lip_s, max_s))
+    a_bar = abs_extrema(model.range_map, model.y_envelope)[1]
+    L_a, lip_s, lip_off = lipschitz_bounds(model)
+    c_s, s_bar, L_b = (float(v.max()) for v in (lip_s, model.scale_range[:, 1], lip_off))
 
     coupling = c_s * c_L * a_bar + L_b
     if coupling > 0.0:

@@ -125,6 +125,35 @@ class TestParsing:
         assert not out.exists() or not any(out.iterdir())
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("domains", [[0]], "config.domains[0]: expected a pair [start_node, end_node]"),
+        ("domains", [[0.5, 4]], "config.domains[0][0]: expected an integer, got 0.5"),
+        ("region_domains", "abc", "config.region_domains: expected a list of domain indices"),
+        ("region_domains", None, "config.region_domains: expected a list of domain indices"),
+        ("region_domains", [0, 0, 0, 0.7],
+         "config.region_domains[3]: expected an integer, got 0.7"),
+        ("data", [[0]], "config.data[0]: expected a pair [x, y]"),
+        ("data", None, "config.data: expected a list of pairs [x, y]"),
+    ], ids=["short-span", "float-node", "string-indices", "null-indices", "float-index",
+            "short-node", "null-data"])
+    def test_list_fields_shape_checked(self, tmp_path, capsys, field, value, message):
+        cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+        cfg[field] = value
+        code, out = run(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("domains, k", [([[0, 9]], 0), ([[0, 4], [1, 9]], 1)])
+    def test_domain_past_last_node_exits_2(self, tmp_path, capsys, domains, k):
+        # the default base used to index the missing node before the wiring check
+        cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+        cfg["domains"] = domains
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert f"config: domains[{k}]: end node 9 exceeds node count" in capsys.readouterr().err
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
     def test_non_finite_constants_rejected(self, tmp_path, capsys, constant):
         # json reads these as non-finite floats, which used to reach the model
@@ -340,6 +369,20 @@ class TestSurfaceCommand:
         formula = rep["formula_dimension"]
         assert formula is not None
         assert 2.0 <= formula["lower"] <= formula["upper"] <= 3.0
+
+
+    def test_formula_at_the_upper_edge(self, tmp_path):
+        # fig2d's scaling reaches |s| = 1, so its upper bound is exactly 2.0
+        curve = json.loads((FIXTURES / "fig2d.json").read_text())
+        del curve["mode"]
+        cfg = {"mode": "surface", "resolution": 16, "obj": False,
+               "x_curves": [{"curve": curve,
+                             "coeff": {"of_x": {"kind": "constant", "value": 1.0}}}]}
+        code, out = run(tmp_path, cfg)
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["curves"][0]["dimension_bounds"][1] == 2.0
+        assert rep["formula_dimension"]["upper"] == 3.0
 
 
 class TestRoundTrip:

@@ -14,6 +14,7 @@ from fractalis import (BoxCountSeries, Constant, HypothesisError, Sinusoid,
                        nodes_collinear, nonneg_spectral_radius,
                        refine_attractor, scaling_envelopes, spectral_radius,
                        variation_bound_report, HeightField)
+from fractalis import dimension
 from fractalis.rifs import InterpolationData
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
@@ -365,17 +366,19 @@ class TestSchedule:
         gx, _ = merged_curve(sampling)
         assert float(np.diff(gx).max()) <= min(rep.series.deltas) / 4.0
 
-    def test_auto_depth_budget_drops_unsaturated_scales(self):
+    def test_auto_depth_budget_drops_unsaturated_scales(self, monkeypatch):
+        monkeypatch.setattr(dimension, "MAX_POINTS", 40000)
         model = whole_domain_model(Constant(0.6))
-        rep, _ = estimate_curve_dimension(model, 2, 6, max_points=40000)
+        rep, _ = estimate_curve_dimension(model, 2, 6)
         assert any("budget" in n for n in rep.notes)
         assert any("under-resolved" in n for n in rep.notes)
         assert len(rep.series.deltas) < 5
 
-    def test_hopeless_budget_rejected(self):
+    def test_hopeless_budget_rejected(self, monkeypatch):
+        monkeypatch.setattr(dimension, "MAX_POINTS", 200)
         model = whole_domain_model(Constant(0.6))
         with pytest.raises(ValueError, match="too coarse"):
-            estimate_curve_dimension(model, 2, 6, max_points=200)
+            estimate_curve_dimension(model, 2, 6)
 
 
 @given(st.lists(st.tuples(st.floats(0, 4), st.floats(0, 4)),

@@ -1,17 +1,21 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalis import (Affine, Constant, LagrangeNodes, ModelError, Polynomial,
-                       Sinusoid, abs_extrema, build_model, contraction_report,
-                       default_base, default_interpolant, derive_connectivity,
-                       eval_F, eval_scalar, functional_residual, lipschitz_bound,
-                       merged_curve, refine_attractor)
+from fractalis import (Affine, Constant, ContractionReport, LagrangeNodes, ModelError,
+                       Polynomial, Scaled, Sinusoid, Sum, VariationCheck, abs_extrema,
+                       build_model, contraction_report, default_base,
+                       default_interpolant, derive_connectivity, eval_F, eval_scalar,
+                       functional_residual, lipschitz_bound, max_variation,
+                       merged_curve, refine_attractor, rifs, scaling_envelopes,
+                       variation_bound_report)
 from fractalis.rifs import (DomainSpec, InterpolationData, RegionAssignment,
-                            _depth_zero, _eval_region_map, _refine_step, plan_depth)
+                            _depth_zero, _eval_region_map, _refine_step, _sampled_range,
+                            plan_depth)
 from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
@@ -540,3 +544,246 @@ class TestDefaults:
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
         g = default_base(data, DomainSpec(((0, 4),)))
         assert isinstance(g, Affine)
+
+
+# ---------------------------------------------------------------------------
+# reference: each consumer certifies every region itself, the base once
+# per region (the code `scale_range` and `lipschitz_bounds` replaced)
+# ---------------------------------------------------------------------------
+
+def ref_offset_lipschitz(model, i, lip_s, max_s):
+    reg, dom = model.data.region_bounds(i), model.domain_bounds(i)
+    c = abs(model.map_ratio(i))
+    return (lip_s * c * abs_extrema(model.base, dom)[1]
+            + max_s * lipschitz_bound(model.base, dom)
+            + lipschitz_bound(model.interpolant, reg) * c)
+
+
+def ref_contraction_report(model):
+    data, env = model.data, model.y_envelope
+    c_L = max(abs(model.map_ratio(i)) for i in range(model.n_regions))
+    a_bar = abs_extrema(model.range_map, env)[1]
+    L_a = lipschitz_bound(model.range_map, env)
+    c_s = s_bar = L_b = 0.0
+    for i in range(model.n_regions):
+        reg = data.region_bounds(i)
+        lip_s = lipschitz_bound(model.scaling[i], reg)
+        max_s = abs_extrema(model.scaling[i], reg)[1]
+        c_s = max(c_s, lip_s)
+        s_bar = max(s_bar, max_s)
+        L_b = max(L_b, ref_offset_lipschitz(model, i, lip_s, max_s))
+    coupling = c_s * c_L * a_bar + L_b
+    if coupling > 0.0:
+        weight_limit = (1.0 - c_L) / coupling
+        weight = 0.5 * weight_limit
+    else:
+        weight_limit = math.inf
+        weight = 1.0
+    overall = max(c_L + weight * coupling, s_bar * L_a)
+    return ContractionReport(c_L, c_s, L_b, a_bar, s_bar, L_a, weight_limit, weight,
+                             overall, bool(overall < 1.0))
+
+
+def ref_scaling_envelopes(model):
+    lo = np.empty(model.n_regions)
+    hi = np.empty(model.n_regions)
+    for i in range(model.n_regions):
+        lo[i], hi[i] = abs_extrema(model.scaling[i], model.data.region_bounds(i))
+    return lo, hi
+
+
+def ref_variation_rows(model, sampling):
+    gx, gy = merged_curve(sampling)
+    env = model.y_envelope
+    scale = max(1.0, env[1] - env[0])
+    L_a = lipschitz_bound(model.range_map, env)
+    rows = []
+    for i in range(model.n_regions):
+        reg = model.data.region_bounds(i)
+        dom = model.domain_bounds(i)
+        lhs = max_variation(gx, gy, reg[0], reg[1])
+        r_dom = max_variation(gx, gy, dom[0], dom[1])
+        in_dom = (gx >= dom[0]) & (gx <= dom[1])
+        a_f = float(np.max(np.abs(model.range_map(gy[in_dom]))))
+        s_hi = abs_extrema(model.scaling[i], reg)[1]
+        c_s = lipschitz_bound(model.scaling[i], reg)
+        L_b = ref_offset_lipschitz(model, i, c_s, s_hi)
+        rhs = s_hi * L_a * r_dom + (dom[1] - dom[0]) * (c_s * a_f + L_b)
+        rows.append(VariationCheck(i, lhs, rhs, bool(lhs <= rhs + 1e-9 * scale)))
+    return rows
+
+
+def ref_size_envelope(model, margin):
+    data = model.data
+    lo, hi = data.xs[0], data.xs[-1]
+    lip_h = lipschitz_bound(model.interpolant, (lo, hi))
+    lip_b = lipschitz_bound(model.base, (lo, hi))
+    h_lo, h_hi = _sampled_range(model.interpolant, lip_h, lo, hi)
+    base_lo = min(h_lo, min(data.ys))
+    base_hi = max(h_hi, max(data.ys))
+    s_max = max(abs_extrema(model.scaling[i], data.region_bounds(i))[1]
+                for i in range(model.n_regions))
+    env = (base_lo - margin, base_hi + margin)
+    for _ in range(2):
+        L_a = lipschitz_bound(model.range_map, env)
+        if s_max * L_a >= 1.0:
+            break
+        g_lo, g_hi = _sampled_range(
+            lambda x: model.range_map(model.interpolant(x)) - model.base(x),
+            L_a * lip_h + lip_b, lo, hi)
+        detail = s_max * max(-g_lo, g_hi) / (1.0 - s_max * L_a)
+        new_env = (base_lo - detail - margin, base_hi + detail + margin)
+        if new_env[0] >= env[0] - 1e-12 and new_env[1] <= env[1] + 1e-12:
+            return new_env, ()
+        env = new_env
+    else:
+        return env, ()
+    depth = max(6, plan_depth(model, max_points=200_000).depth)
+    ys = refine_attractor(model, depth).ys
+    obs_lo, obs_hi = float(ys.min()), float(ys.max())
+    pad = 0.25 * (obs_hi - obs_lo) + margin
+    note = (f"vertical contraction is marginal; y envelope sized from a depth-{depth} "
+            "sample with 25% padding, not from a certified bound")
+    return (min(base_lo, obs_lo) - pad, max(base_hi, obs_hi) + pad), (note,)
+
+
+def ref_envelope_and_warnings(model):
+    """Envelope sizing, then the scaling check, each certifying every region."""
+    data = model.data
+    env, warnings = ref_size_envelope(model, 0.5 * (max(data.ys) - min(data.ys)) + 1.0)
+    warnings = list(warnings)
+    L_a = lipschitz_bound(model.range_map, env)
+    for i in range(model.n_regions):
+        s_hi = abs_extrema(model.scaling[i], data.region_bounds(i))[1]
+        if s_hi * L_a >= 1.0:   # a built model passed the check; it only warned
+            warnings.append(
+                f"region {i}: |scaling| * range Lipschitz touches {s_hi * L_a:.6g} >= 1 "
+                "at isolated points; contraction is marginal there")
+    return env, tuple(warnings)
+
+
+def hexed(values):
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def assert_certified_as_reference(model, depth=4):
+    rep, ref = contraction_report(model), ref_contraction_report(model)
+    assert hexed(astuple(rep)) == hexed(astuple(ref))
+    for got, want in zip(scaling_envelopes(model), ref_scaling_envelopes(model)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    env, warnings = ref_envelope_and_warnings(model)
+    assert hexed(model.y_envelope) == hexed(env)
+    assert model.warnings == warnings
+    sampling = refine_attractor(model, depth)
+    rows = variation_bound_report(model, sampling)
+    assert [hexed(astuple(r)) for r in rows] == [
+        hexed(astuple(r)) for r in ref_variation_rows(model, sampling)]
+
+
+SPECS = st.one_of(
+    st.builds(Constant, st.floats(-1.0, 1.0)),
+    st.builds(lambda c: Polynomial(tuple(c)),
+              st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)),
+    st.builds(Sinusoid, st.floats(-1.0, 1.0), st.floats(0.5, 30.0), st.floats(-3.0, 3.0),
+              st.sampled_from(["sin", "cos"])))
+SUM_OR_SPEC = st.one_of(SPECS, st.builds(lambda t: Sum(tuple(t)),
+                                         st.lists(SPECS, min_size=2, max_size=3)))
+
+
+@st.composite
+def certified_models(draw):
+    """Random wirings with several regions on one domain, and
+    Polynomial/Sinusoid/Sum scalings and bases; None if the build fails."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        xs = [i / n for i in range(n + 1)]
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, 47), min_size=n - 1, max_size=n - 1)))
+        xs = [0.0] + [c / 48 for c in cuts] + [1.0]
+    x0, span = draw(st.sampled_from([(0.0, 1.0), (2.0, 3.0), (-0.5, 0.3)]))
+    xs = [x0 + span * x for x in xs]
+    spans, e = [], 0
+    while e < n:   # overlapping spans that cover every region
+        s = draw(st.integers(max(0, e - 2), min(e, n - 2)))
+        e = draw(st.integers(max(s + 2, e + 1), n))
+        spans.append((s, e))
+    # each span is used at least once, the remaining regions share them
+    extra = st.lists(st.integers(0, len(spans) - 1),
+                     min_size=n - len(spans), max_size=n - len(spans))
+    gamma = draw(st.permutations(list(range(len(spans))) + draw(extra)))
+    scaling = []
+    for spec in draw(st.lists(SUM_OR_SPEC, min_size=1, max_size=n).filter(
+            lambda v: len(v) in (1, n))):
+        top = abs_extrema(spec, (xs[0], xs[-1]))[1]
+        target = draw(st.one_of(st.floats(0.05, 0.95), st.just(1.0)))
+        scaling.append(Scaled(target / top, spec) if top > 1e-3 else spec)
+    slope, intercept = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    base = None
+    if draw(st.booleans()):
+        # terms that vanish on every node keep the base exact at the domain ends:
+        # a polynomial with those roots and a sine whose period divides the gaps
+        ends = sorted({xs[k] for sp in spans for k in sp})
+        bump = Polynomial(tuple(np.polynomial.polynomial.polyfromroots(ends)))
+        omega = 240 * math.pi / span   # every node sits on a multiple of span/240
+        base = Sum((Affine(slope, intercept), Scaled(draw(st.floats(-2.0, 2.0)), bump),
+                    Sinusoid(draw(st.floats(-0.5, 0.5)), omega, -omega * x0, "sin")))
+    try:
+        # linear data keep the default interpolant exact on any node layout
+        return build_model([(x, slope * x + intercept) for x in xs], spans, gamma,
+                           scaling, base=base,
+                           flip=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    except ModelError:
+        return None
+
+
+class TestOneCertification:
+    """The stored |scaling| ranges and `lipschitz_bounds` against the
+    per-region certification they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("model", FIXTURE_MODELS + EXACT_FAMILY)
+    def test_fixture_models_match_reference(self, model):
+        assert_certified_as_reference(model)
+
+    @settings(max_examples=80, deadline=None)
+    @given(certified_models())
+    def test_random_models_match_reference(self, model):
+        if model is not None:
+            assert_certified_as_reference(model)
+
+    def test_scale_range_is_read_only(self):
+        model = example_model(Sinusoid(1.0, 1.0, 0.0, "cos"))
+        assert model.scale_range.shape == (4, 2)
+        assert not model.scale_range.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            model.scale_range[0, 1] = 0.5
+        for view in scaling_envelopes(model):
+            assert not view.flags.writeable
+            assert np.shares_memory(view, model.scale_range)
+
+    def test_each_region_and_domain_certified_once(self, monkeypatch):
+        calls = []
+        for name in ("abs_extrema", "lipschitz_bound"):
+            def counted(spec, interval, _fn=getattr(rifs, name), _name=name):
+                calls.append((_name, spec, interval))
+                return _fn(spec, interval)
+            monkeypatch.setattr(rifs, name, counted)
+
+        def seen(name, spec):
+            return [iv for n, f, iv in calls if n == name and f is spec]
+
+        scaling = [Constant(0.2), Constant(0.4), Constant(0.6), Constant(0.8)]
+        model = build_model(DATA, TWO_DOMAINS, SPLIT, scaling)
+        regions = [model.data.region_bounds(i) for i in range(4)]
+        assert [seen("abs_extrema", f) for f in scaling] == [[r] for r in regions]
+        assert not any(seen("abs_extrema", f) for f in (model.base, model.interpolant))
+
+        calls.clear()
+        contraction_report(model)
+        variation_bound_report(model, refine_attractor(model, 3))
+        scaling_envelopes(model)
+        assert not any(seen("abs_extrema", f) for f in scaling)
+        # two reports, each certifying the base once per domain span
+        assert seen("abs_extrema", model.base) == [(0.0, 0.5), (0.5, 1.0)] * 2
+        assert seen("lipschitz_bound", model.base) == [(0.0, 0.5), (0.5, 1.0)] * 2
+        assert [seen("lipschitz_bound", f) for f in scaling] == [[r] * 2 for r in regions]
+        assert seen("lipschitz_bound", model.interpolant) == regions * 2
