@@ -303,7 +303,10 @@ class LagrangeNodes:
         ys = np.array([y for _, y in self.nodes])
         with np.errstate(over="ignore"):   # Polynomial rejects what overflows
             vander = np.vander(xs, increasing=True)
-        return Polynomial(tuple(np.linalg.solve(vander, ys)))
+        try:
+            return Polynomial(tuple(np.linalg.solve(vander, ys)))
+        except np.linalg.LinAlgError as exc:
+            raise FunctionSpecError(f"lagrange nodes have no power basis: {exc}") from exc
 
     def __call__(self, x):
         x = _arr(x)
@@ -367,6 +370,10 @@ class Sum:
 class Scaled:
     factor: float
     spec: "ScalarSpec"
+
+    def __post_init__(self):
+        if not math.isfinite(self.factor):
+            raise FunctionSpecError(f"scaled factor must be finite, got {self.factor!r}")
 
     def __call__(self, x):
         return self.factor * self.spec(_arr(x))

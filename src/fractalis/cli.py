@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import dimension, io, surface
+from .catalog import FunctionSpecError
 from .config import DEFAULT_DEPTH, ConfigError, parse_config
 from .dimension import NumericalError
 from .rifs import ModelError, contraction_report, merged_curve, plan_depth, refine_attractor
@@ -55,10 +56,11 @@ def _depth(args, model_cfg, where):
 
 
 def _for_field(field, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a ModelError reported against `field`."""
+    """fn(*args, **kwargs), with a ModelError or FunctionSpecError (a
+    certification the config's specs cannot pass) reported against `field`."""
     try:
         return fn(*args, **kwargs)
-    except ModelError as exc:
+    except (ModelError, FunctionSpecError) as exc:
         raise ConfigError(f"{field}: {exc}") from exc
 
 
@@ -96,7 +98,8 @@ def _cmd_analyze(cfg, args):
     model = _for_field("config", cfg.curve.build)
     if depth is not None:
         _for_field(field, plan_depth, model, depth)   # refused here, where the field is known
-    report, sampling = dimension.analyze_curve(model, *cfg.scales, depth=depth)
+    report, sampling = _for_field(field, dimension.analyze_curve, model, *cfg.scales,
+                                  depth=depth)
     payload = report.to_dict()
     payload["model"] = _model_summary(model, sampling)
     io.write_json(out / "dimension.json", payload)
@@ -189,7 +192,7 @@ def main(argv=None):
             raise ConfigError(
                 f"config mode is {cfg.mode!r} but the {args.command!r} command was invoked")
         return handlers[args.command](cfg, args)
-    except (ConfigError, ModelError, ValueError) as exc:
+    except (ConfigError, ModelError) as exc:   # any other ValueError is a bug: let it show
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

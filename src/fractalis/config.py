@@ -15,10 +15,11 @@ One document drives a run.  Common curve-model fields:
     depth           optional refinement depth, a JSON integer >= 0
 
 Mode "curve" adds nothing.  Mode "analyze" adds optional "scales":
-{"r_lo": 2, "r_hi": 6}, both JSON integers.  Mode "surface" replaces the
-model fields with "x_curves"/"y_curves", each entry {"curve": {model
-fields}, "coeff": bivariate spec}, plus an integer "resolution" (default
-256) and an optional JSON boolean "obj" (default false).
+{"r_lo": 2, "r_hi": 6}, JSON integers with 1 <= r_lo and r_lo + 2 <= r_hi
+(a fit needs three scales).  Mode "surface" replaces the model fields
+with "x_curves"/"y_curves", each entry {"curve": {model fields},
+"coeff": bivariate spec}, plus an integer "resolution" (default 256) and
+an optional JSON boolean "obj" (default false).
 `rifs.plan_depth` plans each missing depth (README "Configuration" gives
 the rules).
 Bivariate specs are {"terms": [{"fx": spec, "fy": spec}, ...]} or the
@@ -185,8 +186,11 @@ def parse_config(obj):
                 raise ConfigError("scales: expected an object with r_lo/r_hi")
             r_lo = _integer(raw, "r_lo", "scales.r_lo", 2)
             r_hi = _integer(raw, "r_hi", "scales.r_hi", 6)
-            if r_lo < 1 or r_hi < r_lo:
-                raise ConfigError("scales: need 1 <= r_lo <= r_hi")
+            if r_lo < 1:
+                raise ConfigError(f"scales.r_lo: must be >= 1, got {r_lo}")
+            if r_hi < r_lo + 2:
+                raise ConfigError(f"scales.r_hi: must be >= r_lo + 2 (a fit needs "
+                                  f"3 scales), got r_lo {r_lo}, r_hi {r_hi}")
             scales = (r_lo, r_hi)
         return RunConfig(mode=mode, out_dir=out_dir, curve=curve, scales=scales)
 

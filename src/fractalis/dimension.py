@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .catalog import abs_extrema  # noqa: F401  (unused; perfbench's tracer test patches it)
-from .rifs import lipschitz_bounds, merged_curve, plan_depth, refine_attractor
+from .rifs import ModelError, lipschitz_bounds, merged_curve, plan_depth, refine_attractor
 
 __all__ = [
     "NumericalError",
@@ -562,7 +562,7 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     # counts there would flatten and can even lose monotonicity
     usable = [d for d in deltas if 4.0 * plan.gap <= d * (1.0 + 1e-9)]
     if len(usable) < 3:
-        raise ValueError(
+        raise ModelError(
             f"sampling too coarse for the requested scales: x spacing {plan.gap:.3g} "
             f"saturates only {len(usable)} of {len(deltas)} scales; "
             "raise the depth or the point budget")

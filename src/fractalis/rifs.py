@@ -276,7 +276,10 @@ def build_model(data, domains, assignment, scaling, range_map=None,
     once, into the read-only `scale_range`.  Endpoint identities (base/
     interpolant node values, the endpoint behaviour of the composed vertical
     map) are checked numerically; the y envelope is then sized to provably
-    (or, for marginal scalings, empirically) contain the fixed curve.
+    (or, for marginal scalings, empirically) contain the fixed curve.  The
+    scaling bound |s| * L_range < 1 is checked before the vertical maps are
+    evaluated when the range map is affine (L_range is then its slope), and
+    after sizing otherwise (L_range is certified on the envelope).
     """
     if not isinstance(data, InterpolationData):
         data = InterpolationData(tuple(p[0] for p in data), tuple(p[1] for p in data))
@@ -329,6 +332,13 @@ def build_model(data, domains, assignment, scaling, range_map=None,
                 f"base misses domain-endpoint node {i}: f({data.xs[i]}) = {got}, "
                 f"expected {data.ys[i]}")
 
+    # an affine range map's Lipschitz bound does not depend on the envelope,
+    # so the scaling bound runs first: a diverging system is refused before
+    # its maps are evaluated or refined
+    scale_notes = None
+    if isinstance(range_map, catalog.Affine):
+        scale_notes = _check_scaling(model, lipschitz_bound(range_map, envelope))
+
     # endpoint identity of the composed vertical map: the x map carries the
     # domain endpoints onto the region endpoints, and the vertical map must
     # carry the matching node heights along
@@ -348,24 +358,29 @@ def build_model(data, domains, assignment, scaling, range_map=None,
     # branch refines it, which diverges for broken map families)
     envelope, env_warnings = _size_envelope(model, margin)
     model = replace(model, y_envelope=envelope)
-    warnings = list(env_warnings)
+    if scale_notes is None:
+        scale_notes = _check_scaling(model, lipschitz_bound(range_map, envelope))
+    return replace(model, warnings=tuple(env_warnings) + tuple(scale_notes))
 
-    # scaling bound |s| * L_a < 1, with a measure-zero allowance at isolated points
-    L_a = lipschitz_bound(range_map, envelope)
-    for i, s_hi in enumerate(scale_range[:, 1].tolist()):
+
+def _check_scaling(model, L_a):
+    """Scaling bound |s| * L_a < 1, with a measure-zero allowance at
+    isolated points; returns the notes for regions that touch 1."""
+    notes = []
+    for i, s_hi in enumerate(model.scale_range[:, 1].tolist()):
         if s_hi * L_a < 1.0:
             continue
-        grid = np.linspace(*data.region_bounds(i), GRID)
-        frac = float(np.mean(np.abs(scaling[i](grid)) * L_a >= 1.0 - 1e-12))
+        grid = np.linspace(*model.data.region_bounds(i), GRID)
+        with np.errstate(over="ignore"):   # an overflowing |s| counts as >= 1
+            frac = float(np.mean(np.abs(model.scaling[i](grid)) * L_a >= 1.0 - 1e-12))
         if frac > SCALE_FRACTION:
             raise ModelError(
                 f"region {i}: |scaling| * range Lipschitz reaches "
                 f"{s_hi * L_a:.6g} >= 1 on {frac:.1%} of the region")
-        warnings.append(
+        notes.append(
             f"region {i}: |scaling| * range Lipschitz touches {s_hi * L_a:.6g} >= 1 "
             "at isolated points; contraction is marginal there")
-
-    return replace(model, warnings=tuple(warnings))
+    return notes
 
 
 def _sampled_range(f, lip, lo, hi):

@@ -205,6 +205,17 @@ class TestValidation:
         with pytest.raises(FunctionSpecError):
             lipschitz_bound(Constant(1.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+    def test_non_finite_scaled_factor(self, factor):
+        with pytest.raises(FunctionSpecError, match="scaled factor must be finite"):
+            Scaled(factor, Constant(1.0))
+
+    def test_singular_lagrange_power_basis(self):
+        # nodes 1e-300 apart: the Vandermonde matrix of the power basis is singular
+        spec = LagrangeNodes(((0.0, 0.0), (1e-300, 1.0), (2e-300, 0.0)))
+        with pytest.raises(FunctionSpecError, match="no power basis"):
+            lipschitz_bound(spec, (0.0, 2e-300))
+
 
 class TestJsonCodec:
     def test_round_trip_zoo(self):

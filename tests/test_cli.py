@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import time
@@ -181,6 +182,78 @@ class TestParsing:
         assert code == 2
         assert ("error: config: region 0: |scaling| * range Lipschitz reaches 1.5"
                 in capsys.readouterr().err)
+
+
+class TestUserErrorsAndBugs:
+    """User errors exit 2 naming their field; any other ValueError is a bug
+    and propagates as a traceback."""
+
+    def test_diverging_scaling_refused_by_the_scaling_check(self, tmp_path, capsys):
+        # checked before any map is evaluated or refined, so no overflow warning
+        cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+        cfg["scaling"] = {"kind": "scaled", "factor": 1e300,
+                          "spec": {"kind": "constant", "value": 1e300}}
+        code, out = run(tmp_path, cfg)
+        assert code == 2
+        assert ("error: config: region 0: |scaling| * range Lipschitz reaches inf >= 1"
+                in capsys.readouterr().err)
+        assert not any(out.iterdir())
+
+    def test_too_shallow_depth_flag_named(self, tmp_path, capsys):
+        code = main(["analyze", "--config", str(FIXTURES / "uniform_s06.json"),
+                     "--out-dir", str(tmp_path), "--depth", "2"])
+        assert code == 2
+        assert ("error: --depth: sampling too coarse for the requested scales"
+                in capsys.readouterr().err)
+
+    def test_too_shallow_config_depth_named(self, tmp_path, capsys):
+        cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+        cfg["depth"] = 2
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert ("error: config.depth: sampling too coarse for the requested scales"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("r_lo, r_hi", [(3, 3), (3, 4), (6, 2)])
+    def test_fewer_than_three_scales_named(self, tmp_path, capsys, r_lo, r_hi):
+        cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+        cfg["scales"] = {"r_lo": r_lo, "r_hi": r_hi}
+        code, out = run(tmp_path, cfg)
+        assert code == 2
+        assert (f"error: scales.r_hi: must be >= r_lo + 2 (a fit needs 3 scales), "
+                f"got r_lo {r_lo}, r_hi {r_hi}" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_scales_r_lo_named(self, tmp_path, capsys):
+        cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+        cfg["scales"] = {"r_lo": 0, "r_hi": 6}
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert "error: scales.r_lo: must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_singular_interpolant_named(self, tmp_path, capsys):
+        cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+        cfg["data"] = [[0.0, 0.0], [1e-300, 1.0], [2e-300, 0.0], [3e-300, 1.0], [4e-300, 0.0]]
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert ("error: config: lagrange nodes have no power basis"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("module, name, fixture", [
+        ("dimension", "fit_report", "uniform_s06"),
+        ("io", "write_curve_csv", "fig1a"),
+        ("surface", "composed_surface_dimension", "fig3a"),
+    ])
+    def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch,
+                                                        module, name, fixture):
+        def broken(*args, **kwargs):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(importlib.import_module(f"fractalis.{module}"), name, broken)
+        path = FIXTURES / f"{fixture}.json"
+        mode = json.loads(path.read_text())["mode"]
+        with pytest.raises(ValueError, match="library bug"):
+            main([mode, "--config", str(path), "--out-dir", str(tmp_path)])
 
 
 class TestCurveCommand:
