@@ -130,6 +130,7 @@ def _cmd_surface(cfg, args):
             plan = _for_field(field, plan_depth, model, depth, max_points=math.inf,
                               spacing=(xs[-1] - xs[0]) / (4.0 * resolution))
             samples = surface.CurveSamples.from_model(model, plan.depth)
+            _for_field(field, samples.check_resolution, resolution)
             layers[axis].append(surface.SurfaceLayer(samples, coeff))
             detail = {"axis": axis, "depth": plan.depth,
                       "points": int(samples.xs.size)}
@@ -142,10 +143,7 @@ def _cmd_surface(cfg, args):
             curve_details.append(detail)
 
     spec = surface.SurfaceSpec(tuple(layers["x"]), tuple(layers["y"]))
-    try:
-        field = surface.eval_surface(spec, resolution)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    field = surface.eval_surface(spec, resolution)
 
     lo, hi = io.write_pgm(out / "surface.pgm", field.heights)
     if cfg.obj:

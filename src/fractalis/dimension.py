@@ -14,6 +14,8 @@ cells, again closing the top edge.  Columns are closed intervals, so
 samples on a column boundary extend both neighbours; nested schedules
 then give monotone counts.  Graph columns are found by binary search on
 the sorted x samples, so only samples next to a gridline are classified.
+Height-field columns over a schedule of scales come from one min/max
+pyramid: each nested scale reduces the finer scale's block extents.
 """
 from __future__ import annotations
 
@@ -416,29 +418,77 @@ def box_count_graph(xs, ys, delta):
     return int(_vspan_cells(cmin[hit], cmax[hit], delta).sum())
 
 
-def box_count_surface(field, delta):
+def _closed_blocks(H, m):
+    """(min, max) of H over each closed m x m block of grid steps, as (n, n)
+    arrays: rows [I*m, (I+1)*m] inclusive, then the same on columns."""
+    n = (H.shape[0] - 1) // m
+    rows = H[:-1].reshape(n, m, -1)
+    rmin = np.minimum(rows.min(axis=1), H[m::m])
+    rmax = np.maximum(rows.max(axis=1), H[m::m])
+    cmin = np.minimum(rmin[:, :-1].reshape(n, n, m).min(axis=2), rmin[:, m::m])
+    cmax = np.maximum(rmax[:, :-1].reshape(n, n, m).max(axis=2), rmax[:, m::m])
+    return cmin, cmax
+
+
+def _surface_blocks(field, deltas):
+    """Check every delta, then yield (delta, min, max) of the closed blocks
+    at each one, finest first.
+
+    A closed 2m-block's min and max are exactly those of its four closed
+    m-children, so a level whose block size is a multiple f of the
+    previous level's reduces that level's (n, n) arrays in f x f tiles;
+    any other level (the first, or a schedule that is not nested)
+    reduces the field itself.
+    """
+    res = field.resolution
+    sizes = []
+    for delta in deltas:
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        m = int(round(delta * res))
+        if m < 1 or abs(delta * res - m) > 1e-9 * max(1.0, delta * res):
+            raise ValueError(f"delta {delta} is not aligned to the grid step 1/{res}")
+        if res % m != 0:
+            raise ValueError(f"delta {delta} does not tile the unit square on a 1/{res} grid")
+        sizes.append(m)
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be strictly decreasing")
+    prev = None
+    for delta, m in reversed(list(zip(deltas, sizes))):
+        if prev is not None and m % prev[0] == 0:
+            pm, lo, hi = prev
+            n, f = res // m, m // pm
+            lo = lo.reshape(n, f, n, f).min(axis=(1, 3))
+            hi = hi.reshape(n, f, n, f).max(axis=(1, 3))
+        else:
+            lo, hi = _closed_blocks(field.heights, m)
+        prev = (m, lo, hi)
+        yield delta, lo, hi
+
+
+def _surface_counts(field, deltas):
+    """box_count_surface at each of the strictly decreasing deltas, from one
+    min/max pyramid (`_surface_blocks`); every delta is checked first."""
+    deltas = tuple(float(d) for d in deltas)
+    counts = [box_count_surface(field, delta, (lo, hi))
+              for delta, lo, hi in _surface_blocks(field, deltas)]
+    return counts[::-1]
+
+
+def box_count_surface(field, delta, blocks=None):
     """Mesh cubes met by the sampled graph of a height field.
 
     delta must be an integer multiple of the grid step that tiles the
     unit square.  Each closed delta x delta column contributes the
     floor-indexed cover of the height range over its (m+1)^2 samples.
+    `blocks` is the (min, max) pair of those columns when the caller
+    already holds it from `_surface_blocks`, as `_surface_counts` does
+    for a whole schedule.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    H = field.heights
-    res = field.resolution
-    m = int(round(delta * res))
-    if m < 1 or abs(delta * res - m) > 1e-9 * max(1.0, delta * res):
-        raise ValueError(f"delta {delta} is not aligned to the grid step 1/{res}")
-    if res % m != 0:
-        raise ValueError(f"delta {delta} does not tile the unit square on a 1/{res} grid")
-    cuts = np.arange(0, res, m)
-    # closed blocks: min/max over rows [I*m, (I+1)*m] inclusive, both axes
-    rmin = np.minimum(np.minimum.reduceat(H, cuts, axis=0), H[m::m, :])
-    rmax = np.maximum(np.maximum.reduceat(H, cuts, axis=0), H[m::m, :])
-    cmin = np.minimum(np.minimum.reduceat(rmin, cuts, axis=1), rmin[:, m::m])
-    cmax = np.maximum(np.maximum.reduceat(rmax, cuts, axis=1), rmax[:, m::m])
-    return int(_vspan_cells(cmin, cmax, delta).sum())
+    if blocks is None:
+        blocks = next(_surface_blocks(field, (float(delta),)))[1:]
+    lo, hi = blocks
+    return int(_vspan_cells(lo, hi, delta).sum())
 
 
 def fit_dimension(series):

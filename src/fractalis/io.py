@@ -72,10 +72,12 @@ def write_pgm(path, heights):
     H = np.asarray(heights, dtype=np.float64)
     lo, hi = float(H.min()), float(H.max())
     if hi > lo:
-        norm = (H - lo) / (hi - lo)
+        norm = H - lo
+        norm /= hi - lo
     else:
         norm = np.zeros_like(H)
-    px = np.rint(norm * 65535.0).astype(">u2")
+    norm *= 65535.0
+    px = np.rint(norm, out=norm).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{H.shape[1]} {H.shape[0]}\n65535\n".encode("ascii"))
         fh.write(px.tobytes())

@@ -321,13 +321,13 @@ def build_model(data, domains, assignment, scaling, range_map=None,
 
     for i, x in enumerate(data.xs):
         got = float(interpolant(np.float64(x)))
-        if abs(got - data.ys[i]) > NODE_TOL * (1.0 + abs(data.ys[i])):
+        if not abs(got - data.ys[i]) <= NODE_TOL * (1.0 + abs(data.ys[i])):
             raise ModelError(
                 f"interpolant misses node {i}: f({x}) = {got}, expected {data.ys[i]}")
     endpoint_nodes = sorted({s for s, _ in domains.spans} | {e for _, e in domains.spans})
     for i in endpoint_nodes:
         got = float(base(np.float64(data.xs[i])))
-        if abs(got - data.ys[i]) > NODE_TOL * (1.0 + abs(data.ys[i])):
+        if not abs(got - data.ys[i]) <= NODE_TOL * (1.0 + abs(data.ys[i])):
             raise ModelError(
                 f"base misses domain-endpoint node {i}: f({data.xs[i]}) = {got}, "
                 f"expected {data.ys[i]}")
@@ -349,7 +349,7 @@ def build_model(data, domains, assignment, scaling, range_map=None,
             xa, ya = data.xs[node], data.ys[node]
             expect = data.ys[target]
             got = float(_eval_region_map(model, i, np.float64(xa), np.float64(ya)))
-            if abs(got - expect) > NODE_TOL * (1.0 + abs(expect)):
+            if not abs(got - expect) <= NODE_TOL * (1.0 + abs(expect)):
                 raise ModelError(
                     f"region {i}: vertical map sends node {node} to {got}, "
                     f"expected {expect} (base/interpolant/range_map endpoint mismatch)")

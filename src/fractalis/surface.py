@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import BivariateSpec
-from .dimension import BoxCountSeries, box_count_surface, fit_report
-from .rifs import merged_curve, refine_attractor
+from .dimension import BoxCountSeries, _surface_counts, fit_report
+from .rifs import ModelError, merged_curve, refine_attractor
 
 __all__ = [
     "CurveSamples",
@@ -60,6 +60,14 @@ class CurveSamples:
     @property
     def max_gap(self):
         return float(np.diff(self.xs).max())
+
+    def check_resolution(self, resolution):
+        """Raise ModelError unless the largest x gap is at most 1/(4 * resolution)."""
+        limit = 1.0 / (4.0 * resolution)
+        if self.max_gap > limit:
+            raise ModelError(
+                f"curve sampling too coarse for resolution {resolution}: "
+                f"max gap {self.max_gap:.3g} > {limit:.3g}; refine deeper")
 
 
 @dataclass(frozen=True)
@@ -113,24 +121,22 @@ def eval_surface(spec, resolution):
     """Sum the layers on the grid: coeff(x, y) * curve(x or y).
 
     Every curve must be sampled finely enough that its largest x gap is
-    at most 1/(4 * resolution): `rifs.plan_depth` with spacing
-    (x1 - x0) / (4 * resolution) gives the shallowest such depth.
+    at most 1/(4 * resolution) (`CurveSamples.check_resolution`):
+    `rifs.plan_depth` with spacing (x1 - x0) / (4 * resolution) gives
+    the shallowest such depth.
     """
     m = int(resolution)
     if m < 2:
         raise ValueError("resolution must be >= 2")
-    limit = 1.0 / (4.0 * m)
-    for layer in tuple(spec.x_layers) + tuple(spec.y_layers):
-        if layer.curve.max_gap > limit:
-            raise ValueError(
-                f"curve sampling too coarse for resolution {m}: "
-                f"max gap {layer.curve.max_gap:.3g} > {limit:.3g}; refine deeper")
+    for layer in spec.x_layers + spec.y_layers:
+        layer.curve.check_resolution(m)
     axis = np.linspace(0.0, 1.0, m + 1)
     H = np.zeros((m + 1, m + 1))
-    for layer in spec.x_layers:
-        H += layer.coeff.grid(axis, axis) * layer.curve.value(axis)[None, :]
-    for layer in spec.y_layers:
-        H += layer.coeff.grid(axis, axis) * layer.curve.value(axis)[:, None]
+    for layers, along in ((spec.x_layers, np.s_[None, :]), (spec.y_layers, np.s_[:, None])):
+        for layer in layers:
+            g = layer.coeff.grid(axis, axis)   # a fresh array: the product goes into it
+            g *= layer.curve.value(axis)[along]
+            H += g
     return HeightField(m, H)
 
 
@@ -148,11 +154,13 @@ def composed_surface_dimension(x_dims, y_dims):
 def estimate_surface_dimension(field, deltas):
     """Box-count estimate for a height field over grid-aligned scales.
 
-    Scales must be strictly decreasing, at least 3 of them.  The fit
-    follows `fit_report`, as for curves.
+    Scales must be strictly decreasing, at least 3 of them; every scale
+    is checked before any counting starts.  The counts come from one
+    min/max pyramid built from the finest scale up, and equal
+    `box_count_surface` at each scale.  The fit follows `fit_report`, as
+    for curves.
     """
-    deltas = [float(d) for d in deltas]
+    deltas = tuple(float(d) for d in deltas)
     if len(deltas) < 3:
         raise ValueError("need at least 3 scales")
-    counts = [box_count_surface(field, d) for d in deltas]
-    return fit_report(BoxCountSeries(tuple(deltas), tuple(counts)))
+    return fit_report(BoxCountSeries(deltas, tuple(_surface_counts(field, deltas))))

@@ -243,6 +243,7 @@ class TestUserErrorsAndBugs:
         ("dimension", "fit_report", "uniform_s06"),
         ("io", "write_curve_csv", "fig1a"),
         ("surface", "composed_surface_dimension", "fig3a"),
+        ("surface", "eval_surface", "fig3a"),
     ])
     def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch,
                                                         module, name, fixture):
@@ -330,6 +331,15 @@ class TestPointLimit:
         code, _ = run(tmp_path, cfg)
         assert code == 2
         assert "x_curves[0].curve.depth: depth 40" in capsys.readouterr().err
+
+    def test_too_coarse_surface_curve_depth_named(self, tmp_path, capsys):
+        cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+        cfg["x_curves"][0]["curve"]["depth"] = 1
+        code, out = run(tmp_path, cfg)
+        assert code == 2
+        assert ("error: x_curves[0].curve.depth: curve sampling too coarse for resolution "
+                "256: max gap 0.125 > 0.000977; refine deeper" in capsys.readouterr().err)
+        assert not (out / "surface.pgm").exists()
 
     def test_surface_resolution_beyond_limit(self, tmp_path, capsys):
         cfg = fig4c_without_depths()

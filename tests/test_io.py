@@ -1,7 +1,8 @@
-"""The chunked CSV and OBJ writers against the per-row writers they replaced.
+"""The chunked CSV and OBJ writers against the per-row writers they replaced,
+and the in-place PGM normalization against the expression it replaced.
 
-The references below format one value at a time with `format_number` and
-write one line per call; every case asserts byte-equal files.
+The CSV and OBJ references format one value at a time with `format_number`
+and write one line per call; every case asserts byte-equal files.
 """
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ def ref_write_obj(path, field):
                 d = a + stride
                 fh.write(f"f {a} {b} {c}\n")
                 fh.write(f"f {a} {c} {d}\n")
+
+
+def ref_write_pgm(path, heights):
+    H = np.asarray(heights, dtype=np.float64)
+    lo, hi = float(H.min()), float(H.max())
+    if hi > lo:
+        norm = (H - lo) / (hi - lo)
+    else:
+        norm = np.zeros_like(H)
+    px = np.rint(norm * 65535.0).astype(">u2")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{H.shape[1]} {H.shape[0]}\n65535\n".encode("ascii"))
+        fh.write(px.tobytes())
+    return lo, hi
 
 
 def assert_same_bytes(tmp_path, write, ref, *args):
@@ -137,3 +152,21 @@ class TestObj:
         assert lines[8] == "v 1 -5.25 1"
         assert lines[9:] == ["f 1 2 5", "f 1 5 4", "f 2 3 6", "f 2 6 5",
                              "f 4 5 8", "f 4 8 7", "f 5 6 9", "f 5 9 8"]
+
+
+class TestPgm:
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 3.5, -1e300])
+    def test_constant_field(self, tmp_path, fill):
+        H = np.full((5, 7), fill)
+        assert_same_bytes(tmp_path, io.write_pgm, ref_write_pgm, H)
+        assert (tmp_path / "got").read_bytes().endswith(bytes(2 * H.size))
+
+    @pytest.mark.parametrize("m", [2, 9, 256])
+    def test_field_with_signed_zeros(self, tmp_path, m):
+        H = mixed((m + 1) ** 2, m).reshape(m + 1, m + 1) % 7.0 - 3.5
+        H[0, :3] = (0.0, -0.0, -0.0)
+        H[1, 0] = -0.0
+        before = H.tobytes()
+        assert_same_bytes(tmp_path, io.write_pgm, ref_write_pgm, H)
+        assert io.write_pgm(tmp_path / "again", H) == ref_write_pgm(tmp_path / "ref", H)
+        assert H.tobytes() == before   # normalized in a copy, not in the caller's array

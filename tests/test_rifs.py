@@ -143,6 +143,22 @@ class TestBuildValidation:
             build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5),
                         base=Constant(0.0))
 
+    def test_nan_interpolant_fails_the_node_check(self):
+        with pytest.raises(ModelError, match="interpolant misses node 0: .* = nan"):
+            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5),
+                        interpolant=Constant(float("nan")))
+
+    def test_nan_base_fails_the_endpoint_check(self):
+        with pytest.raises(ModelError, match="base misses domain-endpoint node 0: .* = nan"):
+            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5),
+                        base=Constant(float("nan")))
+
+    def test_nan_vertical_map_fails_the_endpoint_identity(self):
+        # a non-affine range map is not checked before the endpoint identities
+        with pytest.raises(ModelError, match="region 0: vertical map sends node 0 to nan"):
+            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5),
+                        range_map=Constant(float("nan")))
+
     def test_large_constant_scaling_rejected(self):
         with pytest.raises(ModelError, match="scaling"):
             build_model(DATA, TWO_DOMAINS, SPLIT, Constant(1.0))

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,15 @@ from hypothesis import strategies as st
 
 from fractalis import (Affine, BivariateSpec, Constant, CurveSamples,
                        SeparableTerm, Sinusoid, SurfaceLayer, SurfaceSpec,
-                       build_model, composed_surface_dimension,
-                       estimate_surface_dimension, eval_surface, HeightField)
+                       box_count_surface, build_model, composed_surface_dimension,
+                       dimension, estimate_surface_dimension, eval_surface, HeightField)
+from fractalis.config import parse_config
+from fractalis.dimension import _surface_counts, _vspan_cells
+from fractalis.rifs import ModelError
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+SURFACE_FIXTURES = ("fig3a", "fig3b", "fig4c", "fig4d")
 
 
 def const_coeff(v):
@@ -115,8 +123,33 @@ class TestEvalSurface:
 
     def test_coarse_curve_rejected(self):
         shallow = split_curve(Constant(0.5), depth=2)
-        with pytest.raises(ValueError, match="too coarse"):
+        with pytest.raises(ModelError, match="too coarse"):
             eval_surface(SurfaceSpec((SurfaceLayer(shallow, const_coeff(1.0)),)), 512)
+
+    def test_heights_byte_equal_to_the_product_expression(self):
+        # the layer sum eval_surface replaced: one coeff * curve temporary per
+        # layer; the coefficient crosses zero and the curves take negative
+        # values, so products include -0.0
+        def ref_eval_surface(spec, m):
+            axis = np.linspace(0.0, 1.0, m + 1)
+            H = np.zeros((m + 1, m + 1))
+            for layer in spec.x_layers:
+                H += layer.coeff.grid(axis, axis) * layer.curve.value(axis)[None, :]
+            for layer in spec.y_layers:
+                H += layer.coeff.grid(axis, axis) * layer.curve.value(axis)[:, None]
+            return H
+
+        f = split_curve(Constant(0.5))
+        g = dense_line(-3.0, 5.0)
+        cross = BivariateSpec((SeparableTerm(Affine(-2.0, 1.0), Affine(1.0, -0.5)),
+                               SeparableTerm(Sinusoid(0.3, 7.0, 0.1, "sin"), Constant(-1.0))))
+        spec = SurfaceSpec((SurfaceLayer(g, cross), SurfaceLayer(f, const_coeff(-0.7))),
+                           (SurfaceLayer(g, const_coeff(0.0)), SurfaceLayer(f, cross)))
+        axis = np.linspace(0.0, 1.0, 65)
+        products = cross.grid(axis, axis) * g.value(axis)[None, :]
+        assert np.any(np.signbit(products) & (products == 0.0))
+        for m in (2, 64, 100):
+            assert eval_surface(spec, m).heights.tobytes() == ref_eval_surface(spec, m).tobytes()
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
@@ -210,3 +243,154 @@ class TestEstimateSurface:
         field = eval_surface(spec, 1024)
         rep = estimate_surface_dimension(field, [2.0 ** -r for r in range(3, 8)])
         assert rep.estimate == pytest.approx(2.5, abs=0.15)
+
+
+# ---------------------------------------------------------------------------
+# pyramid box counting against the per-scale body it replaced
+# ---------------------------------------------------------------------------
+
+def ref_box_count_surface(field, delta):
+    """The per-scale body `_surface_counts` replaced: closed blocks by
+    reduceat over the whole field, at every scale."""
+    H = field.heights
+    res = field.resolution
+    m = int(round(delta * res))
+    cuts = np.arange(0, res, m)
+    rmin = np.minimum(np.minimum.reduceat(H, cuts, axis=0), H[m::m, :])
+    rmax = np.maximum(np.maximum.reduceat(H, cuts, axis=0), H[m::m, :])
+    cmin = np.minimum(np.minimum.reduceat(rmin, cuts, axis=1), rmin[:, m::m])
+    cmax = np.maximum(np.maximum.reduceat(rmax, cuts, axis=1), rmax[:, m::m])
+    return int(_vspan_cells(cmin, cmax, delta).sum())
+
+
+def fixture_field(name):
+    cfg = parse_config(json.loads((FIXTURES / f"{name}.json").read_text()))
+
+    def layers(entries):
+        return tuple(SurfaceLayer(CurveSamples.from_model(mc.build(), mc.depth), coeff)
+                     for mc, coeff in entries)
+
+    return eval_surface(SurfaceSpec(layers(cfg.x_curves), layers(cfg.y_curves)),
+                        cfg.resolution)
+
+
+HEIGHT_KINDS = ("random", "signed_zero", "constant", "integral", "gridline")
+
+
+@st.composite
+def fields_and_schedules(draw):
+    """A field of one height kind and a strictly decreasing schedule of
+    grid-aligned deltas, nested or not."""
+    res = draw(st.sampled_from([2, 8, 12, 16, 24, 30, 36]))
+    divisors = [m for m in range(1, res + 1) if res % m == 0]
+    sizes = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=6, unique=True))
+    deltas = [m / res for m in sorted(sizes, reverse=True)]
+    kind = draw(st.sampled_from(HEIGHT_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (res + 1, res + 1)
+    if kind == "random":
+        H = rng.standard_normal(shape) * draw(st.sampled_from([1e-3, 0.3, 5.0]))
+    elif kind == "signed_zero":
+        H = rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5], size=shape)
+    elif kind == "constant":
+        H = np.full(shape, draw(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.1, 1e9])))
+    elif kind == "integral":
+        H = rng.integers(-4, 5, size=shape).astype(np.float64)
+    else:   # heights on the gridlines of one of the deltas, as products k * delta
+        H = rng.integers(-6, 7, size=shape) * draw(st.sampled_from(deltas))
+    return HeightField(res, H), deltas
+
+
+class TestSurfaceCounts:
+    @given(fields_and_schedules())
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_equals_per_scale_reference(self, case):
+        field, deltas = case
+        assert _surface_counts(field, deltas) == [ref_box_count_surface(field, d)
+                                                  for d in deltas]
+
+    @given(fields_and_schedules())
+    @settings(max_examples=100, deadline=None)
+    def test_single_delta_equals_reference(self, case):
+        field, deltas = case
+        for d in deltas:
+            assert box_count_surface(field, d) == ref_box_count_surface(field, d)
+            assert _surface_counts(field, [d]) == [ref_box_count_surface(field, d)]
+
+    @pytest.mark.parametrize("sizes", [(6, 4, 3, 2), (6, 4, 3, 2, 1), (12, 6, 4, 3, 2, 1),
+                                       (4, 3, 2), (3, 2, 1)])
+    def test_non_nested_schedules_res_12(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        field = HeightField(12, rng.standard_normal((13, 13)))
+        deltas = [m / 12 for m in sizes]
+        assert _surface_counts(field, deltas) == [ref_box_count_surface(field, d)
+                                                  for d in deltas]
+
+    def test_pyramid_reduces_previous_level_when_nested(self, monkeypatch):
+        # nested levels never touch the field again; (4, 3, 2) reduces it at
+        # every level, since 3 and 4 are not multiples of the level before them
+        calls = []
+        closed = dimension._closed_blocks
+
+        def spy(H, m):
+            calls.append(m)
+            return closed(H, m)
+
+        monkeypatch.setattr(dimension, "_closed_blocks", spy)
+        field = HeightField(12, np.random.default_rng(5).standard_normal((13, 13)))
+        _surface_counts(field, [12 / 12, 6 / 12, 2 / 12, 1 / 12])
+        assert calls == [1]
+        calls.clear()
+        _surface_counts(field, [4 / 12, 3 / 12, 2 / 12])
+        assert calls == [2, 3, 4]
+
+    @pytest.mark.parametrize("name", SURFACE_FIXTURES)
+    def test_fixture_surfaces(self, name):
+        field = fixture_field(name)
+        deltas = [2.0 ** -k for k in range(9)]
+        assert _surface_counts(field, deltas) == [ref_box_count_surface(field, d)
+                                                  for d in deltas]
+
+    @pytest.mark.parametrize("deltas, message", [
+        ([0.25, 0.5, 0.125], "strictly decreasing"),
+        ([0.5, 0.25, 0.25], "strictly decreasing"),
+        ([0.5, 0.25, 0.0], "positive"),
+        ([0.5, 0.25, 0.1], "aligned"),
+        ([0.5, 0.25, 3 / 16], "tile"),
+    ])
+    def test_every_delta_checked_before_any_reduction(self, monkeypatch, deltas, message):
+        def no_reduction(H, m):
+            raise AssertionError("a reduction ran before every delta was checked")
+
+        monkeypatch.setattr(dimension, "_closed_blocks", no_reduction)
+        field = HeightField(16, np.zeros((17, 17)))
+        with pytest.raises(ValueError, match=message):
+            _surface_counts(field, deltas)
+        with pytest.raises(ValueError, match=message):
+            estimate_surface_dimension(field, deltas)
+
+    def test_box_count_surface_error_texts_kept(self):
+        field = HeightField(8, np.zeros((9, 9)))
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            box_count_surface(field, -0.25)
+        with pytest.raises(ValueError, match="^delta 0.3 is not aligned to the grid step 1/8$"):
+            box_count_surface(field, 0.3)
+        with pytest.raises(ValueError,
+                           match="^delta 0.375 does not tile the unit square on a 1/8 grid$"):
+            box_count_surface(field, 3 / 8)
+
+    def test_estimate_counts_every_scale_through_box_count_surface(self, monkeypatch):
+        # one call per scale, each given its level's blocks
+        seen = []
+        counted = dimension.box_count_surface
+
+        def spy(field, delta, blocks=None):
+            seen.append((delta, blocks is not None))
+            return counted(field, delta, blocks)
+
+        monkeypatch.setattr(dimension, "box_count_surface", spy)
+        field = HeightField(16, np.random.default_rng(2).standard_normal((17, 17)))
+        deltas = [0.5, 0.25, 0.125, 0.0625]
+        rep = estimate_surface_dimension(field, deltas)
+        assert seen == [(d, True) for d in reversed(deltas)]
+        assert list(rep.series.counts) == [ref_box_count_surface(field, d) for d in deltas]
