@@ -7,12 +7,16 @@ callable.  That keeps two things computable that the dimension analysis
 needs as *inputs*: a certified Lipschitz constant and certified bounds on
 min/max of |f| over an interval.
 
-Bounds are exact for Constant/Affine/Sinusoid (closed-form critical
-points).  Polynomial/Lagrange/Sum ranges come from one bisection,
-`_certified_abs_range`, over per-piece Lipschitz bounds that every
-variant computes on arrays of pieces (`_seg_lip`).  A polynomial's
-Lipschitz bound is its derivative's bisected max |.|; Lagrange nodes
-take both bounds from their power-basis polynomial.
+Both bounds are certified on many intervals at once
+(`lipschitz_bound_each`, `abs_extrema_each`); `lipschitz_bound` and
+`abs_extrema` are their one-interval calls.  Bounds are exact for
+Constant/Affine/Sinusoid (closed-form critical points, per interval).
+Polynomial/Lagrange/Sum ranges come from one bisection,
+`_certified_abs_range`, which refines the pieces of all intervals
+together, over per-piece Lipschitz bounds that every variant computes on
+arrays of pieces (`_seg_lip`).  A polynomial's Lipschitz bound is its
+derivative's bisected max |.|; Lagrange nodes take both bounds from their
+power-basis polynomial.
 """
 from __future__ import annotations
 
@@ -40,6 +44,8 @@ __all__ = [
     "eval_bivariate",
     "lipschitz_bound",
     "abs_extrema",
+    "lipschitz_bound_each",
+    "abs_extrema_each",
     "lagrange_from_nodes",
     "scalar_to_json",
     "scalar_from_json",
@@ -104,45 +110,93 @@ def _abs_enclosure(fmid, rad):
     return top, bot
 
 
-def _certified_abs_range(spec, lo, hi):
-    """Certified (min |f|, max |f|) of a catalog spec over [lo, hi].
+def _per_interval(ufunc, init, owner, values):
+    """ufunc-reduce each piece's value into its interval's slot of a copy of init."""
+    out = np.array(init, dtype=np.float64)
+    ufunc.at(out, owner, values)
+    return out
 
-    ``spec._seg_lip(u, v)`` bounds f's Lipschitz constant on each piece
-    [u, v] (arrays of piece ends), so a piece encloses f within f(mid) +-
-    L*(width/2).  Each round evaluates spec and its bounds once, on all
-    new pieces.  Pieces that could still move the global bounds are
-    bisected until the enclosure gap is below REFINE_GAP or their width
-    below REFINE_WIDTH, up to MAX_PIECES.  The bounds are outward.
+
+def _certified_abs_range(spec, lo, hi):
+    """Certified (min |f|, max |f|) of a catalog spec over each interval
+    [lo[j], hi[j]], as an (m, 2) array; `lo` and `hi` are arrays of ends.
+
+    Each interval starts as the 8 pieces np.linspace(lo, hi, 9) cuts, and
+    every piece carries its interval's index.  ``spec._seg_lip(u, v)``
+    bounds f's Lipschitz constant on each piece [u, v] (arrays of piece
+    ends), so a piece encloses f within f(mid) +- L*(width/2).  Each round
+    evaluates spec and its bounds once, on all new pieces of all
+    intervals.  Best values, enclosure gaps and stop conditions are
+    reduced per interval: an interval's pieces that could still move its
+    bounds are bisected until its gap is at most REFINE_GAP or their width
+    below REFINE_WIDTH.  An interval leaves the loop when its gap closes,
+    when it has no candidates, when splitting would take its own pieces
+    past MAX_PIECES, or after 64 rounds, with the outward bounds of its
+    pieces at that point.  Pieces never meet across intervals, so each
+    interval's result is the one a call on that interval alone returns;
+    the m intervals may hold up to m * MAX_PIECES pieces between them.
     """
-    edges = np.linspace(lo, hi, 9)
-    u, v = edges[:-1], edges[1:]
+    lo, hi = _arr(lo), _arr(hi)
+    m = lo.size
+    out = np.empty((m, 2))
+    width = hi - lo
+    step = width / 8
+    k = np.arange(9.0)
+    # np.linspace(lo, hi, 9) row by row, its branch for a denormal step included
+    edges = np.where((step == 0.0)[:, None], k / 8 * width[:, None],
+                     k * step[:, None]) + lo[:, None]
+    edges[:, -1] = hi
+    u, v = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    owner = np.repeat(np.arange(m), 8)   # index into ids, the intervals still bisected
     fmid = _arr(spec(0.5 * (u + v)))
     rad = spec._seg_lip(u, v) * (v - u) * 0.5
-    ends = np.abs(_arr(spec(np.array([lo, hi]))))
+    ends = np.abs(_arr(spec(np.concatenate([lo, hi])))).reshape(2, m)
+    ends_max, ends_min = ends.max(axis=0), ends.min(axis=0)
+    ids, counts = np.arange(m), np.full(m, 8)
+
+    def bounds():
+        top, bot = _abs_enclosure(fmid, rad)
+        return (top, bot, _per_interval(np.maximum, np.full(ids.size, -np.inf), owner, top),
+                _per_interval(np.minimum, np.full(ids.size, np.inf), owner, bot))
+
+    def record(done, top_max, bot_min):
+        out[ids[done], 0] = np.where(bot_min[done] > 0.0, bot_min[done], 0.0)
+        out[ids[done], 1] = top_max[done]
 
     for _ in range(64):
-        top, bot = _abs_enclosure(fmid, rad)
+        top, bot, top_max, bot_min = bounds()
         abs_mid = np.abs(fmid)
-        best_max = max(float(ends.max()), float(abs_mid.max()))
-        best_min = min(float(ends.min()), float(abs_mid.min()))
-        if top.max() - best_max <= REFINE_GAP and best_min - bot.min() <= REFINE_GAP:
-            break
-        cand = ((v - u) > REFINE_WIDTH) & ((top > best_max + REFINE_GAP)
-                                           | (bot < best_min - REFINE_GAP))
-        n_new = int(cand.sum())
-        if n_new == 0 or u.size + n_new > MAX_PIECES:
-            break
-        cu, cv = u[cand], v[cand]
+        best_max = _per_interval(np.maximum, ends_max, owner, abs_mid)
+        best_min = _per_interval(np.minimum, ends_min, owner, abs_mid)
+        done = (top_max - best_max <= REFINE_GAP) & (best_min - bot_min <= REFINE_GAP)
+        cand = ((v - u) > REFINE_WIDTH) & ((top > best_max[owner] + REFINE_GAP)
+                                           | (bot < best_min[owner] - REFINE_GAP))
+        n_new = np.bincount(owner[cand], minlength=ids.size)
+        done |= (n_new == 0) | (counts + n_new > MAX_PIECES)
+        if done.any():
+            record(done, top_max, bot_min)
+            if done.all():
+                return out
+            live = ~done
+            alive = live[owner]
+            u, v, fmid, rad, cand = u[alive], v[alive], fmid[alive], rad[alive], cand[alive]
+            owner = (np.cumsum(live) - 1)[owner[alive]]
+            ids, counts, n_new = ids[live], counts[live], n_new[live]
+            ends_max, ends_min = ends_max[live], ends_min[live]
+        counts += n_new
+        cu, cv, co = u[cand], v[cand], owner[cand]
         cm = 0.5 * (cu + cv)
         nu, nv = np.concatenate([cu, cm]), np.concatenate([cm, cv])
         keep = ~cand
         u = np.concatenate([u[keep], nu])
         v = np.concatenate([v[keep], nv])
+        owner = np.concatenate([owner[keep], co, co])
         fmid = np.concatenate([fmid[keep], _arr(spec(0.5 * (nu + nv)))])
         rad = np.concatenate([rad[keep], spec._seg_lip(nu, nv) * (nv - nu) * 0.5])
 
-    top, bot = _abs_enclosure(fmid, rad)
-    return max(0.0, float(bot.min())), float(top.max())
+    _, _, top_max, bot_min = bounds()
+    record(np.ones(ids.size, dtype=bool), top_max, bot_min)
+    return out
 
 
 def _poly_lip_coeff(coeffs, u, v):
@@ -157,27 +211,45 @@ def _poly_lip_coeff(coeffs, u, v):
 
 
 def _horner(coeffs, x):
-    r = np.zeros_like(x)
+    r = np.zeros_like(x)[()]   # in place on arrays; a 0-d x keeps numpy scalars
     for c in reversed(coeffs):
-        r = r * x + c
+        r *= x
+        r += c
     return r
 
 
 # ---------------------------------------------------------------------------
 # scalar variants
+#
+# Every variant bounds itself on arrays of intervals: `_lip_each(lo, hi)`
+# gives one Lipschitz bound per interval, `_range_each(lo, hi)` one
+# (min |f|, max |f|) row per interval.
 # ---------------------------------------------------------------------------
 
+class _ClosedForm:
+    """Bounds from the closed forms `_lip(lo, hi)` and `_range(lo, hi)`,
+    one interval at a time in scalar `math` (np.cos may differ from
+    math.cos by an ulp)."""
+
+    def _lip_each(self, lo, hi):
+        return np.array([self._lip(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+
+    def _range_each(self, lo, hi):
+        rows = [self._range(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_ClosedForm):
     value: float
 
     def __call__(self, x):
         return np.full(np.shape(_arr(x)), float(self.value))
 
-    def lipschitz_bound(self, lo, hi):
+    def _lip(self, lo, hi):
         return 0.0
 
-    def abs_extrema(self, lo, hi):
+    def _range(self, lo, hi):
         v = abs(float(self.value))
         return v, v
 
@@ -186,17 +258,17 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(_ClosedForm):
     slope: float
     intercept: float
 
     def __call__(self, x):
         return self.slope * _arr(x) + self.intercept
 
-    def lipschitz_bound(self, lo, hi):
+    def _lip(self, lo, hi):
         return abs(float(self.slope))
 
-    def abs_extrema(self, lo, hi):
+    def _range(self, lo, hi):
         a, b = float(self.slope), float(self.intercept)
         vals = [abs(a * lo + b), abs(a * hi + b)]
         if a != 0.0:
@@ -229,10 +301,10 @@ class Polynomial:
         c = self.coefficients
         return Polynomial(tuple(k * c[k] for k in range(1, len(c))) or (0.0,))
 
-    def lipschitz_bound(self, lo, hi):
-        return _certified_abs_range(self._derivative, lo, hi)[1]
+    def _lip_each(self, lo, hi):
+        return _certified_abs_range(self._derivative, lo, hi)[:, 1]
 
-    def abs_extrema(self, lo, hi):
+    def _range_each(self, lo, hi):
         return _certified_abs_range(self, lo, hi)
 
     def _seg_lip(self, u, v):
@@ -240,7 +312,7 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_ClosedForm):
     amplitude: float
     omega: float
     phase: float
@@ -255,13 +327,13 @@ class Sinusoid:
         f = np.cos if self.wave == "cos" else np.sin
         return self.amplitude * f(u)
 
-    def lipschitz_bound(self, lo, hi):
+    def _lip(self, lo, hi):
         # derivative of A*cos is -A*w*sin, of A*sin is A*w*cos
         dual = "sin" if self.wave == "cos" else "cos"
         return _trig_abs_range(self.amplitude * self.omega, self.omega,
                                self.phase, dual, lo, hi)[1]
 
-    def abs_extrema(self, lo, hi):
+    def _range(self, lo, hi):
         return _trig_abs_range(self.amplitude, self.omega, self.phase,
                                self.wave, lo, hi)
 
@@ -328,10 +400,10 @@ class LagrangeNodes:
             interp = num / den
         return np.where(hit, exact, interp)
 
-    def lipschitz_bound(self, lo, hi):
-        return self._power.lipschitz_bound(lo, hi)
+    def _lip_each(self, lo, hi):
+        return self._power._lip_each(lo, hi)
 
-    def abs_extrema(self, lo, hi):
+    def _range_each(self, lo, hi):
         # barycentric values; only the piece bounds use the power basis
         return _certified_abs_range(self, lo, hi)
 
@@ -356,10 +428,12 @@ class Sum:
             out = out + t(x)
         return out
 
-    def lipschitz_bound(self, lo, hi):
-        return sum(t.lipschitz_bound(lo, hi) for t in self.terms)
+    def _lip_each(self, lo, hi):
+        parts = [t._lip_each(lo, hi) for t in self.terms]
+        with np.errstate(over="ignore"):   # inf, as the sum of floats was
+            return sum(parts)
 
-    def abs_extrema(self, lo, hi):
+    def _range_each(self, lo, hi):
         return _certified_abs_range(self, lo, hi)
 
     def _seg_lip(self, u, v):
@@ -378,13 +452,15 @@ class Scaled:
     def __call__(self, x):
         return self.factor * self.spec(_arr(x))
 
-    def lipschitz_bound(self, lo, hi):
-        return abs(self.factor) * self.spec.lipschitz_bound(lo, hi)
+    def _lip_each(self, lo, hi):
+        return self._times(self.spec._lip_each(lo, hi))
 
-    def abs_extrema(self, lo, hi):
-        mn, mx = self.spec.abs_extrema(lo, hi)
-        f = abs(self.factor)
-        return f * mn, f * mx
+    def _range_each(self, lo, hi):
+        return self._times(self.spec._range_each(lo, hi))
+
+    def _times(self, bounds):
+        with np.errstate(over="ignore"):   # inf, as the product of floats was
+            return abs(self.factor) * bounds
 
     def _seg_lip(self, u, v):
         return abs(self.factor) * self.spec._seg_lip(u, v)
@@ -425,10 +501,16 @@ class BivariateSpec:
         return out
 
     def grid(self, xs, ys):
-        """Evaluate on a tensor grid; result[iy, ix] = f(xs[ix], ys[iy])."""
+        """Evaluate on a tensor grid; result[iy, ix] = f(xs[ix], ys[iy]).
+
+        The first term's outer product is the result, and the other terms
+        are added into it, so an entry where every product is -0.0 stays
+        -0.0 (a sum started from +0.0 would turn it into +0.0).
+        """
         xs, ys = _arr(xs), _arr(ys)
-        out = np.zeros((ys.size, xs.size))
-        for t in self.terms:
+        first, *rest = self.terms
+        out = np.outer(first.fy(ys), first.fx(xs))
+        for t in rest:
             out += np.outer(t.fy(ys), t.fx(xs))
         return out
 
@@ -449,22 +531,37 @@ def eval_bivariate(spec, x, y):
     return out
 
 
-def _check_interval(interval):
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise FunctionSpecError(f"interval must satisfy lo < hi, got [{lo}, {hi}]")
+def _check_intervals(intervals):
+    ends = np.array(intervals, dtype=np.float64)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise FunctionSpecError(f"intervals must be (lo, hi) pairs, got shape {ends.shape}")
+    lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
+    bad = ~(lo < hi)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise FunctionSpecError(
+            f"interval must satisfy lo < hi, got [{float(lo[j])}, {float(hi[j])}]")
     return lo, hi
 
 
+def lipschitz_bound_each(spec, intervals):
+    """Certified Lipschitz bound of spec on each (lo, hi) interval, as an
+    array: one bisection for all of them."""
+    return spec._lip_each(*_check_intervals(intervals))
+
+
+def abs_extrema_each(spec, intervals):
+    """Certified (min |f|, max |f|) of spec on each (lo, hi) interval, as an
+    (m, 2) array: one bisection for all of them."""
+    return spec._range_each(*_check_intervals(intervals))
+
+
 def lipschitz_bound(spec, interval):
-    lo, hi = _check_interval(interval)
-    return float(spec.lipschitz_bound(lo, hi))
+    return float(lipschitz_bound_each(spec, (interval,))[0])
 
 
 def abs_extrema(spec, interval):
-    lo, hi = _check_interval(interval)
-    mn, mx = spec.abs_extrema(lo, hi)
-    return float(mn), float(mx)
+    return tuple(abs_extrema_each(spec, (interval,))[0].tolist())
 
 
 def lagrange_from_nodes(nodes):
@@ -551,6 +648,11 @@ def bivariate_from_json(obj):
         return BivariateSpec((SeparableTerm(Constant(1.0), scalar_from_json(obj["of_y"])),))
     if not isinstance(obj, dict) or "terms" not in obj:
         raise FunctionSpecError("bivariate spec needs 'terms' (or 'of_x'/'of_y')")
-    terms = tuple(SeparableTerm(scalar_from_json(t["fx"]), scalar_from_json(t["fy"]))
-                  for t in obj["terms"])
-    return BivariateSpec(terms)
+    if not isinstance(obj["terms"], list):
+        raise FunctionSpecError(f"terms: expected a list of {{fx, fy}} terms, got {obj['terms']!r}")
+    terms = []
+    for i, t in enumerate(obj["terms"]):
+        if not isinstance(t, dict) or "fx" not in t or "fy" not in t:
+            raise FunctionSpecError(f"terms[{i}]: needs 'fx' and 'fy', got {t!r}")
+        terms.append(SeparableTerm(scalar_from_json(t["fx"]), scalar_from_json(t["fy"])))
+    return BivariateSpec(tuple(terms))

@@ -197,7 +197,8 @@ def parse_config(obj):
     if mode == "surface":
         def layers(key):
             out = []
-            for i, entry in enumerate(obj.get(key, [])):
+            raw = _list(obj.get(key, []), key, "a list of {curve, coeff} layers")
+            for i, entry in enumerate(raw):
                 if not isinstance(entry, dict) or "curve" not in entry or "coeff" not in entry:
                     raise ConfigError(f"{key}[{i}]: needs 'curve' and 'coeff'")
                 model = CurveModelConfig.from_dict(entry["curve"], f"{key}[{i}].curve")

@@ -10,19 +10,26 @@ Region-endpoint samples are pinned to the exact data nodes (their map
 images agree with the nodes up to rounding); this keeps interpolation
 exact and makes refinement bit-stable across depths.
 
+A refinement round walks the regions grouped by feeder run: the
+region-independent part of the vertical map is computed once per run, and
+each region writes its images straight into its slice of the new curve.
+
 Each region's |scaling| range is certified once (`RifsModel.scale_range`)
 and every Lipschitz bound the reports use comes from `lipschitz_bounds`.
+Both certify each spec over all of its intervals in one batched call
+(`catalog.abs_extrema_each`, `catalog.lipschitz_bound_each`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
 from . import catalog
-from .catalog import ScalarSpec, abs_extrema, identity, lipschitz_bound
+from .catalog import (ScalarSpec, abs_extrema, abs_extrema_each, identity, lipschitz_bound,
+                      lipschitz_bound_each)
 
 __all__ = [
     "ModelError",
@@ -138,15 +145,14 @@ class RifsModel:
         dl, dh = self.domain_bounds(i)
         return (rh - rl) / (dh - dl)
 
-    def map_apply(self, i, x):
-        """Region i's contraction from its domain onto the region."""
+    def map_apply(self, i, x, out=None):
+        """Region i's contraction from its domain onto the region, written
+        into `out` when given."""
         rl, rh = self.data.region_bounds(i)
         dl, _ = self.domain_bounds(i)
         c = self.map_ratio(i)
-        x = np.asarray(x, dtype=np.float64)
-        if self.flip[i]:
-            return rh - c * (x - dl)
-        return rl + c * (x - dl)
+        t = np.multiply(c, np.subtract(np.asarray(x, dtype=np.float64), dl, out=out), out=out)
+        return np.subtract(rh, t, out=out) if self.flip[i] else np.add(rl, t, out=out)
 
     def map_invert(self, i, x):
         rl, rh = self.data.region_bounds(i)
@@ -302,8 +308,7 @@ def build_model(data, domains, assignment, scaling, range_map=None,
     range_map = range_map if range_map is not None else identity()
     interpolant = interpolant if interpolant is not None else default_interpolant(data)
     base = base if base is not None else default_base(data, domains)
-    scale_range = np.array([abs_extrema(s, data.region_bounds(i))
-                            for i, s in enumerate(scaling)])
+    scale_range = _each_spec(abs_extrema_each, scaling, _region_intervals(data))
     scale_range.flags.writeable = False
 
     ys = np.array(data.ys)
@@ -361,6 +366,25 @@ def build_model(data, domains, assignment, scaling, range_map=None,
     if scale_notes is None:
         scale_notes = _check_scaling(model, lipschitz_bound(range_map, envelope))
     return replace(model, warnings=tuple(env_warnings) + tuple(scale_notes))
+
+
+def _region_intervals(data):
+    return np.array([data.region_bounds(i) for i in range(data.n_regions)])
+
+
+def _each_spec(certify, specs, intervals):
+    """certify(spec, intervals) for per-region specs: one call per distinct
+    spec object, over the intervals of the regions that use it."""
+    groups = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(id(spec), (spec, []))[1].append(i)
+    out = None
+    for spec, idx in groups.values():
+        got = certify(spec, intervals[idx])
+        if out is None:
+            out = np.empty((len(specs),) + got.shape[1:])
+        out[idx] = got
+    return out
 
 
 def _check_scaling(model, L_a):
@@ -443,11 +467,24 @@ def _size_envelope(model, margin):
 # evaluation and refinement
 # ---------------------------------------------------------------------------
 
+def _detail(model, x, y):
+    """The part of every vertical map on a domain that does not depend on
+    the region: range_map(y) - base(x)."""
+    return model.range_map(y) - model.base(x)
+
+
+def _vertical(model, i, lx, detail, out=None):
+    """Region i's vertical map from its parts, s(lx) * detail + interpolant(lx),
+    with lx = L_i(x) and detail = `_detail(model, x, y)`; written into
+    `out` when given."""
+    out = np.multiply(model.scaling[i](lx), detail, out=out)
+    out += model.interpolant(lx)
+    return out
+
+
 def _eval_region_map(model, i, x, y):
     """Vertical component for region i: s(L(x)) * (a(y) - base(x)) + interpolant(L(x))."""
-    lx = model.map_apply(i, x)
-    s = model.scaling[i](lx)
-    return s * (model.range_map(y) - model.base(x)) + model.interpolant(lx)
+    return _vertical(model, i, model.map_apply(i, x), _detail(model, x, y))
 
 
 def eval_F(model, i, x, y):
@@ -467,18 +504,26 @@ def _depth_zero(model):
 
 
 def _refine_step(model, sampling):
+    """One refinement round.  Regions are walked grouped by feeder run, so
+    `_detail` is computed once per run and dropped before the next run's;
+    each region's x image and vertical map are written straight into its
+    slice of the new curve, reversed for a flipped region."""
     prev = sampling.starts
     runs = [(prev[r.start], prev[r.stop]) for r in map(model.feeders, range(model.n_regions))]
     starts = tuple(accumulate((e - s for s, e in runs), initial=0))
     xs, ys = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
-    for i, (s, e) in enumerate(runs):
-        ux, uy = sampling.xs[s:e + 1], sampling.ys[s:e + 1]
-        step = -1 if model.flip[i] else 1
-        a, b = starts[i], starts[i + 1]
-        xs[a:b + 1] = model.map_apply(i, ux)[::step]
-        ys[a:b + 1] = _eval_region_map(model, i, ux, uy)[::step]
-        xs[a], xs[b] = model.data.region_bounds(i)
-        ys[a], ys[b] = model.data.ys[i], model.data.ys[i + 1]
+    for (s, e), regions in groupby(sorted(range(model.n_regions), key=runs.__getitem__),
+                                   key=runs.__getitem__):
+        ux = sampling.xs[s:e + 1]
+        detail = _detail(model, ux, sampling.ys[s:e + 1])
+        for i in regions:
+            step = -1 if model.flip[i] else 1
+            a, b = starts[i], starts[i + 1]
+            lx = model.map_apply(i, ux, out=xs[a:b + 1][::step])
+            _vertical(model, i, lx, detail, out=ys[a:b + 1][::step])
+            xs[a], xs[b] = model.data.region_bounds(i)
+            ys[a], ys[b] = model.data.ys[i], model.data.ys[i + 1]
+        del detail
     return AttractorSampling(sampling.depth + 1, xs, ys, starts)
 
 
@@ -561,14 +606,17 @@ def functional_residual(model, sampling):
 def lipschitz_bounds(model):
     """Certified Lipschitz bounds: range map on the y envelope, and per region
     the scaling and the offset term -s(L(x))*base(x) + interpolant(L(x)) on
-    the domain.  The base is certified once per domain span."""
+    the domain.  Each spec is certified in one call: the interpolant over
+    all regions, each scaling over the regions that use it, and the base
+    over all domain spans."""
     data, n = model.data, model.n_regions
-    regions = [data.region_bounds(i) for i in range(n)]
-    lip_s = np.array([lipschitz_bound(f, r) for f, r in zip(model.scaling, regions)])
-    lip_h = np.array([lipschitz_bound(model.interpolant, r) for r in regions])
+    regions = _region_intervals(data)
+    lip_s = _each_spec(lipschitz_bound_each, model.scaling, regions)
+    lip_h = lipschitz_bound_each(model.interpolant, regions)
     doms = [(data.xs[s], data.xs[e]) for s, e in model.domains.spans]
-    b_max, b_lip = np.array([(abs_extrema(model.base, d)[1], lipschitz_bound(model.base, d))
-                             for d in doms])[list(model.assignment.domain_of)].T
+    dom_of = list(model.assignment.domain_of)
+    b_max = abs_extrema_each(model.base, doms)[dom_of, 1]
+    b_lip = lipschitz_bound_each(model.base, doms)[dom_of]
     c = np.abs([model.map_ratio(i) for i in range(n)])
     return (lipschitz_bound(model.range_map, model.y_envelope), lip_s,
             lip_s * c * b_max + model.scale_range[:, 1] * b_lip + lip_h * c)

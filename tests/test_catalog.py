@@ -12,6 +12,7 @@ from fractalis import (Affine, BivariateSpec, Constant, FunctionSpecError,
                        bivariate_to_json, eval_bivariate, eval_scalar,
                        lagrange_from_nodes, lipschitz_bound, scalar_from_json,
                        scalar_to_json)
+from fractalis.catalog import MAX_PIECES, abs_extrema_each, lipschitz_bound_each
 
 EX2_NODES = ((0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0))
 
@@ -373,7 +374,7 @@ def ref_abs_extrema(spec, lo, hi):
     if isinstance(spec, Scaled):
         mn, mx = ref_abs_extrema(spec.spec, lo, hi)
         return abs(spec.factor) * mn, abs(spec.factor) * mx
-    return spec.abs_extrema(lo, hi)
+    return spec._range(lo, hi)   # closed forms: per-interval scalar math
 
 
 def ref_lipschitz(spec, lo, hi):
@@ -385,7 +386,7 @@ def ref_lipschitz(spec, lo, hi):
         return sum(ref_lipschitz(t, lo, hi) for t in spec.terms)
     if isinstance(spec, Scaled):
         return abs(spec.factor) * ref_lipschitz(spec.spec, lo, hi)
-    return spec.lipschitz_bound(lo, hi)
+    return spec._lip(lo, hi)
 
 
 def assert_same_bits(spec, lo, hi):
@@ -468,3 +469,195 @@ def test_non_finite_power_basis_raises():
             lipschitz_bound(spec, (0.0, 1e160))
         with pytest.raises(FunctionSpecError, match="finite"):
             abs_extrema(spec, (0.0, 1e160))
+
+
+# ---------------------------------------------------------------------------
+# reference: the one-interval bisection the batched one replaced, with the
+# reason and round it stopped in.  Each interval of a batch must come out
+# as this gives it alone, bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_one_interval(spec, lo, hi):
+    """((min |f|, max |f|), (why, round)) of the one-interval bisection."""
+    edges = np.linspace(lo, hi, 9)
+    u, v = edges[:-1], edges[1:]
+    fmid = np.asarray(spec(0.5 * (u + v)), dtype=np.float64)
+    rad = spec._seg_lip(u, v) * (v - u) * 0.5
+    ends = np.abs(np.asarray(spec(np.array([lo, hi])), dtype=np.float64))
+    stop = ("rounds", 64)
+    for rnd in range(64):
+        enc_lo, enc_hi = fmid - rad, fmid + rad
+        top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
+        bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
+                       np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
+        abs_mid = np.abs(fmid)
+        best_max = max(float(ends.max()), float(abs_mid.max()))
+        best_min = min(float(ends.min()), float(abs_mid.min()))
+        if top.max() - best_max <= 1e-9 and best_min - bot.min() <= 1e-9:
+            stop = ("gap", rnd)
+            break
+        cand = ((v - u) > 1e-6) & ((top > best_max + 1e-9) | (bot < best_min - 1e-9))
+        n_new = int(cand.sum())
+        if n_new == 0 or u.size + n_new > 262144:
+            stop = ("none" if n_new == 0 else "max_pieces", rnd)
+            break
+        cu, cv = u[cand], v[cand]
+        cm = 0.5 * (cu + cv)
+        nu, nv = np.concatenate([cu, cm]), np.concatenate([cm, cv])
+        keep = ~cand
+        u = np.concatenate([u[keep], nu])
+        v = np.concatenate([v[keep], nv])
+        fmid = np.concatenate([fmid[keep], np.asarray(spec(0.5 * (nu + nv)), dtype=np.float64)])
+        rad = np.concatenate([rad[keep], spec._seg_lip(nu, nv) * (nv - nu) * 0.5])
+    enc_lo, enc_hi = fmid - rad, fmid + rad
+    top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
+    bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
+                   np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
+    return (max(0.0, float(bot.min())), float(top.max())), stop
+
+
+def ref_one_abs_extrema(spec, lo, hi):
+    if isinstance(spec, (Polynomial, LagrangeNodes, Sum)):
+        return ref_one_interval(spec, lo, hi)[0]
+    if isinstance(spec, Scaled):
+        mn, mx = ref_one_abs_extrema(spec.spec, lo, hi)
+        return abs(spec.factor) * mn, abs(spec.factor) * mx
+    return spec._range(lo, hi)
+
+
+def ref_one_lipschitz(spec, lo, hi):
+    if isinstance(spec, Polynomial):
+        return ref_one_interval(spec._derivative, lo, hi)[0][1]
+    if isinstance(spec, LagrangeNodes):
+        return ref_one_lipschitz(spec._power, lo, hi)
+    if isinstance(spec, Sum):
+        return sum(ref_one_lipschitz(t, lo, hi) for t in spec.terms)
+    if isinstance(spec, Scaled):
+        return abs(spec.factor) * ref_one_lipschitz(spec.spec, lo, hi)
+    return spec._lip(lo, hi)
+
+
+def assert_batch_matches_one_by_one(spec, intervals):
+    ranges = abs_extrema_each(spec, intervals)
+    lips = lipschitz_bound_each(spec, intervals)
+    assert ranges.shape == (len(intervals), 2) and lips.shape == (len(intervals),)
+    for (lo, hi), row, lip in zip(intervals, ranges.tolist(), lips.tolist()):
+        want = ref_one_abs_extrema(spec, lo, hi)
+        assert [v.hex() for v in row] == [float(v).hex() for v in want]
+        assert lip.hex() == float(ref_one_lipschitz(spec, lo, hi)).hex()
+        assert abs_extrema(spec, (lo, hi)) == tuple(row)
+        assert lipschitz_bound(spec, (lo, hi)) == lip
+
+
+def sine(draw):
+    return Sinusoid(draw(coeff), draw(st.floats(0.5, 40.0)), draw(st.floats(-3.0, 3.0)),
+                    draw(st.sampled_from(["sin", "cos"])))
+
+
+@st.composite
+def bisected_specs(draw):
+    """Polynomial, Lagrange, Scaled and Sum specs, the sums with sine terms."""
+    kind = draw(st.sampled_from(["polynomial", "lagrange", "scaled", "sum"]))
+    if kind == "polynomial":
+        return draw(polynomials)
+    if kind == "lagrange":
+        return draw(lagrange_specs())
+    leaf = draw(st.one_of(polynomials, lagrange_specs()))
+    if kind == "scaled":
+        return Scaled(draw(coeff), leaf)
+    return Sum((leaf, *(sine(draw) for _ in range(draw(st.integers(1, 2))))))
+
+
+intervals = st.lists(
+    st.tuples(st.floats(-2.0, 6.0), st.sampled_from([1e-5, 1e-3, 0.05, 0.3, 1.0, 2.5])).map(
+        lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=6)
+
+
+class TestBatchedBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(bisected_specs(), intervals)
+    def test_random_batches_match_one_by_one(self, spec, ivs):
+        assert_batch_matches_one_by_one(spec, ivs)
+
+    def test_intervals_stop_in_different_rounds_and_at_max_pieces(self):
+        # sin - sin is 0 everywhere, but its piece bound 2 * 7 never shrinks
+        # below the gap before pieces reach REFINE_WIDTH: every piece splits
+        # each round, and [0, 1] runs into MAX_PIECES
+        flat = Sum((Sinusoid(1.0, 7.0, 0.0, "sin"), Sinusoid(-1.0, 7.0, 0.0, "sin")))
+        ivs = [(0.0, 1.0), (0.5, 0.501), (2.0, 2.05), (3.0, 3.00002)]
+        stops = [ref_one_interval(flat, lo, hi)[1] for lo, hi in ivs]
+        assert stops[0] == ("max_pieces", 15)
+        assert {why for why, _ in stops[1:]} == {"none"}
+        assert len({rnd for _, rnd in stops}) == len(ivs)
+        assert_batch_matches_one_by_one(flat, ivs)
+
+        bumpy = Sum((Polynomial((0.3, -1.2, 0.8, 0.5)), Sinusoid(0.4, 11.0, 0.2, "sin")))
+        ivs = [(-1.3, 0.7), (0.0, 1.0), (2.0, 2.001), (5.0, 6.1), (0.25, 0.2500001)]
+        stops = [ref_one_interval(bumpy, lo, hi)[1] for lo, hi in ivs]
+        assert len({rnd for _, rnd in stops}) >= 3
+        assert_batch_matches_one_by_one(bumpy, ivs)
+        assert_batch_matches_one_by_one(Scaled(-2.5, bumpy), ivs)
+        assert_batch_matches_one_by_one(LagrangeNodes(EX2_NODES), ivs)
+
+    def test_max_pieces_is_per_interval(self):
+        # two intervals that each fill MAX_PIECES hold twice that between them
+        flat = Sum((Sinusoid(1.0, 7.0, 0.0, "sin"), Sinusoid(-1.0, 7.0, 0.0, "sin")))
+        assert MAX_PIECES == 262144
+        assert_batch_matches_one_by_one(flat, [(0.0, 1.0), (4.0, 5.0)])
+
+    def test_closed_forms_per_interval(self):
+        ivs = [(0.0, 0.25), (0.25, 3.0), (-1.0, 0.0)]
+        for spec in (Constant(-0.7), Affine(2.0, -0.5), Sinusoid(1.0, 8 * math.pi, 0.3, "cos")):
+            assert_batch_matches_one_by_one(spec, ivs)
+
+    def test_non_finite_values_as_one_by_one(self):
+        # 1e308*x - 1e308*x is NaN past x = 1.8 and 0 before it: NaN pieces
+        # stay unsplit, their max is NaN and their min clamps to 0.0
+        nan_past = Sum((Polynomial((0.0, 1e308)), Polynomial((0.0, -1e308))))
+        ivs = [(0.0, 1.0), (1.0, 3.0), (2.0, 2.5)]
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = abs_extrema_each(nan_past, ivs)
+            want = [ref_one_interval(nan_past, lo, hi)[0] for lo, hi in ivs]
+        assert [[v.hex() for v in row] for row in got.tolist()] == [
+            [float(v).hex() for v in row] for row in want]
+        assert got[1:, 0].tolist() == [0.0, 0.0] and np.isnan(got[1:, 1]).all()
+
+    @pytest.mark.parametrize("bad", [[(0.0, 1.0), (1.0, 1.0)], [(0.0, math.nan)], [0.0, 1.0],
+                                     [(0.0, 1.0, 2.0)]])
+    def test_bad_intervals_rejected(self, bad):
+        with pytest.raises(FunctionSpecError, match="interval"):
+            abs_extrema_each(Polynomial((1.0, 2.0)), bad)
+
+
+def test_horner_in_place_matches_fresh_temporaries():
+    spec = Polynomial((0.25, -1.0, 1.0, 0.5, -0.125))
+    x = np.linspace(-2.0, 3.0, 1001)
+    for arg in (x, x[::-1], x[::3]):
+        assert spec(arg).tobytes() == ref_horner(spec.coefficients, arg).tobytes()
+    got = spec(np.float64(0.3))
+    assert type(got) is np.float64
+    assert got == ref_horner(spec.coefficients, np.asarray(0.3))
+
+
+class TestGridSignedZero:
+    def test_first_term_is_the_start(self):
+        # the result starts as the first term's outer product, so an all
+        # -0.0 product stays -0.0 (a zero-filled start made it +0.0)
+        xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 3)
+        g = BivariateSpec((SeparableTerm(Constant(-0.0), Constant(1.0)),)).grid(xs, ys)
+        assert g.shape == (3, 5) and np.all(g == 0.0) and np.all(np.signbit(g))
+
+    def test_equal_to_zero_filled_sum_up_to_signed_zeros(self):
+        spec = BivariateSpec((SeparableTerm(Affine(-2.0, 1.0), Constant(-0.0)),
+                              SeparableTerm(Sinusoid(0.3, 7.0, 0.1, "sin"), Affine(1.0, -0.5)),
+                              SeparableTerm(Constant(-0.0), Constant(2.0))))
+        xs, ys = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 17)
+        ref = np.zeros((ys.size, xs.size))
+        for t in spec.terms:
+            ref += np.outer(t.fy(ys), t.fx(xs))
+        g = spec.grid(xs, ys)
+        assert np.array_equal(g, ref)
+        nonzero = ref != 0.0
+        assert g[nonzero].tobytes() == ref[nonzero].tobytes()
+        assert np.any(np.signbit(g) & ~nonzero) and not np.any(np.signbit(ref) & ~nonzero)

@@ -1,10 +1,19 @@
+import contextlib
+import copy
+import functools
 import importlib
+import io
 import json
 import math
+import operator
+import re
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalis.cli import main
 from fractalis.config import ConfigError, parse_config
@@ -490,3 +499,82 @@ class TestMissingConfig:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["curve", "--config", str(p)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# boundary fuzz: a mutated fixture exits 0, 2 or 3 without a traceback, and
+# an exit-2 message starts with the JSON path (or flag) it rejects
+# ---------------------------------------------------------------------------
+
+JSON_PATH = re.compile(r"error: (--depth|--resolution|top level|config|mode|scales|resolution|obj"
+                       r"|[xy]_curves)(\.\w+|\[\d+\])*( \([xy]_curves\[\d+\]\))?: ")
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=2), st.just([]), st.just({}), st.just([0, 1]), st.just([[0, 1]]),
+    st.just({"kind": "constant", "value": 0.5}))
+
+
+def locations(node, at=()):
+    """Key paths of every value in a JSON document, the document first."""
+    yield at
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, value in items:
+        yield from locations(value, at + (key,))
+
+
+@st.composite
+def mutated_runs(draw):
+    """A fixture with 1-3 values replaced, deleted or duplicated, run by its
+    own command with --depth <= 6 (and a small --resolution for surfaces)."""
+    cfg = json.loads((FIXTURES / f"{draw(st.sampled_from(ALL_FIXTURES))}.json").read_text())
+    command = cfg["mode"]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.sampled_from(list(locations(cfg))[1:]))
+        parent = functools.reduce(operator.getitem, at[:-1], cfg)
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "delete":
+            del parent[at[-1]]
+        elif action == "duplicate" and isinstance(parent, list):
+            parent.insert(at[-1], copy.deepcopy(parent[at[-1]]))
+        else:
+            parent[at[-1]] = draw(VALUES)
+    flags = ["--depth", str(draw(st.integers(0, 6)))]
+    if command == "surface":
+        flags += ["--resolution", str(draw(st.sampled_from([2, 8, 16, 32])))]
+    return command, cfg, flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_runs())
+def test_mutated_fixtures_exit_cleanly(run_args):
+    command, cfg, flags = run_args
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(path), "--out-dir", str(Path(tmp) / "out"),
+                         *flags])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert JSON_PATH.match(err.getvalue()), err.getvalue()
+
+
+@pytest.mark.parametrize("layers,message", [
+    (3, "x_curves: expected a list of {curve, coeff} layers, got 3"),
+    ([{"curve": {}, "coeff": {"terms": 1.5}}],
+     "x_curves[0].coeff: terms: expected a list of {fx, fy} terms, got 1.5"),
+    ([{"curve": {}, "coeff": {"terms": [{"fx": {"kind": "constant", "value": 1.0}}]}}],
+     "x_curves[0].coeff: terms[0]: needs 'fx' and 'fy'"),
+    ([{"curve": {}, "coeff": {"terms": [2]}}], "x_curves[0].coeff: terms[0]: needs 'fx' and 'fy'"),
+])
+def test_malformed_surface_layers_named(tmp_path, capsys, layers, message):
+    cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+    if isinstance(layers, list):
+        layers[0]["curve"] = cfg["x_curves"][0]["curve"]
+    cfg["x_curves"] = layers
+    code, _ = run(tmp_path, cfg)
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err

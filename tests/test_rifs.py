@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fractalis import (Affine, Constant, ContractionReport, LagrangeNodes, Model
                        merged_curve, refine_attractor, rifs, scaling_envelopes,
                        variation_bound_report)
 from fractalis.rifs import (DomainSpec, InterpolationData, RegionAssignment,
-                            _depth_zero, _eval_region_map, _refine_step, _sampled_range,
+                            _depth_zero, _refine_step, _sampled_range,
                             plan_depth)
 from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
 
@@ -425,6 +426,132 @@ class TestRangeMap:
 
 
 # ---------------------------------------------------------------------------
+# reference: the x map and vertical map as one expression each, evaluated
+# per region into fresh arrays (the code `_refine_step` replaced)
+# ---------------------------------------------------------------------------
+
+def ref_map_apply(model, i, x):
+    rl, rh = model.data.region_bounds(i)
+    dl, _ = model.domain_bounds(i)
+    c = model.map_ratio(i)
+    x = np.asarray(x, dtype=np.float64)
+    if model.flip[i]:
+        return rh - c * (x - dl)
+    return rl + c * (x - dl)
+
+
+def ref_eval_region_map(model, i, x, y):
+    lx = ref_map_apply(model, i, x)
+    s = model.scaling[i](lx)
+    return s * (model.range_map(y) - model.base(x)) + model.interpolant(lx)
+
+
+def ref_refine_step(model, sampling):
+    """One round with every region's maps evaluated on its whole feeder
+    run, then copied (reversed when flipped) into the new curve."""
+    prev = sampling.starts
+    runs = [(prev[r.start], prev[r.stop]) for r in map(model.feeders, range(model.n_regions))]
+    starts = tuple(accumulate((e - s for s, e in runs), initial=0))
+    xs, ys = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
+    for i, (s, e) in enumerate(runs):
+        ux, uy = sampling.xs[s:e + 1], sampling.ys[s:e + 1]
+        step = -1 if model.flip[i] else 1
+        a, b = starts[i], starts[i + 1]
+        xs[a:b + 1] = ref_map_apply(model, i, ux)[::step]
+        ys[a:b + 1] = ref_eval_region_map(model, i, ux, uy)[::step]
+        xs[a], xs[b] = model.data.region_bounds(i)
+        ys[a], ys[b] = model.data.ys[i], model.data.ys[i + 1]
+    return starts, xs, ys
+
+
+def assert_steps_match_reference(model, max_depth=8, max_total=2 ** 17):
+    sampling = _depth_zero(model)
+    while (sampling.depth < max_depth
+           and plan_depth(model, sampling.depth + 1).total <= max_total):
+        starts, xs, ys = ref_refine_step(model, sampling)
+        sampling = _refine_step(model, sampling)
+        assert sampling.starts == starts
+        assert sampling.xs.tobytes() == xs.tobytes() and sampling.ys.tobytes() == ys.tobytes()
+
+
+# every endpoint height of a domain is Y0, and this non-affine range map fixes it
+Y0 = 10.0
+DATA_Y0 = [(0.0, Y0), (0.25, 30.0), (0.5, Y0), (0.75, 45.0), (1.0, Y0)]
+
+
+def range_map_fixing(y0):
+    return Sum((Affine(0.5, 0.5 * y0), Sinusoid(0.2, 1.3, -1.3 * y0, "sin")))
+
+
+SCALINGS = st.one_of(
+    st.builds(Constant, st.floats(-0.9, 0.9)),
+    st.builds(lambda a, b: Polynomial((a, b)), st.floats(-0.3, 0.3), st.floats(-0.2, 0.2)),
+    st.builds(Sinusoid, st.floats(-0.9, 0.9), st.floats(0.5, 30.0), st.floats(-3.0, 3.0),
+              st.sampled_from(["sin", "cos"])))
+
+
+@st.composite
+def refine_models(draw):
+    """Random wirings (shared and distinct domains, flips), Constant,
+    Polynomial or Sinusoid scalings, one or one per region, and the
+    identity or a non-affine range map; None if the build fails."""
+    n = draw(st.integers(2, 6))
+    x0, span = draw(st.sampled_from([(0.0, 1.0), (2.0, 3.0), (-0.5, 0.3)]))
+    xs = [x0 + span * i / n for i in range(n + 1)]
+    spans, e = [], 0
+    while e < n:   # spans that cover every region, each used at least once
+        s = draw(st.integers(max(0, e - 2), min(e, n - 2)))
+        e = draw(st.integers(max(s + 2, e + 1), n))
+        spans.append((s, e))
+    extra = st.lists(st.integers(0, len(spans) - 1),
+                     min_size=n - len(spans), max_size=n - len(spans))
+    gamma = draw(st.permutations(list(range(len(spans))) + draw(extra)))
+    y0 = draw(st.floats(-5.0, 5.0))
+    ends = {k for sp in spans for k in sp}
+    ys = [y0 if k in ends else draw(st.floats(-5.0, 5.0)) for k in range(n + 1)]
+    scaling = draw(st.lists(SCALINGS, min_size=1, max_size=n).filter(lambda v: len(v) in (1, n)))
+    try:
+        return build_model(list(zip(xs, ys)), spans, gamma, scaling,
+                           range_map=range_map_fixing(y0) if draw(st.booleans()) else None,
+                           flip=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    except ModelError:
+        return None
+
+
+STEP_MODELS = [
+    pytest.param(build_model(DATA, TWO_DOMAINS, SPLIT, Sinusoid(0.8, 9.0, 0.3, "cos"),
+                             flip=[True, False, False, True]), id="sinusoid-flips"),
+    pytest.param(build_model(DATA, [(0, 2), (2, 4), (0, 4)], [2, 0, 1, 2],
+                             [Polynomial((0.5, -0.3)), Constant(-0.6), Constant(0.7),
+                              Sinusoid(0.5, 3.0, 0.0, "sin")], flip=[False, True, True, False]),
+                 id="shared-and-distinct-domains"),
+    pytest.param(build_model(DATA_Y0, TWO_DOMAINS, SPLIT, Constant(0.9),
+                             range_map=range_map_fixing(Y0), flip=[False, True, False, True]),
+                 id="non-affine-range-map"),
+]
+
+
+class TestRefineStep:
+    """`_refine_step` against the per-region expressions it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("model", FIXTURE_MODELS + EXACT_FAMILY + STEP_MODELS)
+    def test_models_match_reference(self, model):
+        assert_steps_match_reference(model)
+
+    @settings(max_examples=80, deadline=None)
+    @given(refine_models())
+    def test_random_models_match_reference(self, model):
+        if model is not None:
+            assert_steps_match_reference(model, max_total=2 ** 14)
+
+    def test_non_affine_range_map_is_not_affine(self):
+        model = STEP_MODELS[-1].values[0]
+        ys = np.array([Y0, Y0 + 1.0, Y0 + 3.0])
+        assert model.range_map(Y0) == Y0
+        assert np.ptp(np.diff(model.range_map(ys)) / np.diff(ys)) > 0.01
+
+
+# ---------------------------------------------------------------------------
 # reference: per-region arrays, each feeder run rebuilt by concatenation
 # ---------------------------------------------------------------------------
 
@@ -448,8 +575,8 @@ def reference_refine_step(model, regions):
     out = []
     for i in range(model.n_regions):
         ux, uy = reference_merge_run(regions, model.feeders(i))
-        nx = model.map_apply(i, ux)
-        ny = _eval_region_map(model, i, ux, uy)
+        nx = ref_map_apply(model, i, ux)
+        ny = ref_eval_region_map(model, i, ux, uy)
         if model.flip[i]:
             nx = nx[::-1]
             ny = ny[::-1]
@@ -776,30 +903,63 @@ class TestOneCertification:
             assert not view.flags.writeable
             assert np.shares_memory(view, model.scale_range)
 
-    def test_each_region_and_domain_certified_once(self, monkeypatch):
+    @staticmethod
+    def spy(monkeypatch):
+        """Record every certification rifs asks for, batched or scalar, as
+        (name, spec, list of intervals)."""
         calls = []
-        for name in ("abs_extrema", "lipschitz_bound"):
-            def counted(spec, interval, _fn=getattr(rifs, name), _name=name):
-                calls.append((_name, spec, interval))
-                return _fn(spec, interval)
+        for name in ("abs_extrema_each", "lipschitz_bound_each", "abs_extrema",
+                     "lipschitz_bound"):
+            def counted(spec, intervals, _fn=getattr(rifs, name), _name=name):
+                ivs = intervals if _name.endswith("_each") else [intervals]
+                calls.append((_name, spec, [tuple(map(float, iv)) for iv in ivs]))
+                return _fn(spec, intervals)
             monkeypatch.setattr(rifs, name, counted)
+        return calls
 
-        def seen(name, spec):
-            return [iv for n, f, iv in calls if n == name and f is spec]
+    @staticmethod
+    def seen(calls, name, spec):
+        """The interval list of each call `name` made on spec."""
+        return [ivs for n, f, ivs in calls if n == name and f is spec]
 
+    def test_each_region_and_domain_certified_once(self, monkeypatch):
+        calls, seen = self.spy(monkeypatch), self.seen
         scaling = [Constant(0.2), Constant(0.4), Constant(0.6), Constant(0.8)]
         model = build_model(DATA, TWO_DOMAINS, SPLIT, scaling)
         regions = [model.data.region_bounds(i) for i in range(4)]
-        assert [seen("abs_extrema", f) for f in scaling] == [[r] for r in regions]
-        assert not any(seen("abs_extrema", f) for f in (model.base, model.interpolant))
+        whole = [(0.0, 1.0)]
+        assert [seen(calls, "abs_extrema_each", f) for f in scaling] == [[[r]] for r in regions]
+        for spec in (model.base, model.interpolant):
+            assert not seen(calls, "abs_extrema_each", spec)
+            assert not seen(calls, "abs_extrema", spec)
+            # envelope sizing bounds the slopes once, over the whole curve
+            assert seen(calls, "lipschitz_bound", spec) == [whole]
+        assert not any(f is g for n, f, _ in calls if n != "abs_extrema_each" for g in scaling)
 
         calls.clear()
         contraction_report(model)
         variation_bound_report(model, refine_attractor(model, 3))
         scaling_envelopes(model)
-        assert not any(seen("abs_extrema", f) for f in scaling)
-        # two reports, each certifying the base once per domain span
-        assert seen("abs_extrema", model.base) == [(0.0, 0.5), (0.5, 1.0)] * 2
-        assert seen("lipschitz_bound", model.base) == [(0.0, 0.5), (0.5, 1.0)] * 2
-        assert [seen("lipschitz_bound", f) for f in scaling] == [[r] * 2 for r in regions]
-        assert seen("lipschitz_bound", model.interpolant) == regions * 2
+        assert not any(seen(calls, name, f) for f in scaling
+                       for name in ("abs_extrema_each", "abs_extrema", "lipschitz_bound"))
+        # two reports, each certifying the base once per domain span, in one call
+        domains = [(0.0, 0.5), (0.5, 1.0)]
+        assert seen(calls, "abs_extrema_each", model.base) == [domains] * 2
+        assert seen(calls, "lipschitz_bound_each", model.base) == [domains] * 2
+        assert ([seen(calls, "lipschitz_bound_each", f) for f in scaling]
+                == [[[r]] * 2 for r in regions])
+        assert seen(calls, "lipschitz_bound_each", model.interpolant) == [regions] * 2
+        # the scalar entry points only see the range map, on the y envelope
+        assert {(n, f) for n, f, _ in calls if not n.endswith("_each")} == {
+            ("abs_extrema", model.range_map), ("lipschitz_bound", model.range_map)}
+
+    def test_shared_scaling_certified_in_one_call(self, monkeypatch):
+        calls, seen = self.spy(monkeypatch), self.seen
+        shared = Sinusoid(0.8, 3.0, 0.2, "cos")
+        model = build_model(DATA, TWO_DOMAINS, SPLIT, shared)
+        regions = [model.data.region_bounds(i) for i in range(4)]
+        assert seen(calls, "abs_extrema_each", shared) == [regions]
+        calls.clear()
+        contraction_report(model)
+        assert seen(calls, "lipschitz_bound_each", shared) == [regions]
+        assert not seen(calls, "abs_extrema_each", shared)

@@ -130,13 +130,19 @@ class TestEvalSurface:
         # the layer sum eval_surface replaced: one coeff * curve temporary per
         # layer; the coefficient crosses zero and the curves take negative
         # values, so products include -0.0
+        def ref_grid(coeff, axis):
+            out = np.zeros((axis.size, axis.size))   # the zero-filled start
+            for t in coeff.terms:
+                out += np.outer(t.fy(axis), t.fx(axis))
+            return out
+
         def ref_eval_surface(spec, m):
             axis = np.linspace(0.0, 1.0, m + 1)
             H = np.zeros((m + 1, m + 1))
             for layer in spec.x_layers:
-                H += layer.coeff.grid(axis, axis) * layer.curve.value(axis)[None, :]
+                H += ref_grid(layer.coeff, axis) * layer.curve.value(axis)[None, :]
             for layer in spec.y_layers:
-                H += layer.coeff.grid(axis, axis) * layer.curve.value(axis)[:, None]
+                H += ref_grid(layer.coeff, axis) * layer.curve.value(axis)[:, None]
             return H
 
         f = split_curve(Constant(0.5))
@@ -150,6 +156,19 @@ class TestEvalSurface:
         assert np.any(np.signbit(products) & (products == 0.0))
         for m in (2, 64, 100):
             assert eval_surface(spec, m).heights.tobytes() == ref_eval_surface(spec, m).tobytes()
+
+        # coefficients that hold -0.0: `grid` keeps it, the heights do not
+        negzero = BivariateSpec((SeparableTerm(Constant(-0.0), Constant(1.0)),))
+        mixed = BivariateSpec((SeparableTerm(Affine(-2.0, 1.0), Constant(-0.0)),
+                               SeparableTerm(Constant(0.5), Constant(-0.0))))
+        assert np.all(np.signbit(negzero.grid(axis, axis)))
+        assert np.all(np.signbit(mixed.grid(axis, axis)[:, axis < 0.5]))
+        spec = SurfaceSpec((SurfaceLayer(g, negzero), SurfaceLayer(f, mixed)),
+                           (SurfaceLayer(g, mixed), SurfaceLayer(f, cross)))
+        for m in (2, 64, 100):
+            heights = eval_surface(spec, m).heights
+            assert heights.tobytes() == ref_eval_surface(spec, m).tobytes()
+            assert not np.any(np.signbit(heights) & (heights == 0.0))
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
