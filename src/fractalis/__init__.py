@@ -15,11 +15,10 @@ from .dimension import (BoxCountSeries, DimensionReport, HypothesisError,
                         fit_dimension, max_variation, nodes_collinear,
                         nonneg_spectral_radius, scaling_envelopes,
                         spectral_radius, variation_bound_report)
-from .rifs import (AttractorSampling, ContractionReport, DomainSpec,
-                   InterpolationData, ModelError, RegionAssignment, RifsModel,
-                   build_model, contraction_report, default_base,
-                   default_interpolant, derive_connectivity, eval_F,
-                   functional_residual, merged_curve, refine_attractor)
+from .rifs import (AttractorSampling, ContractionReport, InterpolationData,
+                   ModelError, RifsModel, build_model, contraction_report,
+                   default_base, default_interpolant, derive_connectivity,
+                   eval_F, functional_residual, merged_curve, refine_attractor)
 from .surface import (CurveSamples, HeightField, SurfaceLayer, SurfaceSpec,
                       composed_surface_dimension, estimate_surface_dimension,
                       eval_surface)

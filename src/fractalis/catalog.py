@@ -570,19 +570,14 @@ def lagrange_from_nodes(nodes):
     One node collapses to a Constant, two to an Affine, otherwise the
     power-basis Polynomial of degree len(nodes)-1.
     """
-    nodes = [(float(x), float(y)) for x, y in nodes]
-    if len(nodes) < 1:
-        raise FunctionSpecError("need at least one node")
-    xs = [x for x, _ in nodes]
-    if len(set(xs)) != len(xs):
-        raise FunctionSpecError("interpolation nodes must have distinct x values")
-    if len(nodes) == 1:
-        return Constant(nodes[0][1])
-    if len(nodes) == 2:
-        (x0, y0), (x1, y1) = nodes
+    spec = LagrangeNodes(tuple(nodes))
+    if len(spec.nodes) == 1:
+        return Constant(spec.nodes[0][1])
+    if len(spec.nodes) == 2:
+        (x0, y0), (x1, y1) = spec.nodes
         slope = (y1 - y0) / (x1 - x0)
         return Affine(slope, y0 - slope * x0)
-    return LagrangeNodes(tuple(nodes))._power
+    return spec._power
 
 
 # ---------------------------------------------------------------------------
@@ -609,31 +604,63 @@ def scalar_to_json(spec):
     raise FunctionSpecError(f"not a scalar spec: {type(spec).__name__}")
 
 
-def scalar_from_json(obj):
+def _spec_error(where, message):
+    return FunctionSpecError(f"{where}: {message}" if where else message)
+
+
+def _json_number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _spec_error(where, f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_list(item, length=None):
+    """Decoder of a JSON list (of `length` entries, when given) of `item`s."""
+    def decode(value, where):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            what = "a list" if length is None else f"a list of {length}"
+            raise _spec_error(where, f"expected {what}, got {value!r}")
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return decode
+
+
+def _scalar(obj, where):
+    """Spec from JSON; an error starts with the path of the offending field
+    below the top-level spec (`where`, empty at the top)."""
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise FunctionSpecError(f"function spec must be an object with a 'kind': {obj!r}")
+        raise _spec_error(where, f"function spec must be an object with a 'kind': {obj!r}")
     kind = obj["kind"]
-    try:
-        if kind == "constant":
-            return Constant(float(obj["value"]))
-        if kind == "affine":
-            return Affine(float(obj["slope"]), float(obj["intercept"]))
-        if kind == "polynomial":
-            return Polynomial(tuple(obj["coefficients"]))
-        if kind == "sinusoid":
-            return Sinusoid(float(obj["amplitude"]), float(obj["omega"]),
-                            float(obj.get("phase", 0.0)), obj.get("wave", "cos"))
-        if kind == "lagrange":
-            return LagrangeNodes(tuple((x, y) for x, y in obj["nodes"]))
-        if kind == "sum":
-            return Sum(tuple(scalar_from_json(t) for t in obj["terms"]))
-        if kind == "scaled":
-            return Scaled(float(obj["factor"]), scalar_from_json(obj["spec"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FunctionSpecError):
-            raise
-        raise FunctionSpecError(f"bad {kind!r} spec: {exc}") from exc
-    raise FunctionSpecError(f"unknown function kind {kind!r}")
+
+    def field(key, decode):
+        if key not in obj:
+            raise _spec_error(where, f"{kind!r} spec: missing required field {key!r}")
+        return decode(obj[key], f"{where}.{key}" if where else key)
+
+    if kind == "constant":
+        return Constant(field("value", _json_number))
+    if kind == "affine":
+        return Affine(field("slope", _json_number), field("intercept", _json_number))
+    if kind == "polynomial":
+        return Polynomial(field("coefficients", _json_list(_json_number)))
+    if kind == "sinusoid":
+        phase = field("phase", _json_number) if "phase" in obj else 0.0
+        return Sinusoid(field("amplitude", _json_number), field("omega", _json_number),
+                        phase, obj.get("wave", "cos"))
+    if kind == "lagrange":
+        return LagrangeNodes(field("nodes", _json_list(_json_list(_json_number, 2))))
+    if kind == "sum":
+        return Sum(field("terms", _json_list(_scalar)))
+    if kind == "scaled":
+        return Scaled(field("factor", _json_number), field("spec", _scalar))
+    raise _spec_error(where, f"unknown function kind {kind!r}")
+
+
+def scalar_from_json(obj):
+    """Spec from its JSON form.  Parameters must be JSON numbers (not bools
+    or strings); `coefficients`, `nodes` and `terms` must be JSON lists.
+    An error starts with the path of the offending field inside the spec,
+    e.g. `terms[1].value: expected a number, got '0.5'`."""
+    return _scalar(obj, "")
 
 
 def bivariate_to_json(spec):
@@ -643,9 +670,9 @@ def bivariate_to_json(spec):
 
 def bivariate_from_json(obj):
     if isinstance(obj, dict) and "of_x" in obj:
-        return BivariateSpec((SeparableTerm(scalar_from_json(obj["of_x"]), Constant(1.0)),))
+        return BivariateSpec((SeparableTerm(_scalar(obj["of_x"], "of_x"), Constant(1.0)),))
     if isinstance(obj, dict) and "of_y" in obj:
-        return BivariateSpec((SeparableTerm(Constant(1.0), scalar_from_json(obj["of_y"])),))
+        return BivariateSpec((SeparableTerm(Constant(1.0), _scalar(obj["of_y"], "of_y")),))
     if not isinstance(obj, dict) or "terms" not in obj:
         raise FunctionSpecError("bivariate spec needs 'terms' (or 'of_x'/'of_y')")
     if not isinstance(obj["terms"], list):
@@ -654,5 +681,6 @@ def bivariate_from_json(obj):
     for i, t in enumerate(obj["terms"]):
         if not isinstance(t, dict) or "fx" not in t or "fy" not in t:
             raise FunctionSpecError(f"terms[{i}]: needs 'fx' and 'fy', got {t!r}")
-        terms.append(SeparableTerm(scalar_from_json(t["fx"]), scalar_from_json(t["fy"])))
+        terms.append(SeparableTerm(_scalar(t["fx"], f"terms[{i}].fx"),
+                                   _scalar(t["fy"], f"terms[{i}].fy")))
     return BivariateSpec(tuple(terms))

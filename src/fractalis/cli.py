@@ -96,8 +96,6 @@ def _cmd_analyze(cfg, args):
     out = _out_dir(cfg, args)
     depth, field = _depth(args, cfg.curve, "config")
     model = _for_field("config", cfg.curve.build)
-    if depth is not None:
-        _for_field(field, plan_depth, model, depth)   # refused here, where the field is known
     report, sampling = _for_field(field, dimension.analyze_curve, model, *cfg.scales,
                                   depth=depth)
     payload = report.to_dict()
@@ -117,8 +115,8 @@ def _cmd_surface(cfg, args):
     if resolution < 2:
         raise ConfigError("resolution: must be >= 2")
 
-    layers = {"x": [], "y": []}
-    curve_details = []
+    # every layer is built and planned before any curve is refined
+    planned = []
     for axis in ("x", "y"):
         key = f"{axis}_curves"
         for i, (model_cfg, coeff) in enumerate(getattr(cfg, key)):
@@ -129,18 +127,22 @@ def _cmd_surface(cfg, args):
             xs = model.data.xs
             plan = _for_field(field, plan_depth, model, depth, max_points=math.inf,
                               spacing=(xs[-1] - xs[0]) / (4.0 * resolution))
-            samples = surface.CurveSamples.from_model(model, plan.depth)
-            _for_field(field, samples.check_resolution, resolution)
-            layers[axis].append(surface.SurfaceLayer(samples, coeff))
-            detail = {"axis": axis, "depth": plan.depth,
-                      "points": int(samples.xs.size)}
-            try:
-                bounds = dimension.curve_dimension_bounds(model)
-                detail["dimension_bounds"] = [bounds.lower_bound, bounds.upper_bound]
-                detail["dimension_exact"] = bounds.exact
-            except dimension.HypothesisError as exc:
-                detail["dimension_note"] = f"bounds unavailable: {exc}"
-            curve_details.append(detail)
+            planned.append((axis, field, model, plan, coeff))
+
+    layers = {"x": [], "y": []}
+    curve_details = []
+    for axis, field, model, plan, coeff in planned:
+        samples = surface.CurveSamples.from_model(model, plan.depth)
+        _for_field(field, samples.check_resolution, resolution)
+        layers[axis].append(surface.SurfaceLayer(samples, coeff))
+        detail = {"axis": axis, "depth": plan.depth, "points": int(samples.xs.size)}
+        try:
+            bounds = dimension.curve_dimension_bounds(model)
+            detail["dimension_bounds"] = [bounds.lower_bound, bounds.upper_bound]
+            detail["dimension_exact"] = bounds.exact
+        except dimension.HypothesisError as exc:
+            detail["dimension_note"] = f"bounds unavailable: {exc}"
+        curve_details.append(detail)
 
     spec = surface.SurfaceSpec(tuple(layers["x"]), tuple(layers["y"]))
     field = surface.eval_surface(spec, resolution)

@@ -21,18 +21,20 @@ with "x_curves"/"y_curves", each entry {"curve": {model fields},
 "coeff": bivariate spec}, plus an integer "resolution" (default 256) and
 an optional JSON boolean "obj" (default false).
 `rifs.plan_depth` plans each missing depth (README "Configuration" gives
-the rules).
+the rules).  An optional "out_dir" must be a string.
 Bivariate specs are {"terms": [{"fx": spec, "fy": spec}, ...]} or the
-shortcuts {"of_x": spec} / {"of_y": spec}.
+shortcuts {"of_x": spec} / {"of_y": spec}; spec parameters must be JSON
+numbers and lists (`catalog.scalar_from_json`).
+Parsing checks JSON types, naming a bad value's path; the model fields
+are kept as parsed and `CurveModelConfig.build` passes them to
+`rifs.build_model`, which checks the data and the wiring.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import (FunctionSpecError, bivariate_from_json, identity,
-                      scalar_from_json)
-from .rifs import (DomainSpec, InterpolationData, ModelError,
-                   RegionAssignment, build_model)
+from .catalog import FunctionSpecError, bivariate_from_json, scalar_from_json
+from .rifs import build_model
 
 __all__ = ["ConfigError", "CurveModelConfig", "RunConfig", "parse_config"]
 
@@ -49,23 +51,20 @@ def _require(obj, key, where):
     return obj[key]
 
 
-def _int(value, where):
-    """value, which must be a JSON integer (not a bool, float or string)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+_JSON_TYPES = {"an integer": int, "a number": (int, float), "a boolean": bool}
+
+
+def _json(value, where, what):
+    """value, which must be JSON `what`: "an integer", "a number" or "a
+    boolean".  A bool is only a boolean; strings and null are none of them."""
+    if not isinstance(value, _JSON_TYPES[what]) or isinstance(value, bool) != (what == "a boolean"):
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
     return value
 
 
 def _integer(obj, key, where, default):
-    """obj[key] as by `_int`, or default when the key is absent."""
-    return _int(obj[key], where) if key in obj else default
-
-
-def _number(value, where):
-    """value, which must be a JSON number (not a bool or string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return value
+    """obj[key], which must be a JSON integer, or default when the key is absent."""
+    return _json(obj[key], where, "an integer") if key in obj else default
 
 
 def _list(value, where, what, length=None):
@@ -75,71 +74,45 @@ def _list(value, where, what, length=None):
     return value
 
 
-def _pairs(obj, key, where, names, item):
-    """obj[key]: a list of two-item lists `names`, each item checked by `item`."""
+def _pairs(obj, key, where, names, what):
+    """obj[key]: a list of two-item lists `names` of JSON `what` (see `_json`)."""
     raw = _list(_require(obj, key, where), f"{where}.{key}", f"a list of pairs {names}")
     return tuple(
-        tuple(item(v, f"{where}.{key}[{i}][{j}]") for j, v in enumerate(
+        tuple(_json(v, f"{where}.{key}[{i}][{j}]", what) for j, v in enumerate(
             _list(pair, f"{where}.{key}[{i}]", f"a pair {names}", 2)))
         for i, pair in enumerate(raw))
 
 
-def _boolean(value, where):
-    """value, which must be a JSON boolean (not a number, string or null)."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a boolean, got {value!r}")
-    return value
-
-
-def _spec(obj, where):
+def _spec(obj, where, parse=scalar_from_json):
+    """parse(obj), a catalog JSON decoder, with its error named after `where`."""
     try:
-        return scalar_from_json(obj)
-    except FunctionSpecError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _bivariate(obj, where):
-    try:
-        return bivariate_from_json(obj)
+        return parse(obj)
     except FunctionSpecError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class CurveModelConfig:
-    data: InterpolationData
-    domains: DomainSpec
-    assignment: RegionAssignment
-    scaling: tuple
-    range_map: object
-    base: object        # spec or None for the default
-    interpolant: object
-    flip: tuple | None
+    """A curve model's `rifs.build_model` keyword arguments, and its depth."""
+    arguments: dict
     depth: int | None   # None: planned by the command (see the module docstring)
 
     @classmethod
     def from_dict(cls, obj, where="config"):
         if not isinstance(obj, dict):
             raise ConfigError(f"{where}: expected an object")
-        nodes = _pairs(obj, "data", where, "[x, y]", _number)
-        spans = _pairs(obj, "domains", where, "[start_node, end_node]", _int)
+        data = _pairs(obj, "data", where, "[x, y]", "a number")
+        domains = _pairs(obj, "domains", where, "[start_node, end_node]", "an integer")
         raw = _list(_require(obj, "region_domains", where), f"{where}.region_domains",
                     "a list of domain indices")
-        domain_of = tuple(_int(k, f"{where}.region_domains[{i}]") for i, k in enumerate(raw))
-        try:
-            data = InterpolationData(tuple(x for x, _ in nodes), tuple(y for _, y in nodes))
-            domains = DomainSpec(spans)
-            assignment = RegionAssignment(domain_of)
-        except ModelError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        domain_of = tuple(_json(k, f"{where}.region_domains[{i}]", "an integer")
+                          for i, k in enumerate(raw))
         raw_scaling = _require(obj, "scaling", where)
         if isinstance(raw_scaling, list):
-            scaling = tuple(_spec(s, f"{where}.scaling[{i}]")
-                            for i, s in enumerate(raw_scaling))
+            scaling = tuple(_spec(s, f"{where}.scaling[{i}]") for i, s in enumerate(raw_scaling))
         else:
             scaling = (_spec(raw_scaling, f"{where}.scaling"),)
-        range_map = (_spec(obj["range_map"], f"{where}.range_map")
-                     if "range_map" in obj else identity())
+        range_map = _spec(obj["range_map"], f"{where}.range_map") if "range_map" in obj else None
         base = obj.get("base", "interpolate")
         base = None if base == "interpolate" else _spec(base, f"{where}.base")
         interp = obj.get("interpolant", "interpolate")
@@ -147,16 +120,16 @@ class CurveModelConfig:
         flip = None
         if "flip" in obj:
             raw = _list(obj["flip"], f"{where}.flip", "a list of booleans")
-            flip = tuple(_boolean(f, f"{where}.flip[{i}]") for i, f in enumerate(raw))
+            flip = tuple(_json(f, f"{where}.flip[{i}]", "a boolean") for i, f in enumerate(raw))
         depth = _integer(obj, "depth", f"{where}.depth", None)
         if depth is not None and depth < 0:
             raise ConfigError(f"{where}.depth: must be >= 0")
-        return cls(data, domains, assignment, scaling, range_map, base, interp,
-                   flip, depth)
+        return cls(dict(data=data, domains=domains, domain_of=domain_of, scaling=scaling,
+                        range_map=range_map, base=base, interpolant=interp, flip=flip), depth)
 
     def build(self):
-        return build_model(self.data, self.domains, self.assignment, self.scaling,
-                           self.range_map, self.base, self.interpolant, self.flip)
+        """The model; a ModelError names the data or wiring fault."""
+        return build_model(**self.arguments)
 
 
 @dataclass(frozen=True)
@@ -176,6 +149,8 @@ def parse_config(obj):
         raise ConfigError("top level: expected a JSON object")
     mode = _require(obj, "mode", "top level")
     out_dir = obj.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir: expected a string, got {out_dir!r}")
 
     if mode in ("curve", "analyze"):
         curve = CurveModelConfig.from_dict(obj, "config")
@@ -202,7 +177,7 @@ def parse_config(obj):
                 if not isinstance(entry, dict) or "curve" not in entry or "coeff" not in entry:
                     raise ConfigError(f"{key}[{i}]: needs 'curve' and 'coeff'")
                 model = CurveModelConfig.from_dict(entry["curve"], f"{key}[{i}].curve")
-                coeff = _bivariate(entry["coeff"], f"{key}[{i}].coeff")
+                coeff = _spec(entry["coeff"], f"{key}[{i}].coeff", bivariate_from_json)
                 out.append((model, coeff))
             return tuple(out)
 
@@ -215,6 +190,6 @@ def parse_config(obj):
             raise ConfigError("resolution: must be >= 2")
         return RunConfig(mode=mode, out_dir=out_dir, x_curves=x_curves,
                          y_curves=y_curves, resolution=resolution,
-                         obj=_boolean(obj.get("obj", False), "obj"))
+                         obj=_json(obj.get("obj", False), "obj", "a boolean"))
 
     raise ConfigError(f"mode: expected 'curve', 'surface' or 'analyze', got {mode!r}")

@@ -100,7 +100,7 @@ def check_irreducible(A):
     return bool(_reachability(_as_square(A)).all())
 
 
-def spectral_radius(A, tol=POWER_TOL, max_iter=POWER_CAP):
+def spectral_radius(A):
     """Perron growth rate of an irreducible nonnegative matrix.
 
     Power iteration from the all-ones vector on the shifted matrix
@@ -109,12 +109,10 @@ def spectral_radius(A, tol=POWER_TOL, max_iter=POWER_CAP):
     oscillates forever) and is subtracted back exactly, since shifting a
     nonnegative matrix moves its growth rate by exactly the shift.
     Iteration stops once the two-sided ratio bracket
-    min_i (Ax)_i/x_i <= rho <= max_i (Ax)_i/x_i is tighter than tol, so
-    the returned midpoint carries a certified error bound.
+    min_i (Ax)_i/x_i <= rho <= max_i (Ax)_i/x_i is tighter than
+    POWER_TOL, so the returned midpoint carries a certified error bound.
     """
     A = _as_square(A)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not check_irreducible(A):
         raise ValueError("matrix support is not strongly connected (reducible); "
                          "the Perron growth rate is not isolated")
@@ -125,20 +123,20 @@ def spectral_radius(A, tol=POWER_TOL, max_iter=POWER_CAP):
     A = A + shift * np.eye(n)
     x = np.ones(n)
     lo = hi = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_CAP):
         y = A @ x
         ratios = y / x
         lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= tol * max(hi, 1.0):
+        if hi - lo <= POWER_TOL * max(hi, 1.0):
             return 0.5 * (lo + hi) - shift
         x = y / np.linalg.norm(y)
     raise NumericalError(
-        f"power iteration did not converge in {max_iter} steps "
+        f"power iteration did not converge in {POWER_CAP} steps "
         f"(last bracket [{lo - shift:.17g}, {hi - shift:.17g}]); "
         "the dominant eigenvalue may be nearly tied")
 
 
-def nonneg_spectral_radius(A, tol=POWER_TOL):
+def nonneg_spectral_radius(A):
     """Growth rate for any nonnegative matrix.
 
     Decomposes the support into strongly connected components and takes
@@ -161,7 +159,7 @@ def nonneg_spectral_radius(A, tol=POWER_TOL):
         if comp.size == 1:
             best = max(best, float(block[0, 0]))
         else:
-            best = max(best, spectral_radius(block, tol))
+            best = max(best, spectral_radius(block))
     return best
 
 
@@ -237,13 +235,13 @@ def _uniform_geometry(model):
     span = float(xs[-1] - xs[0])
     if float(gaps.max() - gaps.min()) > 1e-12 * max(span, 1.0):
         raise HypothesisError("nodes are not uniformly spaced")
-    widths = {e - s for s, e in model.domains.spans}
+    widths = {e - s for s, e in model.domains}
     if len(widths) != 1:
         raise HypothesisError("domains do not all span the same number of regions")
     return float(gaps.mean()), widths.pop()
 
 
-def curve_dimension_bounds(model, tol=POWER_TOL):
+def curve_dimension_bounds(model):
     """Closed-form box-dimension bounds for a uniform model.
 
     Requires uniformly spaced nodes, equal-width domains of a >= 2
@@ -262,13 +260,13 @@ def curve_dimension_bounds(model, tol=POWER_TOL):
         raise HypothesisError("range map is not the identity")
     if not check_irreducible(model.connection):
         raise HypothesisError("connection matrix is not irreducible")
-    if all(nodes_collinear(model.data, span) for span in model.domains.spans):
+    if all(nodes_collinear(model.data, span) for span in model.domains):
         raise HypothesisError("every domain's nodes are collinear")
 
     s_lo, s_hi = scaling_envelopes(model)
     C = model.connection.astype(np.float64)
-    lam_hi = nonneg_spectral_radius(np.diag(s_hi) @ C, tol)
-    lam_lo = nonneg_spectral_radius(np.diag(s_lo) @ C, tol)
+    lam_hi = nonneg_spectral_radius(np.diag(s_hi) @ C)
+    lam_lo = nonneg_spectral_radius(np.diag(s_lo) @ C)
 
     if lam_hi <= 1.0:
         return DimensionReport(
@@ -606,8 +604,6 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     deltas = curve_scale_schedule(model, r_lo, r_hi)
     plan = plan_depth(model, depth, min(deltas) / 4.0, MAX_POINTS)
     notes = [plan.note] if plan.note else []
-    sampling = refine_attractor(model, plan.depth)
-    gx, gy = merged_curve(sampling)
     # drop scales the sampling cannot saturate (spacing must be <= delta/4);
     # counts there would flatten and can even lose monotonicity
     usable = [d for d in deltas if 4.0 * plan.gap <= d * (1.0 + 1e-9)]
@@ -621,6 +617,8 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
         notes.append(f"dropped {dropped} under-resolved scale{'s' if dropped > 1 else ''} "
                      f"(x spacing {plan.gap:.3g})")
         deltas = usable
+    sampling = refine_attractor(model, plan.depth)
+    gx, gy = merged_curve(sampling)
     counts = [box_count_graph(gx, gy, d) for d in deltas]
     return fit_report(BoxCountSeries(tuple(deltas), tuple(counts)), notes), sampling
 

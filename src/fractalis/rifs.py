@@ -1,14 +1,15 @@
 """Recurrent-IFS fractal interpolation curves.
 
 A model bundles interpolation data, domain/region wiring, per-region
-vertical scaling functions and the base/interpolant pair.  Curve points
-are produced by exact forward refinement: every emitted point is the
-image of attractor points under the region maps, so no convergence
-tolerance is involved.  The curve is one x-sorted array pair: region i's
-samples are the images of the run of samples on its source domain.
-Region-endpoint samples are pinned to the exact data nodes (their map
-images agree with the nodes up to rounding); this keeps interpolation
-exact and makes refinement bit-stable across depths.
+vertical scaling functions and the base/interpolant pair; `build_model`
+builds it from plain values and `derive_connectivity` checks the wiring.
+Curve points are produced by exact forward refinement: every emitted
+point is the image of attractor points under the region maps, so no
+convergence tolerance is involved.  The curve is one x-sorted array
+pair: region i's samples are the images of the run of samples on its
+source domain.  Region-endpoint samples are pinned to the exact data
+nodes (their map images agree with the nodes up to rounding); this keeps
+interpolation exact and makes refinement bit-stable across depths.
 
 A refinement round walks the regions grouped by feeder run: the
 region-independent part of the vertical map is computed once per run, and
@@ -22,6 +23,7 @@ Both certify each spec over all of its intervals in one batched call
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from itertools import accumulate, groupby
 
@@ -34,8 +36,6 @@ from .catalog import (ScalarSpec, abs_extrema, abs_extrema_each, identity, lipsc
 __all__ = [
     "ModelError",
     "InterpolationData",
-    "DomainSpec",
-    "RegionAssignment",
     "RifsModel",
     "AttractorSampling",
     "DepthPlan",
@@ -91,36 +91,10 @@ class InterpolationData:
 
 
 @dataclass(frozen=True)
-class DomainSpec:
-    spans: tuple  # ((start_node, end_node), ...)
-
-    def __post_init__(self):
-        spans = tuple((int(s), int(e)) for s, e in self.spans)
-        if len(spans) < 1:
-            raise ModelError("domains: need at least one domain")
-        for k, (s, e) in enumerate(spans):
-            if e - s < 2:
-                raise ModelError(
-                    f"domains[{k}]: must span at least 2 regions (end - start >= 2), "
-                    f"got [{s}, {e}]")
-            if s < 0:
-                raise ModelError(f"domains[{k}]: start node {s} out of range")
-        object.__setattr__(self, "spans", spans)
-
-
-@dataclass(frozen=True)
-class RegionAssignment:
-    domain_of: tuple  # per region, 0-based domain index
-
-    def __post_init__(self):
-        object.__setattr__(self, "domain_of", tuple(int(k) for k in self.domain_of))
-
-
-@dataclass(frozen=True)
 class RifsModel:
     data: InterpolationData
-    domains: DomainSpec
-    assignment: RegionAssignment
+    domains: tuple            # ((start_node, end_node), ...) int pairs
+    domain_of: tuple          # per region, 0-based int index into domains
     scaling: tuple            # per region ScalarSpec
     range_map: ScalarSpec     # applied to y inside the vertical map
     base: ScalarSpec          # matches node values at domain endpoints
@@ -137,7 +111,7 @@ class RifsModel:
         return self.data.n_regions
 
     def domain_bounds(self, i):
-        s, e = self.domains.spans[self.assignment.domain_of[i]]
+        s, e = self.domains[self.domain_of[i]]
         return self.data.xs[s], self.data.xs[e]
 
     def map_ratio(self, i):
@@ -165,7 +139,7 @@ class RifsModel:
 
     def feeders(self, i):
         """Regions whose content refines region i (a contiguous run)."""
-        s, e = self.domains.spans[self.assignment.domain_of[i]]
+        s, e = self.domains[self.domain_of[i]]
         return range(s, e)
 
 
@@ -232,6 +206,16 @@ def default_interpolant(data):
     return catalog.lagrange_from_nodes(list(zip(data.xs, data.ys)))
 
 
+def _endpoint_nodes(domains):
+    """Sorted indices of the nodes that start or end a domain."""
+    return sorted({node for span in domains for node in span})
+
+
+def _misses(got, want):
+    """True unless `got` is within NODE_TOL of the node value `want` (NaN misses)."""
+    return not abs(got - want) <= NODE_TOL * (1.0 + abs(want))
+
+
 def default_base(data, domains):
     """Polynomial through the nodes used as domain endpoints.
 
@@ -239,12 +223,12 @@ def default_base(data, domains):
     the vertical map cancels and the fixed curve degenerates to the
     interpolant itself.
     """
-    idx = sorted({s for s, _ in domains.spans} | {e for _, e in domains.spans})
-    return catalog.lagrange_from_nodes([(data.xs[i], data.ys[i]) for i in idx])
+    return catalog.lagrange_from_nodes(
+        [(data.xs[i], data.ys[i]) for i in _endpoint_nodes(domains)])
 
 
-def derive_connectivity(data, domains, assignment):
-    """Connection matrix C and row-stochastic companion M.
+def derive_connectivity(data, domains, domain_of):
+    """Check every wiring rule, unused domains too; return C and row-stochastic M.
 
     C[i, j] = 1 iff region j lies inside region i's source domain;
     M[i, j] = 1/a_i over the a_i regions j whose source domain contains
@@ -252,18 +236,34 @@ def derive_connectivity(data, domains, assignment):
     index at once, so both are exact.
     """
     n = data.n_regions
-    dom = assignment.domain_of
-    if len(dom) != n:
+    if len(domains) < 1:
+        raise ModelError("domains: need at least one domain")
+    for k, span in enumerate(domains):
+        if len(span) != 2 or any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                                 for v in span):
+            raise ModelError(
+                f"domains[{k}]: expected a pair of integer node indices, got {span!r}")
+        s, e = span
+        if e - s < 2:
+            raise ModelError(
+                f"domains[{k}]: must span at least 2 regions (end - start >= 2), "
+                f"got [{s}, {e}]")
+        if s < 0:
+            raise ModelError(f"domains[{k}]: start node {s} out of range")
+    if len(domain_of) != n:
         raise ModelError(
-            f"region assignment: expected {n} entries (one per region), got {len(dom)}")
-    for i, k in enumerate(dom):
-        if not 0 <= k < len(domains.spans):
+            f"region assignment: expected {n} entries (one per region), got {len(domain_of)}")
+    for i, k in enumerate(domain_of):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ModelError(
+                f"region assignment[{i}]: expected an integer domain index, got {k!r}")
+        if not 0 <= k < len(domains):
             raise ModelError(f"region assignment[{i}]: domain index {k} out of range")
-    for k, (s, e) in enumerate(domains.spans):
+    for k, (s, e) in enumerate(domains):
         if e > n:
             raise ModelError(f"domains[{k}]: end node {e} exceeds node count")
 
-    spans = np.array(domains.spans, dtype=np.int64)[list(dom)]
+    spans = np.array(domains, dtype=np.int64)[list(domain_of)]
     j = np.arange(n)
     C = ((spans[:, :1] <= j) & (j + 1 <= spans[:, 1:])).astype(np.int64)
     users = C.sum(axis=0)
@@ -274,36 +274,38 @@ def derive_connectivity(data, domains, assignment):
     return C, np.ascontiguousarray(C.T / users[:, None])
 
 
-def build_model(data, domains, assignment, scaling, range_map=None,
+def build_model(data, domains, domain_of, scaling, range_map=None,
                 base=None, interpolant=None, flip=None):
     """Validate the ingredients and assemble a RifsModel.
 
-    The wiring is checked first; each region's |scaling| range is certified
-    once, into the read-only `scale_range`.  Endpoint identities (base/
-    interpolant node values, the endpoint behaviour of the composed vertical
-    map) are checked numerically; the y envelope is then sized to provably
-    (or, for marginal scalings, empirically) contain the fixed curve.  The
-    scaling bound |s| * L_range < 1 is checked before the vertical maps are
-    evaluated when the range map is affine (L_range is then its slope), and
-    after sizing otherwise (L_range is certified on the envelope).
+    `data` holds (x, y) pairs, `domains` integer (start_node, end_node)
+    pairs, `domain_of` a domain index per region and `flip` a bool per
+    region.  The wiring is checked first, by `derive_connectivity`; each
+    region's |scaling| range is certified once, into the read-only
+    `scale_range`.  Endpoint identities (base/interpolant node values, the
+    endpoint behaviour of the composed vertical map) are checked
+    numerically; the y envelope is then sized to provably (or, for
+    marginal scalings, empirically) contain the fixed curve.  The scaling
+    bound |s| * L_range < 1 is checked before the vertical maps are
+    evaluated when the range map is affine (L_range is then its slope),
+    and after sizing otherwise (L_range is certified on the envelope).
     """
-    if not isinstance(data, InterpolationData):
-        data = InterpolationData(tuple(p[0] for p in data), tuple(p[1] for p in data))
-    if not isinstance(domains, DomainSpec):
-        domains = DomainSpec(tuple(domains))
-    if not isinstance(assignment, RegionAssignment):
-        assignment = RegionAssignment(tuple(assignment))
+    data = InterpolationData(tuple(p[0] for p in data), tuple(p[1] for p in data))
+    C, M = derive_connectivity(data, domains, domain_of)
+    domains = tuple((int(s), int(e)) for s, e in domains)
+    domain_of = tuple(int(k) for k in domain_of)
     n = data.n_regions
     scaling = tuple(scaling) if isinstance(scaling, (list, tuple)) else (scaling,)
     if len(scaling) == 1:
         scaling = scaling * n
     if len(scaling) != n:
         raise ModelError(f"scaling: expected 1 or {n} function specs, got {len(scaling)}")
-    flip = tuple(bool(f) for f in flip) if flip is not None else (False,) * n
+    flip = tuple(flip) if flip is not None else (False,) * n
     if len(flip) != n:
         raise ModelError(f"flip: expected {n} entries, got {len(flip)}")
-
-    C, M = derive_connectivity(data, domains, assignment)
+    for i, f in enumerate(flip):
+        if not isinstance(f, (bool, np.bool_)):
+            raise ModelError(f"flip[{i}]: expected a boolean, got {f!r}")
 
     range_map = range_map if range_map is not None else identity()
     interpolant = interpolant if interpolant is not None else default_interpolant(data)
@@ -315,7 +317,7 @@ def build_model(data, domains, assignment, scaling, range_map=None,
     spread = float(ys.max() - ys.min())
     margin = 0.5 * spread + 1.0
     envelope = (float(ys.min() - margin), float(ys.max() + margin))
-    model = RifsModel(data, domains, assignment, scaling, range_map, base,
+    model = RifsModel(data, domains, domain_of, scaling, range_map, base,
                       interpolant, flip, C, M, scale_range, envelope)
 
     for i in range(n):
@@ -324,18 +326,12 @@ def build_model(data, domains, assignment, scaling, range_map=None,
                 f"region {i}: x map ratio {model.map_ratio(i):.6g} is not a contraction "
                 "(domain must be wider than the region)")
 
-    for i, x in enumerate(data.xs):
-        got = float(interpolant(np.float64(x)))
-        if not abs(got - data.ys[i]) <= NODE_TOL * (1.0 + abs(data.ys[i])):
-            raise ModelError(
-                f"interpolant misses node {i}: f({x}) = {got}, expected {data.ys[i]}")
-    endpoint_nodes = sorted({s for s, _ in domains.spans} | {e for _, e in domains.spans})
-    for i in endpoint_nodes:
-        got = float(base(np.float64(data.xs[i])))
-        if not abs(got - data.ys[i]) <= NODE_TOL * (1.0 + abs(data.ys[i])):
-            raise ModelError(
-                f"base misses domain-endpoint node {i}: f({data.xs[i]}) = {got}, "
-                f"expected {data.ys[i]}")
+    for f, nodes, what in ((interpolant, range(n + 1), "interpolant misses node"),
+                           (base, _endpoint_nodes(domains), "base misses domain-endpoint node")):
+        for i in nodes:
+            got = float(f(np.float64(data.xs[i])))
+            if _misses(got, data.ys[i]):
+                raise ModelError(f"{what} {i}: f({data.xs[i]}) = {got}, expected {data.ys[i]}")
 
     # an affine range map's Lipschitz bound does not depend on the envelope,
     # so the scaling bound runs first: a diverging system is refused before
@@ -348,13 +344,13 @@ def build_model(data, domains, assignment, scaling, range_map=None,
     # domain endpoints onto the region endpoints, and the vertical map must
     # carry the matching node heights along
     for i in range(n):
-        s, e = domains.spans[assignment.domain_of[i]]
+        s, e = domains[domain_of[i]]
         pairs = [(s, i + 1), (e, i)] if flip[i] else [(s, i), (e, i + 1)]
         for node, target in pairs:
             xa, ya = data.xs[node], data.ys[node]
             expect = data.ys[target]
             got = float(_eval_region_map(model, i, np.float64(xa), np.float64(ya)))
-            if not abs(got - expect) <= NODE_TOL * (1.0 + abs(expect)):
+            if _misses(got, expect):
                 raise ModelError(
                     f"region {i}: vertical map sends node {node} to {got}, "
                     f"expected {expect} (base/interpolant/range_map endpoint mismatch)")
@@ -613,8 +609,8 @@ def lipschitz_bounds(model):
     regions = _region_intervals(data)
     lip_s = _each_spec(lipschitz_bound_each, model.scaling, regions)
     lip_h = lipschitz_bound_each(model.interpolant, regions)
-    doms = [(data.xs[s], data.xs[e]) for s, e in model.domains.spans]
-    dom_of = list(model.assignment.domain_of)
+    doms = [(data.xs[s], data.xs[e]) for s, e in model.domains]
+    dom_of = list(model.domain_of)
     b_max = abs_extrema_each(model.base, doms)[dom_of, 1]
     b_lip = lipschitz_bound_each(model.base, doms)[dom_of]
     c = np.abs([model.map_ratio(i) for i in range(n)])

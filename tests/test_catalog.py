@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -335,6 +336,7 @@ def ref_horner(coeffs, x):
     return r
 
 
+@functools.lru_cache(maxsize=None)   # one solve per spec, not per piece
 def ref_power_coeffs(spec):
     xs = np.array([x for x, _ in spec.nodes])
     ys = np.array([y for _, y in spec.nodes])

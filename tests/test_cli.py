@@ -578,3 +578,120 @@ def test_malformed_surface_layers_named(tmp_path, capsys, layers, message):
     code, _ = run(tmp_path, cfg)
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# function-spec numbers and lists must be JSON numbers and lists
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "polynomial", "coefficients": "12"},
+     "config.scaling: coefficients: expected a list, got '12'"),
+    ({"kind": "polynomial", "coefficients": [0.5, "0"]},
+     "config.scaling: coefficients[1]: expected a number, got '0'"),
+    ({"kind": "constant", "value": "0.5"}, "config.scaling: value: expected a number, got '0.5'"),
+    ({"kind": "constant", "value": True}, "config.scaling: value: expected a number, got True"),
+    ({"kind": "affine", "slope": 0, "intercept": None},
+     "config.scaling: intercept: expected a number, got None"),
+    ({"kind": "sinusoid", "amplitude": 0.5, "omega": 1, "phase": "0"},
+     "config.scaling: phase: expected a number, got '0'"),
+    ({"kind": "lagrange", "nodes": {"0": 0.5}},
+     "config.scaling: nodes: expected a list, got {'0': 0.5}"),
+    ({"kind": "lagrange", "nodes": [[0, 0.5], [1]]},
+     "config.scaling: nodes[1]: expected a list of 2, got [1]"),
+    ({"kind": "lagrange", "nodes": [[0, 0.5], [1, False]]},
+     "config.scaling: nodes[1][1]: expected a number, got False"),
+    ({"kind": "sum", "terms": {"kind": "constant", "value": 0.5}},
+     "config.scaling: terms: expected a list, got {'kind': 'constant', 'value': 0.5}"),
+    ({"kind": "sum", "terms": [{"kind": "constant", "value": 0.25},
+                               {"kind": "constant", "value": "0.25"}]},
+     "config.scaling: terms[1].value: expected a number, got '0.25'"),
+    ({"kind": "scaled", "factor": "2", "spec": {"kind": "constant", "value": 0.25}},
+     "config.scaling: factor: expected a number, got '2'"),
+    ({"kind": "scaled", "factor": 2, "spec": {"kind": "constant", "value": [0.25]}},
+     "config.scaling: spec.value: expected a number, got [0.25]"),
+    ({"kind": "affine", "slope": 0.5},
+     "config.scaling: 'affine' spec: missing required field 'intercept'"),
+])
+def test_spec_numbers_must_be_json_numbers(tmp_path, capsys, spec, message):
+    code, out = run(tmp_path, curve_config(scaling=spec))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" == err
+    assert not out.exists()
+
+
+def test_surface_coefficient_numbers_named(tmp_path, capsys):
+    cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+    cfg["y_curves"][0]["coeff"]["terms"][0]["fy"]["value"] = "1"
+    code, _ = run(tmp_path, cfg)
+    assert code == 2
+    assert ("error: y_curves[0].coeff: terms[0].fy.value: expected a number, got '1'\n"
+            == capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", [5, True, ["out"], {"dir": "out"}])
+def test_out_dir_must_be_a_string(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(curve_config(out_dir=value)))
+    assert main(["curve", "--config", str(path)]) == 2
+    assert f"error: out_dir: expected a string, got {value!r}\n" == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# a refused input is found before any curve is refined
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Depths refined through any module binding of rifs.refine_attractor."""
+    from fractalis import dimension, rifs, surface
+    from fractalis import cli as cli_module
+
+    depths, original = [], rifs.refine_attractor
+
+    def spy(model, depth):
+        depths.append(depth)
+        return original(model, depth)
+    for module in (rifs, dimension, surface, cli_module):
+        if getattr(module, "refine_attractor", None) is original:
+            monkeypatch.setattr(module, "refine_attractor", spy)
+    return depths
+
+
+def contractive_surface():
+    """fig3a with a strictly contractive first layer, whose build refines nothing."""
+    cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+    cfg["x_curves"][0]["curve"]["scaling"] = {"kind": "constant", "value": 0.5}
+    return cfg
+
+
+def test_surface_spy_sees_both_layers_refined(tmp_path, refinements):
+    code, _ = run(tmp_path, contractive_surface(), extra=["--resolution", "16"])
+    assert code == 0
+    assert refinements == [8, 8]
+
+
+@pytest.mark.parametrize("curve, message", [
+    ({"depth": 30}, "error: y_curves[0].curve.depth: depth 30 needs more than"),
+    ({"domains": [[0, 2], [2, 5]]}, "error: y_curves[0].curve: domains[1]: end node 5 exceeds"),
+])
+def test_refused_last_surface_layer_refines_nothing(tmp_path, capsys, refinements,
+                                                    curve, message):
+    cfg = contractive_surface()
+    cfg["y_curves"][0]["curve"].update(curve)
+    code, out = run(tmp_path, cfg)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert refinements == []
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_too_shallow_analyze_depth_refines_nothing(tmp_path, capsys, refinements):
+    code = main(["analyze", "--config", str(FIXTURES / "uniform_s06.json"),
+                 "--out-dir", str(tmp_path), "--depth", "2"])
+    assert code == 2
+    assert "error: --depth: sampling too coarse" in capsys.readouterr().err
+    assert refinements == []

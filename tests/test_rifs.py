@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalis import (Affine, Constant, ContractionReport, LagrangeNodes, ModelError,
-                       Polynomial, Scaled, Sinusoid, Sum, VariationCheck, abs_extrema,
-                       build_model, contraction_report, default_base,
-                       default_interpolant, derive_connectivity, eval_F, eval_scalar,
-                       functional_residual, lipschitz_bound, max_variation,
+from fractalis import (Affine, Constant, ContractionReport, HypothesisError, LagrangeNodes,
+                       ModelError, Polynomial, Scaled, Sinusoid, Sum, VariationCheck,
+                       abs_extrema, build_model, contraction_report, curve_dimension_bounds,
+                       default_base, default_interpolant, derive_connectivity, eval_F,
+                       eval_scalar, functional_residual, lipschitz_bound, max_variation,
                        merged_curve, refine_attractor, rifs, scaling_envelopes,
                        variation_bound_report)
-from fractalis.rifs import (DomainSpec, InterpolationData, RegionAssignment,
-                            _depth_zero, _refine_step, _sampled_range,
+from fractalis.rifs import (InterpolationData, _depth_zero, _refine_step, _sampled_range,
                             plan_depth)
 from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
 
@@ -37,8 +36,7 @@ class TestConnectivity:
         # hand-derived: regions 0,1 sit in domain [0, 0.5], regions 2,3 in [0.5, 1];
         # each region is covered by the domains assigned to regions {0,2} or {1,3}
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
-        C, M = derive_connectivity(data, DomainSpec(tuple(TWO_DOMAINS)),
-                                   RegionAssignment(tuple(SPLIT)))
+        C, M = derive_connectivity(data, TWO_DOMAINS, SPLIT)
         assert C.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1],
                               [1, 1, 0, 0], [0, 0, 1, 1]]
         assert M.tolist() == [[0.5, 0.0, 0.5, 0.0], [0.5, 0.0, 0.5, 0.0],
@@ -46,8 +44,7 @@ class TestConnectivity:
 
     def test_whole_interval_uniform(self):
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
-        C, M = derive_connectivity(data, DomainSpec(((0, 4),)),
-                                   RegionAssignment((0, 0, 0, 0)))
+        C, M = derive_connectivity(data, [(0, 4)], [0, 0, 0, 0])
         assert np.all(C == 1)
         assert np.allclose(M, 0.25)
 
@@ -69,13 +66,12 @@ class TestConnectivity:
         assert np.allclose(model.transition, 0.5)
 
 
-def ref_connectivity(data, domains, assignment):
+def ref_connectivity(data, domains, dom):
     """The loop body derive_connectivity replaced; validation is shared."""
     n = data.n_regions
-    dom = assignment.domain_of
 
     def contains(region, k):
-        s, e = domains.spans[k]
+        s, e = domains[k]
         return s <= region and region + 1 <= e
 
     C = np.zeros((n, n), dtype=np.int64)
@@ -101,7 +97,7 @@ def span_wirings(draw):
     spans = tuple((s, draw(st.integers(s + 2, n))) for s in starts)
     dom = draw(st.lists(st.integers(0, len(spans) - 1), min_size=n, max_size=n))
     data = InterpolationData(tuple(range(n + 1)), (0.0,) * (n + 1))
-    return data, DomainSpec(spans), RegionAssignment(tuple(dom))
+    return data, spans, tuple(dom)
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,6 +129,35 @@ class TestBuildValidation:
     def test_domain_index_out_of_range(self):
         with pytest.raises(ModelError, match="out of range"):
             build_model(DATA, TWO_DOMAINS, [0, 1, 0, 2], Constant(0.5))
+
+    @pytest.mark.parametrize("domains, domain_of, flip, message", [
+        ([(0, 4.9)], [0, 0, 0, 0], None,
+         "domains[0]: expected a pair of integer node indices, got (0, 4.9)"),
+        ([(False, 4)], [0, 0, 0, 0], None,
+         "domains[0]: expected a pair of integer node indices, got (False, 4)"),
+        ([(0, 2, 4)], [0, 0, 0, 0], None,
+         "domains[0]: expected a pair of integer node indices, got (0, 2, 4)"),
+        ([(0, 4)], [0.7, 0, 0, 0], None,
+         "region assignment[0]: expected an integer domain index, got 0.7"),
+        ([(0, 4)], [0, 0, 0, True], None,
+         "region assignment[3]: expected an integer domain index, got True"),
+        ([(0, 4)], [0, 0, 0, 0], ["no", "", "x", 0], "flip[0]: expected a boolean, got 'no'"),
+        ([(0, 4)], [0, 0, 0, 0], [True, False, 1, False], "flip[2]: expected a boolean, got 1"),
+        # the first fault of the lossy call: spans, then indices, then flips
+        ([(0, 4.9)], [0.7, 0, 0, 0], ["no", "", "x", 0],
+         "domains[0]: expected a pair of integer node indices, got (0, 4.9)"),
+    ])
+    def test_wiring_values_are_not_coerced(self, domains, domain_of, flip, message):
+        with pytest.raises(ModelError) as exc:
+            build_model(DATA, domains, domain_of, Constant(0.5), flip=flip)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_and_bools_accepted(self):
+        model = build_model(DATA, [(np.int64(0), np.int64(4))], np.zeros(4, dtype=np.int64),
+                            Constant(0.5), flip=np.array([True, False, False, True]))
+        assert model.domains == ((0, 4),) and model.domain_of == (0, 0, 0, 0)
+        assert {type(v) for v in (*model.domains[0], *model.domain_of)} == {int}
+        assert model.flip == (True, False, False, True)
 
     def test_interpolant_must_hit_nodes(self):
         with pytest.raises(ModelError, match="interpolant misses node"):
@@ -178,6 +203,51 @@ class TestBuildValidation:
         model = example_model()
         lo, hi = model.y_envelope
         assert lo < min(y for _, y in DATA) and hi > max(y for _, y in DATA)
+
+
+class TestUnusedDomains:
+    """A domain no region is assigned to is still checked, kept on the model
+    and counted by the closed-form bounds and the base's certification."""
+
+    @pytest.mark.parametrize("extra, message", [
+        ((1, 9), "domains[1]: end node 9 exceeds node count"),
+        ((1, 2), "domains[1]: must span at least 2 regions (end - start >= 2), got [1, 2]"),
+        ((-1, 2), "domains[1]: start node -1 out of range"),
+        ((1, 3.0), "domains[1]: expected a pair of integer node indices, got (1, 3.0)"),
+    ])
+    def test_unused_domain_checked(self, extra, message):
+        with pytest.raises(ModelError) as exc:
+            build_model(DATA, [(0, 4), extra], [0, 0, 0, 0], Constant(0.5))
+        assert str(exc.value) == message
+
+    def test_unused_domain_breaks_uniform_geometry(self):
+        model = build_model(DATA, [(0, 4), (1, 3)], [0, 0, 0, 0], Constant(0.5))
+        assert model.domains == ((0, 4), (1, 3))
+        with pytest.raises(HypothesisError, match="same number of regions"):
+            curve_dimension_bounds(model)
+
+    def test_unused_domain_counts_in_the_collinearity_check(self):
+        # the assigned domains [0, 2] and [2, 4] are collinear, the unused [1, 3] is not
+        data = [(0.0, 0.0), (0.25, 1.0), (0.5, 2.0), (0.75, 1.0), (1.0, 0.0)]
+        model = build_model(data, [(0, 2), (2, 4), (1, 3)], SPLIT, Constant(0.6))
+        assert curve_dimension_bounds(model).upper_bound > 1.0
+        with pytest.raises(HypothesisError, match="collinear"):
+            curve_dimension_bounds(build_model(data, TWO_DOMAINS, SPLIT, Constant(0.6)))
+
+    def test_base_certified_over_every_domain_span(self, monkeypatch):
+        model = build_model(DATA, [(0, 4), (1, 3)], [0, 0, 0, 0], Constant(0.5))
+        seen = []
+
+        def spy(certify):
+            def wrapped(spec, intervals):
+                if spec is model.base:
+                    seen.append(np.asarray(intervals).tolist())
+                return certify(spec, intervals)
+            return wrapped
+        monkeypatch.setattr(rifs, "abs_extrema_each", spy(rifs.abs_extrema_each))
+        monkeypatch.setattr(rifs, "lipschitz_bound_each", spy(rifs.lipschitz_bound_each))
+        rifs.lipschitz_bounds(model)
+        assert seen == [[[0.0, 1.0], [0.25, 0.75]]] * 2
 
 
 class TestEvalF:
@@ -677,7 +747,7 @@ class TestDefaults:
 
     def test_default_base_quadratic_for_split(self):
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
-        g = default_base(data, DomainSpec(tuple(TWO_DOMAINS)))
+        g = default_base(data, TWO_DOMAINS)
         assert isinstance(g, Polynomial)
         assert len(g.coefficients) == 3
         for i in (0, 2, 4):
@@ -685,7 +755,7 @@ class TestDefaults:
 
     def test_default_base_line_for_whole_domain(self):
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
-        g = default_base(data, DomainSpec(((0, 4),)))
+        g = default_base(data, [(0, 4)])
         assert isinstance(g, Affine)
 
 
