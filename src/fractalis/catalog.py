@@ -387,15 +387,15 @@ class LagrangeNodes:
         hit = np.zeros(np.shape(x), dtype=bool)
         exact = np.zeros(np.shape(x))
         for (xj, yj), wj in zip(self.nodes, self._weights):
-            d = x - xj
-            h = d == 0.0
-            if np.any(h):
-                hit = hit | h
-                exact = np.where(h, yj, exact)
-                d = np.where(h, 1.0, d)
-            c = wj / d
-            num = num + c * yj
-            den = den + c
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                c = wj / (x - xj)
+                cy = c * yj
+            # an exact hit, or x so near xj that the other terms vanish beside it
+            h = np.isinf(c) | np.isinf(cy)
+            hit = hit | h
+            exact = np.where(h, yj, exact)
+            num = num + np.where(h, 0.0, cy)
+            den = den + np.where(h, 0.0, c)
         with np.errstate(invalid="ignore", divide="ignore"):
             interp = num / den
         return np.where(hit, exact, interp)

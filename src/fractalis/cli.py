@@ -4,9 +4,9 @@
     fractalis surface --config cfg.json [--out-dir DIR] [--depth N] [--resolution N]
     fractalis analyze --config cfg.json [--out-dir DIR] [--depth N]
 
-Flags override the matching config fields.  `rifs.plan_depth` sets
-every depth; README "Configuration" gives the rules.  Exit codes:
-0 success, 2 configuration/validation error, 3 numerical failure.
+Flags override the matching config fields.  `rifs.plan_depth` plans every
+depth before any refinement; README "Configuration" gives the rules.  Exit
+codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import dimension, io, surface
 from .catalog import FunctionSpecError
-from .config import DEFAULT_DEPTH, ConfigError, parse_config
+from .config import ConfigError, parse_config
 from .dimension import NumericalError
 from .rifs import ModelError, contraction_report, merged_curve, plan_depth, refine_attractor
 
@@ -48,11 +48,12 @@ def _out_dir(cfg, args):
     return out
 
 
-def _depth(args, model_cfg, where):
-    """The depth asked for (the flag over the config) and the field asking."""
+def _depth(args, model_cfg, where, planner):
+    """The depth asked for (the flag over the config, else None) and the
+    field that sets it: `planner` when the depth is left to plan_depth."""
     if args.depth is not None:
         return args.depth, "--depth"
-    return model_cfg.depth, f"{where}.depth"
+    return model_cfg.depth, planner if model_cfg.depth is None else f"{where}.depth"
 
 
 def _for_field(field, fn, *args, **kwargs):
@@ -81,9 +82,9 @@ def _model_summary(model, sampling):
 
 def _cmd_curve(cfg, args):
     out = _out_dir(cfg, args)
-    depth, field = _depth(args, cfg.curve, "config")
+    depth, field = _depth(args, cfg.curve, "config", "config.depth")
     model = _for_field("config", cfg.curve.build)
-    plan = _for_field(field, plan_depth, model, DEFAULT_DEPTH if depth is None else depth)
+    plan = _for_field(field, plan_depth, model, depth)
     sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
     io.write_curve_csv(out / "curve.csv", gx, gy)
@@ -94,7 +95,7 @@ def _cmd_curve(cfg, args):
 
 def _cmd_analyze(cfg, args):
     out = _out_dir(cfg, args)
-    depth, field = _depth(args, cfg.curve, "config")
+    depth, field = _depth(args, cfg.curve, "config", "scales.r_hi")
     model = _for_field("config", cfg.curve.build)
     report, sampling = _for_field(field, dimension.analyze_curve, model, *cfg.scales,
                                   depth=depth)
@@ -111,29 +112,28 @@ def _cmd_analyze(cfg, args):
 
 def _cmd_surface(cfg, args):
     out = _out_dir(cfg, args)
-    resolution = args.resolution if args.resolution is not None else cfg.resolution
+    grid = "resolution" if args.resolution is None else "--resolution"
+    resolution = cfg.resolution if args.resolution is None else args.resolution
     if resolution < 2:
-        raise ConfigError("resolution: must be >= 2")
+        raise ConfigError(f"{grid}: must be >= 2")
 
     # every layer is built and planned before any curve is refined
     planned = []
     for axis in ("x", "y"):
         key = f"{axis}_curves"
         for i, (model_cfg, coeff) in enumerate(getattr(cfg, key)):
-            depth, field = _depth(args, model_cfg, f"{key}[{i}].curve")
-            if depth is None:
-                field = f"resolution ({key}[{i}])"
+            depth, field = _depth(args, model_cfg, f"{key}[{i}].curve", f"{grid} ({key}[{i}])")
             model = _for_field(f"{key}[{i}].curve", model_cfg.build)
-            xs = model.data.xs
-            plan = _for_field(field, plan_depth, model, depth, max_points=math.inf,
-                              spacing=(xs[-1] - xs[0]) / (4.0 * resolution))
-            planned.append((axis, field, model, plan, coeff))
+            span = model.data.xs[-1] - model.data.xs[0]
+            plan = _for_field(field, plan_depth, model, depth, span / resolution)
+            if not plan.resolves(span / resolution):
+                raise ConfigError(f"{field}: {surface.too_coarse(plan.gap / span, resolution)}")
+            planned.append((axis, model, plan, coeff))
 
     layers = {"x": [], "y": []}
     curve_details = []
-    for axis, field, model, plan, coeff in planned:
+    for axis, model, plan, coeff in planned:
         samples = surface.CurveSamples.from_model(model, plan.depth)
-        _for_field(field, samples.check_resolution, resolution)
         layers[axis].append(surface.SurfaceLayer(samples, coeff))
         detail = {"axis": axis, "depth": plan.depth, "points": int(samples.xs.size)}
         try:
@@ -145,7 +145,7 @@ def _cmd_surface(cfg, args):
         curve_details.append(detail)
 
     spec = surface.SurfaceSpec(tuple(layers["x"]), tuple(layers["y"]))
-    field = surface.eval_surface(spec, resolution)
+    field = _for_field(grid, surface.eval_surface, spec, resolution)
 
     lo, hi = io.write_pgm(out / "surface.pgm", field.heights)
     if cfg.obj:

@@ -20,8 +20,9 @@ Mode "curve" adds nothing.  Mode "analyze" adds optional "scales":
 with "x_curves"/"y_curves", each entry {"curve": {model fields},
 "coeff": bivariate spec}, plus an integer "resolution" (default 256) and
 an optional JSON boolean "obj" (default false).
-`rifs.plan_depth` plans each missing depth (README "Configuration" gives
-the rules).  An optional "out_dir" must be a string.
+`rifs.plan_depth` plans a missing depth: x gaps of at most a quarter of
+the finest mesh served (analyze scale or surface cell); a curve gets 8.
+An optional "out_dir" must be a string.
 Bivariate specs are {"terms": [{"fx": spec, "fy": spec}, ...]} or the
 shortcuts {"of_x": spec} / {"of_y": spec}; spec parameters must be JSON
 numbers and lists (`catalog.scalar_from_json`).
@@ -37,8 +38,6 @@ from .catalog import FunctionSpecError, bivariate_from_json, scalar_from_json
 from .rifs import build_model
 
 __all__ = ["ConfigError", "CurveModelConfig", "RunConfig", "parse_config"]
-
-DEFAULT_DEPTH = 8
 
 
 class ConfigError(ValueError):

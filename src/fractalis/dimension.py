@@ -55,7 +55,6 @@ POWER_CAP = 100000
 GRID_SNAP = 1e-12   # relative; fp noise in coord/delta is ~2e-16 * q
 COLLINEAR_TOL = 1e-12
 DROP_COARSEST_AT = 5
-MAX_POINTS = 2 ** 23   # sampling budget of an auto-depth estimate
 
 
 class NumericalError(RuntimeError):
@@ -593,34 +592,28 @@ def fit_report(series, notes=()):
 def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     """Box-count estimate of the curve's dimension over a geometric schedule.
 
-    Without a depth, `plan_depth` picks the first one whose x spacing is
-    at most the finest delta/4, within the MAX_POINTS budget.  Counts
-    use per-column vertical covers of the sampled graph (raw point
-    counting cannot saturate fine meshes at any practical depth).  The
-    fit follows `fit_report`.
+    `plan_depth` plans the depth for the finest delta; before refining,
+    scales it leaves unresolved (`DepthPlan.resolves`) are dropped with a
+    note, and under three left is refused.  Counts use per-column vertical
+    covers of the sampled graph (raw point counting cannot saturate fine
+    meshes at any practical depth).  The fit follows `fit_report`.
 
     Returns (report, sampling).
     """
     deltas = curve_scale_schedule(model, r_lo, r_hi)
-    plan = plan_depth(model, depth, min(deltas) / 4.0, MAX_POINTS)
-    notes = [plan.note] if plan.note else []
-    # drop scales the sampling cannot saturate (spacing must be <= delta/4);
-    # counts there would flatten and can even lose monotonicity
-    usable = [d for d in deltas if 4.0 * plan.gap <= d * (1.0 + 1e-9)]
+    plan = plan_depth(model, depth, min(deltas))
+    usable = [d for d in deltas if plan.resolves(d)]
     if len(usable) < 3:
         raise ModelError(
             f"sampling too coarse for the requested scales: x spacing {plan.gap:.3g} "
-            f"saturates only {len(usable)} of {len(deltas)} scales; "
-            "raise the depth or the point budget")
-    if len(usable) < len(deltas):
-        dropped = len(deltas) - len(usable)
-        notes.append(f"dropped {dropped} under-resolved scale{'s' if dropped > 1 else ''} "
-                     f"(x spacing {plan.gap:.3g})")
-        deltas = usable
+            f"saturates only {len(usable)} of {len(deltas)} scales; raise the depth")
+    dropped = len(deltas) - len(usable)
+    notes = [f"dropped {dropped} under-resolved scale{'s' if dropped > 1 else ''} "
+             f"(x spacing {plan.gap:.3g})"] if dropped else []
     sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
-    counts = [box_count_graph(gx, gy, d) for d in deltas]
-    return fit_report(BoxCountSeries(tuple(deltas), tuple(counts)), notes), sampling
+    counts = [box_count_graph(gx, gy, d) for d in usable]
+    return fit_report(BoxCountSeries(tuple(usable), tuple(counts)), notes), sampling
 
 
 def analyze_curve(model, r_lo=2, r_hi=6, depth=None):

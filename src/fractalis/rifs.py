@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate, groupby
+from itertools import accumulate, count, groupby
 
 import numpy as np
 
@@ -57,6 +57,8 @@ NODE_TOL = 1e-9          # relative tolerance for node-value checks
 GRID = 4097              # samples of a sampled enclosure and the scaling probe
 SCALE_FRACTION = 1.0 / 64
 POINT_LIMIT = 2 ** 26    # ~2.4 GB at the ~36 bytes a refined point costs at peak
+SAMPLES_PER_SCALE = 4    # a planned mesh width delta holds at least 4 x gaps
+DEFAULT_DEPTH = 8        # the depth planned when neither a depth nor a mesh width is given
 
 
 class ModelError(ValueError):
@@ -69,6 +71,10 @@ class InterpolationData:
     ys: tuple
 
     def __post_init__(self):
+        for what, values in (("x", self.xs), ("y", self.ys)):
+            for i, v in enumerate(values):
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ModelError(f"data[{i}]: {what} must be a number, got {v!r}")
         xs = tuple(float(v) for v in self.xs)
         ys = tuple(float(v) for v in self.ys)
         if len(xs) != len(ys):
@@ -168,7 +174,6 @@ class DepthPlan:
     depth: int
     points: tuple        # samples per region
     gaps: tuple          # largest x gap between adjacent samples, per region
-    note: str | None = None
 
     @property
     def total(self):
@@ -178,6 +183,10 @@ class DepthPlan:
     @property
     def gap(self):
         return max(self.gaps)
+
+    def resolves(self, delta):
+        """SAMPLES_PER_SCALE * gap <= delta, with 1e-9 relative slack so exact ties count."""
+        return SAMPLES_PER_SCALE * self.gap <= delta * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -446,8 +455,10 @@ def _size_envelope(model, margin):
     else:
         return env, ()
 
-    # marginal contraction: pad the range of a deep sample
-    depth = max(6, plan_depth(model, max_points=200_000).depth)
+    # marginal contraction: pad the range of a deep sample, the first at
+    # depth >= 6 whose points times the widest feeder run pass 200_000
+    widest = max(len(model.feeders(i)) for i in range(model.n_regions))
+    depth = next(d for d in count(6) if plan_depth(model, d).total * widest > 200_000)
     ys = refine_attractor(model, depth).ys
     if not np.all(np.isfinite(ys)):
         raise ModelError("vertical maps diverge under refinement; "
@@ -523,20 +534,21 @@ def _refine_step(model, sampling):
     return AttractorSampling(sampling.depth + 1, xs, ys, starts)
 
 
-def plan_depth(model, depth=None, spacing=None, max_points=POINT_LIMIT):
-    """Pick a refinement depth from the exact count and gap recursions.
+def plan_depth(model, depth=None, delta=None):
+    """Every command's sampling depth, from the exact count and gap recursions.
 
     A round maps each region's feeder run through one affine x map, so
     its samples become sum(p over feeders) - (feeders - 1) and its
     largest x gap |map ratio| * max(g over feeders).  Nothing is refined.
-    Without `depth` the plan stops at the first depth whose gap is at
-    most `spacing`, or, with a note, once the total times the widest
-    feeder run exceeds `max_points`.  Over POINT_LIMIT points is refused.
+    `depth` is planned as given; else the shallowest depth whose gap is at
+    most delta / SAMPLES_PER_SCALE (`delta`: the finest mesh width served);
+    else DEFAULT_DEPTH.  A plan over POINT_LIMIT points is refused.
     """
     if depth is not None and depth < 0:
         raise ModelError("depth must be >= 0")
+    if depth is None and delta is None:
+        depth = DEFAULT_DEPTH
     runs = [model.feeders(i) for i in range(model.n_regions)]
-    widest = max(len(r) for r in runs)
     xs = model.data.xs
     plan = DepthPlan(0, (2,) * len(runs), tuple(b - a for a, b in zip(xs, xs[1:])))
     while True:
@@ -544,13 +556,8 @@ def plan_depth(model, depth=None, spacing=None, max_points=POINT_LIMIT):
             raise ModelError(
                 f"depth {plan.depth if depth is None else depth} needs more than "
                 f"{POINT_LIMIT} points ({plan.total} at depth {plan.depth})")
-        if plan.depth == depth or (depth is None and spacing is not None
-                                   and plan.gap <= spacing):
+        if plan.depth == depth or (depth is None and plan.gap <= delta / SAMPLES_PER_SCALE):
             return plan
-        if depth is None and plan.total * widest > max_points:
-            return replace(plan, note=(
-                f"sampling budget of {max_points} points reached at depth "
-                f"{plan.depth}; finest scales may be under-resolved"))
         plan = DepthPlan(
             plan.depth + 1,
             tuple(sum(plan.points[j] for j in r) - (len(r) - 1) for r in runs),

@@ -13,7 +13,7 @@ import numpy as np
 
 from .catalog import BivariateSpec
 from .dimension import BoxCountSeries, _surface_counts, fit_report
-from .rifs import ModelError, merged_curve, refine_attractor
+from .rifs import SAMPLES_PER_SCALE, ModelError, merged_curve, refine_attractor
 
 __all__ = [
     "CurveSamples",
@@ -24,6 +24,12 @@ __all__ = [
     "composed_surface_dimension",
     "estimate_surface_dimension",
 ]
+
+
+def too_coarse(gap, resolution):
+    """Why a curve on [0, 1] with largest x gap `gap` is too coarse for the grid."""
+    return (f"curve sampling too coarse for resolution {resolution}: max gap {gap:.3g} > "
+            f"{1.0 / (SAMPLES_PER_SCALE * resolution):.3g}; refine deeper")
 
 
 @dataclass(frozen=True)
@@ -60,14 +66,6 @@ class CurveSamples:
     @property
     def max_gap(self):
         return float(np.diff(self.xs).max())
-
-    def check_resolution(self, resolution):
-        """Raise ModelError unless the largest x gap is at most 1/(4 * resolution)."""
-        limit = 1.0 / (4.0 * resolution)
-        if self.max_gap > limit:
-            raise ModelError(
-                f"curve sampling too coarse for resolution {resolution}: "
-                f"max gap {self.max_gap:.3g} > {limit:.3g}; refine deeper")
 
 
 @dataclass(frozen=True)
@@ -120,16 +118,17 @@ class HeightField:
 def eval_surface(spec, resolution):
     """Sum the layers on the grid: coeff(x, y) * curve(x or y).
 
-    Every curve must be sampled finely enough that its largest x gap is
-    at most 1/(4 * resolution) (`CurveSamples.check_resolution`):
-    `rifs.plan_depth` with spacing (x1 - x0) / (4 * resolution) gives
-    the shallowest such depth.
+    Every curve's largest sampled x gap must be at most
+    1/(SAMPLES_PER_SCALE * resolution), or ModelError (`too_coarse`) is
+    raised before any layer is summed.  `rifs.plan_depth(model,
+    delta=(x1 - x0) / resolution)` gives the shallowest such depth.
     """
     m = int(resolution)
     if m < 2:
         raise ValueError("resolution must be >= 2")
     for layer in spec.x_layers + spec.y_layers:
-        layer.curve.check_resolution(m)
+        if layer.curve.max_gap > 1.0 / (SAMPLES_PER_SCALE * m):
+            raise ModelError(too_coarse(layer.curve.max_gap, m))
     axis = np.linspace(0.0, 1.0, m + 1)
     H = np.zeros((m + 1, m + 1))
     for layers, along in ((spec.x_layers, np.s_[None, :]), (spec.y_layers, np.s_[:, None])):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalis import (Affine, BivariateSpec, Constant, FunctionSpecError,
@@ -578,6 +578,10 @@ intervals = st.lists(
 class TestBatchedBisection:
     @settings(max_examples=60, deadline=None)
     @given(bisected_specs(), intervals)
+    # x within |w_j * y_j| / DBL_MAX of a node overflowed the barycentric terms
+    @example(LagrangeNodes(((0.0, 2.0),)), [(1.1125369292536007e-308, 1e-05)])
+    @example(LagrangeNodes(((0.0, 0.0),)), [(2.2e-309, 1e-05)])
+    @example(LagrangeNodes(((0.0, 2.0), (1.0, 3.0))), [(1e-308, 1e-05)])
     def test_random_batches_match_one_by_one(self, spec, ivs):
         assert_batch_matches_one_by_one(spec, ivs)
 

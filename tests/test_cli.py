@@ -354,7 +354,16 @@ class TestPointLimit:
         cfg = fig4c_without_depths()
         code, _ = run(tmp_path, cfg, extra=["--resolution", "100000000"])
         assert code == 2
-        assert "resolution (x_curves[0]): depth 24 needs more than" in capsys.readouterr().err
+        assert ("error: --resolution (x_curves[0]): depth 24 needs more than"
+                in capsys.readouterr().err)
+
+    def test_config_resolution_beyond_limit(self, tmp_path, capsys):
+        cfg = fig4c_without_depths()
+        cfg["resolution"] = 100000000
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: resolution (x_curves[0]): depth 24 needs more than {2 ** 26} points")
 
 
 class TestAnalyzeCommand:
@@ -422,10 +431,16 @@ class TestSurfaceCommand:
         assert set(body) == {0}
         assert len(body) == 2 * 17 * 17  # 16-bit samples, (m+1)^2 grid
 
-    def test_resolution_one_exits_2(self, tmp_path):
+    def test_resolution_one_exits_2(self, tmp_path, capsys):
         code = main(["surface", "--config", str(FIXTURES / "fig3a.json"),
                      "--out-dir", str(tmp_path), "--resolution", "1"])
         assert code == 2
+        assert capsys.readouterr().err == "error: --resolution: must be >= 2\n"
+        cfg = json.loads((FIXTURES / "fig3a.json").read_text())
+        cfg["resolution"] = 1
+        code, _ = run(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err == "error: resolution: must be >= 2\n"
 
     def test_obj_mesh_structure(self, tmp_path):
         code = main(["surface", "--config", str(FIXTURES / "fig4d.json"),
@@ -677,6 +692,8 @@ def test_surface_spy_sees_both_layers_refined(tmp_path, refinements):
 @pytest.mark.parametrize("curve, message", [
     ({"depth": 30}, "error: y_curves[0].curve.depth: depth 30 needs more than"),
     ({"domains": [[0, 2], [2, 5]]}, "error: y_curves[0].curve: domains[1]: end node 5 exceeds"),
+    ({"depth": 1}, "error: y_curves[0].curve.depth: curve sampling too coarse for resolution "
+                   "256: max gap 0.125 > 0.000977; refine deeper\n"),
 ])
 def test_refused_last_surface_layer_refines_nothing(tmp_path, capsys, refinements,
                                                     curve, message):
@@ -695,3 +712,16 @@ def test_too_shallow_analyze_depth_refines_nothing(tmp_path, capsys, refinements
     assert code == 2
     assert "error: --depth: sampling too coarse" in capsys.readouterr().err
     assert refinements == []
+
+
+def test_auto_depth_analyze_over_the_point_limit_names_r_hi(tmp_path, capsys, refinements):
+    cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
+    del cfg["depth"]
+    cfg["scales"]["r_hi"] = 12
+    code, out = run(tmp_path, cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: scales.r_hi: depth 12 needs more than {2 ** 26} points "
+        f"(67108865 at depth 12)\n")
+    assert refinements == []
+    assert not out.exists() or not any(out.iterdir())

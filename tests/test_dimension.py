@@ -14,8 +14,7 @@ from fractalis import (BoxCountSeries, Constant, HypothesisError, Sinusoid,
                        nodes_collinear, nonneg_spectral_radius,
                        refine_attractor, scaling_envelopes, spectral_radius,
                        variation_bound_report, HeightField)
-from fractalis import dimension
-from fractalis.rifs import InterpolationData
+from fractalis.rifs import InterpolationData, ModelError
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
 
@@ -366,19 +365,19 @@ class TestSchedule:
         gx, _ = merged_curve(sampling)
         assert float(np.diff(gx).max()) <= min(rep.series.deltas) / 4.0
 
-    def test_auto_depth_budget_drops_unsaturated_scales(self, monkeypatch):
-        monkeypatch.setattr(dimension, "MAX_POINTS", 40000)
+    def test_shallow_depth_drops_unsaturated_scales(self):
+        # depth 6 leaves x gaps 4^-7, a quarter of delta_5 = 4^-6 / 4: only
+        # the finest scale goes
         model = whole_domain_model(Constant(0.6))
-        rep, _ = estimate_curve_dimension(model, 2, 6)
-        assert any("budget" in n for n in rep.notes)
-        assert any("under-resolved" in n for n in rep.notes)
-        assert len(rep.series.deltas) < 5
+        rep, sampling = estimate_curve_dimension(model, 2, 6, depth=6)
+        assert "dropped 1 under-resolved scale (x spacing 6.1e-05)" in rep.notes
+        assert rep.series.deltas == tuple(4.0 ** -r / 4 for r in range(2, 6))
+        assert sampling.depth == 6
 
-    def test_hopeless_budget_rejected(self, monkeypatch):
-        monkeypatch.setattr(dimension, "MAX_POINTS", 200)
+    def test_hopeless_depth_rejected(self):
         model = whole_domain_model(Constant(0.6))
-        with pytest.raises(ValueError, match="too coarse"):
-            estimate_curve_dimension(model, 2, 6)
+        with pytest.raises(ModelError, match="too coarse .* saturates only 2 of 5 scales"):
+            estimate_curve_dimension(model, 2, 6, depth=4)
 
 
 @given(st.lists(st.tuples(st.floats(0, 4), st.floats(0, 4)),

@@ -3,10 +3,12 @@
 `plan_depth` predicts sample counts and x gaps without refining.  These
 tests hold it to what `refine_attractor` produces, to the trial-refinement
 loop it replaced for the `analyze` auto depth (kept below as the
-reference), and to the gap rule `eval_surface` enforces.
+reference, with the point limit as its one ceiling), and to the gap rule
+`eval_surface` enforces.
 """
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from fractalis import (Constant, CurveSamples, ModelError, build_model,
                        curve_scale_schedule, merged_curve)
+from fractalis import rifs
 from fractalis.config import parse_config
 from fractalis.rifs import POINT_LIMIT, _depth_zero, _refine_step, plan_depth
 
@@ -62,19 +65,27 @@ def wirings(draw):
         return None   # some region is fed into no assigned domain
 
 
-def trial_depth(model, spacing, max_points):
-    """The auto-depth loop the planner replaced: refine, measure, repeat."""
+def trial_depth(model, spacing, limit):
+    """The auto-depth loop the planner replaced: refine, measure, repeat.
+    None once the curve holds more than `limit` points."""
     sampling = _depth_zero(model)
-    widest = max(len(model.feeders(i)) for i in range(model.n_regions))
     while True:
         gx, _ = merged_curve(sampling)
+        if gx.size > limit:
+            return None
         if float(np.diff(gx).max()) <= spacing:
-            return sampling.depth, None
-        if gx.size * widest > max_points:
-            return sampling.depth, (
-                f"sampling budget of {max_points} points reached at depth "
-                f"{sampling.depth}; finest scales may be under-resolved")
+            return sampling.depth
         sampling = _refine_step(model, sampling)
+
+
+def auto_depth(model, delta, limit):
+    """plan_depth's depth for mesh width `delta` under POINT_LIMIT `limit`,
+    None where it refuses."""
+    with mock.patch.object(rifs, "POINT_LIMIT", limit):
+        try:
+            return plan_depth(model, delta=delta).depth
+        except ModelError:
+            return None
 
 
 def assert_plans_match_refinement(model, max_depth=8, max_total=2 ** 17):
@@ -93,16 +104,17 @@ def assert_plans_match_refinement(model, max_depth=8, max_total=2 ** 17):
         sampling = _refine_step(model, sampling)
 
 
-def assert_auto_depth_matches_trial(model, r_hi, budget):
-    spacing = min(curve_scale_schedule(model, 2, r_hi)) / 4.0
-    plan = plan_depth(model, spacing=spacing, max_points=budget)
-    ref = trial_depth(model, spacing, budget)
-    if (plan.depth, plan.note) != ref:
+def assert_auto_depth_matches_trial(model, r_hi, limit):
+    delta = min(curve_scale_schedule(model, 2, r_hi))
+    plan = auto_depth(model, delta, limit)
+    ref = trial_depth(model, delta / 4.0, limit)
+    if plan != ref:
         # only an exact tie can split them: the gap equals the spacing in
-        # real arithmetic, and rounding decides each side's comparison
-        d = min(plan.depth, ref[0])
-        assert abs(plan_depth(model, d).gap - spacing) <= 1e-12 * spacing
-        assert abs(plan.depth - ref[0]) <= 1
+        # real arithmetic, and rounding decides each side's comparison; the
+        # side that goes one depth further may meet the limit there
+        d = min(x for x in (plan, ref) if x is not None)
+        assert abs(plan_depth(model, d).gap - delta / 4.0) <= 1e-12 * delta
+        assert None in (plan, ref) or abs(plan - ref) <= 1
 
 
 class TestCountsAndGaps:
@@ -118,26 +130,20 @@ class TestCountsAndGaps:
 
 
 class TestAutoDepth:
-    @pytest.mark.parametrize("budget", [2 ** 16, 2 ** 20, 2 ** 23])
+    @pytest.mark.parametrize("limit", [2 ** 16, 2 ** 20, 2 ** 23])
     @pytest.mark.parametrize("r_hi", [4, 5, 6])
     @pytest.mark.parametrize("model", FIXTURE_MODELS + EXACT_FAMILY)
-    def test_fixture_models_match_trial_loop(self, model, r_hi, budget):
-        spacing = min(curve_scale_schedule(model, 2, r_hi)) / 4.0
-        plan = plan_depth(model, spacing=spacing, max_points=budget)
-        assert (plan.depth, plan.note) == trial_depth(model, spacing, budget)
-
-    def test_budget_note(self):
-        model = EXACT_FAMILY[1].values[0]
-        spacing = min(curve_scale_schedule(model, 2, 6)) / 4.0
-        plan = plan_depth(model, spacing=spacing, max_points=2 ** 16)
-        assert plan.depth == 6 and "budget of 65536 points" in plan.note
+    def test_fixture_models_match_trial_loop(self, model, r_hi, limit):
+        # at 2^16 the 4-map models' r_hi = 6 plan (65537 points) is refused
+        delta = min(curve_scale_schedule(model, 2, r_hi))
+        assert auto_depth(model, delta, limit) == trial_depth(model, delta / 4.0, limit)
 
     @settings(max_examples=60, deadline=None)
     @given(wirings(), st.sampled_from([4, 5, 6]),
-           st.sampled_from([2 ** 16, 2 ** 20, 2 ** 23]))
-    def test_random_wirings_match_trial_loop(self, model, r_hi, budget):
+           st.sampled_from([2 ** 10, 2 ** 14, 2 ** 18]))
+    def test_random_wirings_match_trial_loop(self, model, r_hi, limit):
         if model is not None:
-            assert_auto_depth_matches_trial(model, r_hi, budget)
+            assert_auto_depth_matches_trial(model, r_hi, limit)
 
 
 class TestSurfaceDepth:
@@ -155,7 +161,7 @@ class TestSurfaceDepth:
     ])
     def test_smallest_depth_passing_the_gap_rule(self, model, resolution):
         xs = model.data.xs
-        plan = plan_depth(model, spacing=(xs[-1] - xs[0]) / (4.0 * resolution))
+        plan = plan_depth(model, delta=(xs[-1] - xs[0]) / resolution)
         limit = 1.0 / (4.0 * resolution)
         assert CurveSamples.from_model(model, plan.depth).max_gap <= limit
         if plan.depth > 0:
@@ -169,6 +175,32 @@ class TestPointLimit:
         with pytest.raises(ModelError, match=f"depth 20 .* \\({4 * 4 ** 12 + 1} at depth 12"):
             plan_depth(model, 20)
 
+    def test_auto_depth_refused_with_count(self):
+        model = EXACT_FAMILY[1].values[0]
+        with pytest.raises(ModelError, match=f"depth 12 .* \\({4 * 4 ** 12 + 1} at depth 12"):
+            plan_depth(model, delta=4.0 ** -14)
+
     def test_negative_depth_refused(self):
         with pytest.raises(ModelError, match=">= 0"):
             plan_depth(EXACT_FAMILY[0].values[0], -1)
+
+
+class TestPolicy:
+    @pytest.mark.parametrize("model", FIXTURE_MODELS + EXACT_FAMILY)
+    def test_default_depth(self, model):
+        assert plan_depth(model) == plan_depth(model, rifs.DEFAULT_DEPTH)
+        assert rifs.DEFAULT_DEPTH == 8
+
+    def test_explicit_depth_ignores_delta(self):
+        model = EXACT_FAMILY[0].values[0]
+        assert plan_depth(model, 3, delta=1e-6) == plan_depth(model, 3)
+
+    def test_resolves_allows_a_rounding_tie_only(self):
+        model = EXACT_FAMILY[0].values[0]
+        plan = plan_depth(model, 5)     # gap 4^-6
+        delta = rifs.SAMPLES_PER_SCALE * plan.gap
+        assert plan.resolves(delta) and plan.resolves(delta * (1 - 1e-10))
+        assert not plan.resolves(delta * (1 - 2e-9))
+        # the auto-depth stop has no slack: a tie one ulp short goes a depth deeper
+        assert plan_depth(model, delta=delta).depth == 5
+        assert plan_depth(model, delta=np.nextafter(delta, 0.0)).depth == 6

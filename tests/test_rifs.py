@@ -152,6 +152,30 @@ class TestBuildValidation:
             build_model(DATA, domains, domain_of, Constant(0.5), flip=flip)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("data, message", [
+        ([("0", 20), (0.25, 30), (0.5, 10), (0.75, 50), (1, 10)],
+         "data[0]: x must be a number, got '0'"),
+        ([(0, 20), (0.25, "30"), (0.5, True), (0.75, 50), (1, 10)],
+         "data[1]: y must be a number, got '30'"),
+        ([(0, 20), (0.25, 30), (0.5, True), (0.75, 50), (1, 10)],
+         "data[2]: y must be a number, got True"),
+        ([(0, 20), (0.25, 30), (0.5, 10), (0.75, 50), (1, np.bool_(True))],
+         f"data[4]: y must be a number, got {np.bool_(True)!r}"),
+        ([(0, 20), (0.25, 30), (0.5, 10), (0.75, 50), (1, None)],
+         "data[4]: y must be a number, got None"),
+    ])
+    def test_node_values_are_not_coerced(self, data, message):
+        with pytest.raises(ModelError) as exc:
+            build_model(data, [(0, 4)], [0, 0, 0, 0], Constant(0.5))
+        assert str(exc.value) == message
+
+    def test_numpy_node_values_accepted(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        ys = np.array([20, 30, 10, 50, 10], dtype=np.int64)
+        model = build_model(list(zip(xs, ys)), [(0, 4)], [0, 0, 0, 0], Constant(0.5))
+        assert model.data.ys == (20.0, 30.0, 10.0, 50.0, 10.0)
+        assert {type(v) for v in model.data.xs + model.data.ys} == {float}
+
     def test_numpy_integers_and_bools_accepted(self):
         model = build_model(DATA, [(np.int64(0), np.int64(4))], np.zeros(4, dtype=np.int64),
                             Constant(0.5), flip=np.array([True, False, False, True]))
@@ -851,8 +875,11 @@ def ref_size_envelope(model, margin):
         env = new_env
     else:
         return env, ()
-    depth = max(6, plan_depth(model, max_points=200_000).depth)
-    ys = refine_attractor(model, depth).ys
+    widest = max(len(model.feeders(i)) for i in range(model.n_regions))
+    sampling = _depth_zero(model)
+    while sampling.depth < 6 or sampling.xs.size * widest <= 200_000:
+        sampling = _refine_step(model, sampling)
+    depth, ys = sampling.depth, sampling.ys
     obs_lo, obs_hi = float(ys.min()), float(ys.max())
     pad = 0.25 * (obs_hi - obs_lo) + margin
     note = (f"vertical contraction is marginal; y envelope sized from a depth-{depth} "
