@@ -3,18 +3,16 @@ box-counting dimension analysis."""
 
 from .catalog import (Affine, BivariateSpec, Constant, FunctionSpecError,
                       LagrangeNodes, Polynomial, Scaled, SeparableTerm,
-                      Sinusoid, Sum, abs_extrema, bivariate_from_json,
-                      bivariate_to_json, eval_bivariate, eval_scalar, identity,
-                      lagrange_from_nodes, lipschitz_bound, scalar_from_json,
-                      scalar_to_json)
+                      Sinusoid, Sum, abs_extrema, bivariate_from_json, identity,
+                      lagrange_from_nodes, lipschitz_bound, scalar_from_json)
 from .dimension import (BoxCountSeries, DimensionReport, HypothesisError,
                         NumericalError, VariationCheck, analyze_curve,
                         box_count_curve, box_count_graph, box_count_surface,
                         check_irreducible, curve_dimension_bounds,
                         curve_scale_schedule, estimate_curve_dimension,
                         fit_dimension, max_variation, nodes_collinear,
-                        nonneg_spectral_radius, scaling_envelopes,
-                        spectral_radius, variation_bound_report)
+                        nonneg_spectral_radius, spectral_radius,
+                        variation_bound_report)
 from .rifs import (AttractorSampling, ContractionReport, InterpolationData,
                    ModelError, RifsModel, build_model, contraction_report,
                    default_base, default_interpolant, derive_connectivity,

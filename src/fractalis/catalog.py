@@ -40,16 +40,12 @@ __all__ = [
     "SeparableTerm",
     "BivariateSpec",
     "identity",
-    "eval_scalar",
-    "eval_bivariate",
     "lipschitz_bound",
     "abs_extrema",
     "lipschitz_bound_each",
     "abs_extrema_each",
     "lagrange_from_nodes",
-    "scalar_to_json",
     "scalar_from_json",
-    "bivariate_to_json",
     "bivariate_from_json",
 ]
 
@@ -131,10 +127,11 @@ def _certified_abs_range(spec, lo, hi):
     bounds are bisected until its gap is at most REFINE_GAP or their width
     below REFINE_WIDTH.  An interval leaves the loop when its gap closes,
     when it has no candidates, when splitting would take its own pieces
-    past MAX_PIECES, or after 64 rounds, with the outward bounds of its
-    pieces at that point.  Pieces never meet across intervals, so each
-    interval's result is the one a call on that interval alone returns;
-    the m intervals may hold up to m * MAX_PIECES pieces between them.
+    past MAX_PIECES, or after 64 rounds: the outward bounds of its pieces
+    at that point go to its row, and its pieces are dropped.  Pieces never
+    meet across intervals, so each interval's result is the one a call on
+    that interval alone returns; the m intervals may hold up to
+    m * MAX_PIECES pieces between them.
     """
     lo, hi = _arr(lo), _arr(hi)
     m = lo.size
@@ -147,21 +144,21 @@ def _certified_abs_range(spec, lo, hi):
                      k * step[:, None]) + lo[:, None]
     edges[:, -1] = hi
     u, v = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    owner = np.repeat(np.arange(m), 8)   # index into ids, the intervals still bisected
+    owner = np.repeat(np.arange(m), 8)
     fmid = _arr(spec(0.5 * (u + v)))
     rad = spec._seg_lip(u, v) * (v - u) * 0.5
     ends = np.abs(_arr(spec(np.concatenate([lo, hi])))).reshape(2, m)
     ends_max, ends_min = ends.max(axis=0), ends.min(axis=0)
-    ids, counts = np.arange(m), np.full(m, 8)
+    live, counts = np.ones(m, dtype=bool), np.full(m, 8)
 
     def bounds():
         top, bot = _abs_enclosure(fmid, rad)
-        return (top, bot, _per_interval(np.maximum, np.full(ids.size, -np.inf), owner, top),
-                _per_interval(np.minimum, np.full(ids.size, np.inf), owner, bot))
+        return (top, bot, _per_interval(np.maximum, np.full(m, -np.inf), owner, top),
+                _per_interval(np.minimum, np.full(m, np.inf), owner, bot))
 
     def record(done, top_max, bot_min):
-        out[ids[done], 0] = np.where(bot_min[done] > 0.0, bot_min[done], 0.0)
-        out[ids[done], 1] = top_max[done]
+        out[done, 0] = np.where(bot_min[done] > 0.0, bot_min[done], 0.0)
+        out[done, 1] = top_max[done]
 
     for _ in range(64):
         top, bot, top_max, bot_min = bounds()
@@ -171,18 +168,15 @@ def _certified_abs_range(spec, lo, hi):
         done = (top_max - best_max <= REFINE_GAP) & (best_min - bot_min <= REFINE_GAP)
         cand = ((v - u) > REFINE_WIDTH) & ((top > best_max[owner] + REFINE_GAP)
                                            | (bot < best_min[owner] - REFINE_GAP))
-        n_new = np.bincount(owner[cand], minlength=ids.size)
-        done |= (n_new == 0) | (counts + n_new > MAX_PIECES)
+        n_new = np.bincount(owner[cand], minlength=m)
+        done = live & (done | (n_new == 0) | (counts + n_new > MAX_PIECES))
         if done.any():
             record(done, top_max, bot_min)
-            if done.all():
+            live &= ~done
+            if not live.any():
                 return out
-            live = ~done
             alive = live[owner]
-            u, v, fmid, rad, cand = u[alive], v[alive], fmid[alive], rad[alive], cand[alive]
-            owner = (np.cumsum(live) - 1)[owner[alive]]
-            ids, counts, n_new = ids[live], counts[live], n_new[live]
-            ends_max, ends_min = ends_max[live], ends_min[live]
+            u, v, fmid, rad, cand, owner = (a[alive] for a in (u, v, fmid, rad, cand, owner))
         counts += n_new
         cu, cv, co = u[cand], v[cand], owner[cand]
         cm = 0.5 * (cu + cv)
@@ -195,7 +189,7 @@ def _certified_abs_range(spec, lo, hi):
         rad = np.concatenate([rad[keep], spec._seg_lip(nu, nv) * (nv - nu) * 0.5])
 
     _, _, top_max, bot_min = bounds()
-    record(np.ones(ids.size, dtype=bool), top_max, bot_min)
+    record(live, top_max, bot_min)
     return out
 
 
@@ -493,13 +487,6 @@ class BivariateSpec:
             raise FunctionSpecError("bivariate spec needs at least one term")
         object.__setattr__(self, "terms", terms)
 
-    def value(self, x, y):
-        x, y = _arr(x), _arr(y)
-        out = self.terms[0].fx(x) * self.terms[0].fy(y)
-        for t in self.terms[1:]:
-            out = out + t.fx(x) * t.fy(y)
-        return out
-
     def grid(self, xs, ys):
         """Evaluate on a tensor grid; result[iy, ix] = f(xs[ix], ys[iy]).
 
@@ -518,18 +505,6 @@ class BivariateSpec:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def eval_scalar(spec, x):
-    out = spec(_arr(x))
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def eval_bivariate(spec, x, y):
-    out = spec.value(x, y)
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return float(out)
-    return out
-
 
 def _check_intervals(intervals):
     ends = np.array(intervals, dtype=np.float64)
@@ -581,28 +556,8 @@ def lagrange_from_nodes(nodes):
 
 
 # ---------------------------------------------------------------------------
-# JSON codec (tagged variants)
+# JSON decoder (tagged variants)
 # ---------------------------------------------------------------------------
-
-def scalar_to_json(spec):
-    if isinstance(spec, Constant):
-        return {"kind": "constant", "value": spec.value}
-    if isinstance(spec, Affine):
-        return {"kind": "affine", "slope": spec.slope, "intercept": spec.intercept}
-    if isinstance(spec, Polynomial):
-        return {"kind": "polynomial", "coefficients": list(spec.coefficients)}
-    if isinstance(spec, Sinusoid):
-        return {"kind": "sinusoid", "amplitude": spec.amplitude,
-                "omega": spec.omega, "phase": spec.phase, "wave": spec.wave}
-    if isinstance(spec, LagrangeNodes):
-        return {"kind": "lagrange", "nodes": [[x, y] for x, y in spec.nodes]}
-    if isinstance(spec, Sum):
-        return {"kind": "sum", "terms": [scalar_to_json(t) for t in spec.terms]}
-    if isinstance(spec, Scaled):
-        return {"kind": "scaled", "factor": spec.factor,
-                "spec": scalar_to_json(spec.spec)}
-    raise FunctionSpecError(f"not a scalar spec: {type(spec).__name__}")
-
 
 def _spec_error(where, message):
     return FunctionSpecError(f"{where}: {message}" if where else message)
@@ -661,11 +616,6 @@ def scalar_from_json(obj):
     An error starts with the path of the offending field inside the spec,
     e.g. `terms[1].value: expected a number, got '0.5'`."""
     return _scalar(obj, "")
-
-
-def bivariate_to_json(spec):
-    return {"terms": [{"fx": scalar_to_json(t.fx), "fy": scalar_to_json(t.fy)}
-                      for t in spec.terms]}
 
 
 def bivariate_from_json(obj):

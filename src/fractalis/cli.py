@@ -14,13 +14,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import dimension, io, surface
 from .catalog import FunctionSpecError
 from .config import ConfigError, parse_config
 from .dimension import NumericalError
-from .rifs import ModelError, contraction_report, merged_curve, plan_depth, refine_attractor
+from .rifs import (POINT_LIMIT, ModelError, contraction_report, merged_curve, plan_depth,
+                   refine_attractor)
 
 __all__ = ["main"]
 
@@ -66,15 +68,14 @@ def _for_field(field, fn, *args, **kwargs):
 
 
 def _model_summary(model, sampling):
-    report = contraction_report(model)
     sizes = [b - a + 1 for a, b in zip(sampling.starts, sampling.starts[1:])]
     return {
-        "contraction": report.to_dict(),
+        "contraction": asdict(contraction_report(model)),
         "connection_matrix": model.connection.tolist(),
         "transition_matrix": model.transition.tolist(),
         "depth": sampling.depth,
         "points_per_region": sizes,
-        "points_total": sum(sizes) - (len(sizes) - 1),
+        "points_total": sampling.xs.size,
         "y_envelope": list(model.y_envelope),
         "warnings": list(model.warnings),
     }
@@ -99,7 +100,7 @@ def _cmd_analyze(cfg, args):
     model = _for_field("config", cfg.curve.build)
     report, sampling = _for_field(field, dimension.analyze_curve, model, *cfg.scales,
                                   depth=depth)
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["model"] = _model_summary(model, sampling)
     io.write_json(out / "dimension.json", payload)
     io.write_box_csv(out / "boxcounts.csv", report.series)
@@ -129,6 +130,9 @@ def _cmd_surface(cfg, args):
             if not plan.resolves(span / resolution):
                 raise ConfigError(f"{field}: {surface.too_coarse(plan.gap / span, resolution)}")
             planned.append((axis, model, plan, coeff))
+    if (resolution + 1) ** 2 > POINT_LIMIT:
+        raise ConfigError(f"{grid}: a {resolution}x{resolution} grid needs more than "
+                          f"{POINT_LIMIT} points ({(resolution + 1) ** 2} nodes)")
 
     layers = {"x": [], "y": []}
     curve_details = []
@@ -155,9 +159,9 @@ def _cmd_surface(cfg, args):
     if all("dimension_bounds" in d for d in curve_details):
         lower, upper = zip(*(d["dimension_bounds"] for d in curve_details))
         exact = [d["dimension_exact"] for d in curve_details]
-        formula = {"lower": surface.composed_surface_dimension(lower, ()),
-                   "upper": surface.composed_surface_dimension(upper, ()),
-                   "exact": (surface.composed_surface_dimension(exact, ())
+        formula = {"lower": surface.composed_surface_dimension(lower),
+                   "upper": surface.composed_surface_dimension(upper),
+                   "exact": (surface.composed_surface_dimension(exact)
                              if None not in exact else None)}
     io.write_json(out / "report.json", {
         "resolution": resolution,

@@ -1,9 +1,9 @@
 """Dimension analysis.
 
 Connectivity predicates and Perron growth rates for nonnegative matrices,
-scaling envelopes, closed-form dimension bounds for uniform models, mesh
-box counting for point sets / sampled graphs / height fields, and the
-log-log regression estimator.  Certified constants are read from `rifs`.
+closed-form dimension bounds for uniform models, mesh box counting for
+point sets / sampled graphs / height fields, and the log-log regression
+estimator.  Certified constants are read from `rifs`.
 
 Mesh convention: cells are half-open and anchored at the origin.  For
 point counting, a coordinate sitting exactly on the top boundary of the
@@ -20,7 +20,7 @@ pyramid: each nested scale reduces the finer scale's block extents.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "check_irreducible",
     "spectral_radius",
     "nonneg_spectral_radius",
-    "scaling_envelopes",
     "nodes_collinear",
     "curve_dimension_bounds",
     "box_count_curve",
@@ -163,13 +162,8 @@ def nonneg_spectral_radius(A):
 
 
 # ---------------------------------------------------------------------------
-# envelopes and closed-form bounds
+# closed-form bounds
 # ---------------------------------------------------------------------------
-
-def scaling_envelopes(model):
-    """Per-region (min, max) of |scaling|: read-only views of `scale_range`."""
-    return model.scale_range[:, 0], model.scale_range[:, 1]
-
 
 def nodes_collinear(data, span):
     """True iff the nodes in the node-index span [start, end] lie on one line."""
@@ -205,10 +199,6 @@ class BoxCountSeries:
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "counts", counts)
 
-    def to_dict(self):
-        return {"deltas": list(self.deltas), "counts": list(self.counts),
-                "mesh": self.mesh}
-
 
 @dataclass(frozen=True)
 class DimensionReport:
@@ -222,9 +212,6 @@ class DimensionReport:
     estimate: float | None = None
     r_squared: float | None = None
     notes: tuple = ()
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _uniform_geometry(model):
@@ -262,7 +249,7 @@ def curve_dimension_bounds(model):
     if all(nodes_collinear(model.data, span) for span in model.domains):
         raise HypothesisError("every domain's nodes are collinear")
 
-    s_lo, s_hi = scaling_envelopes(model)
+    s_lo, s_hi = model.scale_range.T
     C = model.connection.astype(np.float64)
     lam_hi = nonneg_spectral_radius(np.diag(s_hi) @ C)
     lam_lo = nonneg_spectral_radius(np.diag(s_lo) @ C)
@@ -526,9 +513,6 @@ class VariationCheck:
     lhs: float
     rhs: float
     ok: bool
-
-    def to_dict(self):
-        return {"region": self.region, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
 
 
 def variation_bound_report(model, sampling):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate, count, groupby
 
 import numpy as np
@@ -201,9 +201,6 @@ class ContractionReport:
     weight_used: float
     overall_factor: float
     contractive: bool
-
-    def to_dict(self):
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,7 @@ class SurfaceSpec:
 class HeightField:
     """Heights on the uniform (m+1) x (m+1) grid over [0, 1]^2.
 
-    heights[iy, ix] is the value at (ix/m, iy/m); `flat` gives the
-    row-major vector.
+    heights[iy, ix] is the value at (ix/m, iy/m).
     """
     resolution: int
     heights: np.ndarray
@@ -109,10 +108,6 @@ class HeightField:
         if not np.all(np.isfinite(H)):
             raise ValueError("heights must be finite")
         object.__setattr__(self, "heights", H)
-
-    @property
-    def flat(self):
-        return self.heights.reshape(-1)
 
 
 def eval_surface(spec, resolution):
@@ -139,9 +134,9 @@ def eval_surface(spec, resolution):
     return HeightField(m, H)
 
 
-def composed_surface_dimension(x_dims, y_dims):
+def composed_surface_dimension(dims):
     """Dimension of a composed surface: 1 + max over the layer curve dimensions."""
-    dims = list(x_dims) + list(y_dims)
+    dims = list(dims)
     if not dims:
         raise ValueError("need at least one curve dimension")
     for d in dims:

@@ -110,7 +110,7 @@ def test_criterion_05_envelope_bracket():
     with Timer(5, "envelope-bracket", 120.0):
         model = fx.build_model(DATA, [(0, 2), (2, 4)], [0, 1, 0, 1],
                                fx.Sinusoid(1.0, 8 * math.pi, 0.0, "cos"))
-        lo, hi = fx.scaling_envelopes(model)
+        lo, hi = model.scale_range.T
         assert lo.min() < hi.max(), "envelopes must be nondegenerate"
         bounds = fx.curve_dimension_bounds(model)
         report, _ = fx.estimate_curve_dimension(model, 2, 6, depth=12)
@@ -127,7 +127,7 @@ def test_criterion_06_surface_composition(model_s06):
                               (fx.SurfaceLayer(line, one),))
         field = fx.eval_surface(spec, 4096)
         report = fx.estimate_surface_dimension(field, [2.0 ** -r for r in range(3, 8)])
-        predicted = fx.composed_surface_dimension([DIM_06], [1.0])
+        predicted = fx.composed_surface_dimension([DIM_06, 1.0])
         assert predicted == pytest.approx(1.0 + DIM_06)
         assert abs(report.estimate - predicted) <= 0.15
 

@@ -552,8 +552,8 @@ def mutated_runs(draw):
             del parent[at[-1]]
         elif action == "duplicate" and isinstance(parent, list):
             parent.insert(at[-1], copy.deepcopy(parent[at[-1]]))
-        else:
-            parent[at[-1]] = draw(VALUES)
+        else:   # a copy: st.just hands out one object, which later steps may edit
+            parent[at[-1]] = copy.deepcopy(draw(VALUES))
     flags = ["--depth", str(draw(st.integers(0, 6)))]
     if command == "surface":
         flags += ["--resolution", str(draw(st.sampled_from([2, 8, 16, 32])))]
@@ -725,3 +725,40 @@ def test_auto_depth_analyze_over_the_point_limit_names_r_hi(tmp_path, capsys, re
         f"(67108865 at depth 12)\n")
     assert refinements == []
     assert not out.exists() or not any(out.iterdir())
+
+
+
+def contractive_surface_without_depths():
+    cfg = contractive_surface()
+    for entry in cfg["x_curves"] + cfg["y_curves"]:
+        del entry["curve"]["depth"]
+    return cfg
+
+
+@pytest.mark.parametrize("extra, field", [(["--resolution", "8192"], "--resolution"),
+                                          ([], "resolution")])
+def test_grid_over_the_point_limit_refines_nothing(tmp_path, capsys, refinements,
+                                                   extra, field):
+    cfg = contractive_surface_without_depths()
+    cfg["resolution"] = 8192
+    code, out = run(tmp_path, cfg, extra=extra)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {field}: a 8192x8192 grid needs more than {2 ** 26} points "
+        f"({8193 ** 2} nodes)\n")
+    assert refinements == []
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_grid_at_the_point_limit_is_evaluated(tmp_path, monkeypatch, refinements):
+    from fractalis import surface
+
+    class Reached(Exception):
+        pass
+
+    def sentinel(spec, resolution):   # stands in for the 2**26-node grid
+        raise Reached(resolution)
+    monkeypatch.setattr(surface, "eval_surface", sentinel)
+    with pytest.raises(Reached, match="8191"):
+        run(tmp_path, contractive_surface_without_depths(), extra=["--resolution", "8191"])
+    assert refinements == [13, 13]

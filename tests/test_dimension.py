@@ -12,7 +12,7 @@ from fractalis import (BoxCountSeries, Constant, HypothesisError, Sinusoid,
                        curve_scale_schedule, estimate_curve_dimension,
                        fit_dimension, max_variation, merged_curve,
                        nodes_collinear, nonneg_spectral_radius,
-                       refine_attractor, scaling_envelopes, spectral_radius,
+                       refine_attractor, spectral_radius,
                        variation_bound_report, HeightField)
 from fractalis.rifs import InterpolationData, ModelError
 
@@ -123,16 +123,16 @@ class TestSpectralRadius:
 
 class TestEnvelopes:
     def test_constant_scaling(self):
-        lo, hi = scaling_envelopes(whole_domain_model(Constant(0.9)))
+        lo, hi = whole_domain_model(Constant(0.9)).scale_range.T
         assert np.all(lo == 0.9) and np.all(hi == 0.9)
 
     def test_slow_cosine(self):
-        lo, hi = scaling_envelopes(split_model(Sinusoid(1.0, 1.0, 0.0, "cos")))
+        lo, hi = split_model(Sinusoid(1.0, 1.0, 0.0, "cos")).scale_range.T
         assert hi[0] == 1.0
         assert lo[0] == pytest.approx(math.cos(0.25), rel=1e-12)
 
     def test_fast_cosine_full_swing(self):
-        lo, hi = scaling_envelopes(split_model(Sinusoid(1.0, 8 * math.pi, 0.0, "cos")))
+        lo, hi = split_model(Sinusoid(1.0, 8 * math.pi, 0.0, "cos")).scale_range.T
         assert np.all(hi == 1.0) and np.all(lo == 0.0)
 
 
@@ -176,7 +176,7 @@ class TestDimensionBounds:
     def test_spectral_rate_cross_checked_against_dense_oracle(self):
         model = split_model(Sinusoid(1.0, 1.0, 0.0, "cos"))
         rep = curve_dimension_bounds(model)
-        _, s_hi = scaling_envelopes(model)
+        _, s_hi = model.scale_range.T
         dense = max(abs(np.linalg.eigvals(np.diag(s_hi) @ model.connection)))
         assert rep.spectral_upper == pytest.approx(dense, abs=1e-8)
 

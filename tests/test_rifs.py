@@ -11,9 +11,8 @@ from fractalis import (Affine, Constant, ContractionReport, HypothesisError, Lag
                        ModelError, Polynomial, Scaled, Sinusoid, Sum, VariationCheck,
                        abs_extrema, build_model, contraction_report, curve_dimension_bounds,
                        default_base, default_interpolant, derive_connectivity, eval_F,
-                       eval_scalar, functional_residual, lipschitz_bound, max_variation,
-                       merged_curve, refine_attractor, rifs, scaling_envelopes,
-                       variation_bound_report)
+                       functional_residual, lipschitz_bound, max_variation,
+                       merged_curve, refine_attractor, rifs, variation_bound_report)
 from fractalis.rifs import (InterpolationData, _depth_zero, _refine_step, _sampled_range,
                             plan_depth)
 from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
@@ -220,8 +219,8 @@ class TestBuildValidation:
     def test_default_base_differs_from_interpolant(self):
         model = example_model()
         # base: quadratic through nodes 0, 2, 4; interpolant: quartic through all
-        assert eval_scalar(model.base, 0.5) == pytest.approx(10.0, abs=1e-9)
-        assert eval_scalar(model.base, 0.25) != pytest.approx(30.0, abs=1.0)
+        assert float(model.base(0.5)) == pytest.approx(10.0, abs=1e-9)
+        assert float(model.base(0.25)) != pytest.approx(30.0, abs=1.0)
 
     def test_data_envelope_contains_nodes(self):
         model = example_model()
@@ -285,16 +284,16 @@ class TestEvalF:
         model = example_model(Constant(0.0))
         for x, y in ((0.1, -3.0), (0.3, 55.0), (0.5, 0.0)):
             lx = float(model.map_apply(0, x))
-            expect = eval_scalar(model.interpolant, lx)
+            expect = float(model.interpolant(lx))
             assert eval_F(model, 0, x, y) == pytest.approx(expect, abs=1e-12)
 
     def test_against_direct_formula(self):
         model = example_model()
         x, y = 0.25, 30.0
         lx = 0.5 * x
-        expect = (eval_scalar(model.scaling[0], lx)
-                  * (y - eval_scalar(model.base, x))
-                  + eval_scalar(model.interpolant, lx))
+        expect = (float(model.scaling[0](lx))
+                  * (y - float(model.base(x)))
+                  + float(model.interpolant(lx)))
         assert eval_F(model, 0, x, y) == pytest.approx(expect, rel=1e-14)
 
     def test_outside_domain_rejected(self):
@@ -767,7 +766,7 @@ class TestDefaults:
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
         h = default_interpolant(data)
         for x, y in DATA:
-            assert eval_scalar(h, x) == pytest.approx(y, abs=1e-9)
+            assert float(h(x)) == pytest.approx(y, abs=1e-9)
 
     def test_default_base_quadratic_for_split(self):
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
@@ -775,7 +774,7 @@ class TestDefaults:
         assert isinstance(g, Polynomial)
         assert len(g.coefficients) == 3
         for i in (0, 2, 4):
-            assert eval_scalar(g, data.xs[i]) == pytest.approx(data.ys[i], abs=1e-9)
+            assert float(g(data.xs[i])) == pytest.approx(data.ys[i], abs=1e-9)
 
     def test_default_base_line_for_whole_domain(self):
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
@@ -909,7 +908,7 @@ def hexed(values):
 def assert_certified_as_reference(model, depth=4):
     rep, ref = contraction_report(model), ref_contraction_report(model)
     assert hexed(astuple(rep)) == hexed(astuple(ref))
-    for got, want in zip(scaling_envelopes(model), ref_scaling_envelopes(model)):
+    for got, want in zip(model.scale_range.T, ref_scaling_envelopes(model)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     env, warnings = ref_envelope_and_warnings(model)
     assert hexed(model.y_envelope) == hexed(env)
@@ -996,7 +995,7 @@ class TestOneCertification:
         assert not model.scale_range.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             model.scale_range[0, 1] = 0.5
-        for view in scaling_envelopes(model):
+        for view in model.scale_range.T:
             assert not view.flags.writeable
             assert np.shares_memory(view, model.scale_range)
 
@@ -1036,7 +1035,7 @@ class TestOneCertification:
         calls.clear()
         contraction_report(model)
         variation_bound_report(model, refine_attractor(model, 3))
-        scaling_envelopes(model)
+        curve_dimension_bounds(model)
         assert not any(seen(calls, name, f) for f in scaling
                        for name in ("abs_extrema_each", "abs_extrema", "lipschitz_bound"))
         # two reports, each certifying the base once per domain span, in one call

@@ -186,37 +186,33 @@ class TestHeightField:
         with pytest.raises(ValueError, match="finite"):
             HeightField(4, bad)
 
-    def test_flat_accessor(self):
-        H = np.arange(9.0).reshape(3, 3)
-        assert HeightField(2, H).flat.tolist() == list(range(9))
-
 
 class TestComposedDimension:
     def test_pair(self):
-        assert composed_surface_dimension([1.5], [1.2]) == 2.5
+        assert composed_surface_dimension([1.5, 1.2]) == 2.5
 
     def test_smooth(self):
-        assert composed_surface_dimension([1.0], [1.0]) == 2.0
+        assert composed_surface_dimension([1.0, 1.0]) == 2.0
 
     def test_many(self):
-        assert composed_surface_dimension([1.3, 1.6], [1.4]) == pytest.approx(2.6)
+        assert composed_surface_dimension([1.3, 1.6, 1.4]) == pytest.approx(2.6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            composed_surface_dimension([], [])
+            composed_surface_dimension([])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            composed_surface_dimension([2.5], [])
+            composed_surface_dimension([2.5])
 
     @given(st.lists(st.floats(1.0, 2.0), min_size=1, max_size=4),
            st.floats(0.0, 0.5))
     @settings(max_examples=60)
     def test_monotone(self, dims, bump):
-        base = composed_surface_dimension(dims, [])
+        base = composed_surface_dimension(dims)
         raised = dims.copy()
         raised[0] = min(2.0, raised[0] + bump)
-        assert composed_surface_dimension(raised, []) >= base
+        assert composed_surface_dimension(raised) >= base
 
 
 class TestEstimateSurface:
