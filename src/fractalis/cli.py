@@ -133,6 +133,10 @@ def _cmd_surface(cfg, args):
     if (resolution + 1) ** 2 > POINT_LIMIT:
         raise ConfigError(f"{grid}: a {resolution}x{resolution} grid needs more than "
                           f"{POINT_LIMIT} points ({(resolution + 1) ** 2} nodes)")
+    obj_lines = (resolution + 1) ** 2 + 2 * resolution ** 2
+    if cfg.obj and obj_lines > POINT_LIMIT:
+        raise ConfigError(f"{grid}: with obj true, the OBJ of a {resolution}x{resolution} grid "
+                          f"needs more than {POINT_LIMIT} lines ({obj_lines} vertices and faces)")
 
     layers = {"x": [], "y": []}
     curve_details = []

@@ -750,15 +750,48 @@ def test_grid_over_the_point_limit_refines_nothing(tmp_path, capsys, refinements
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_grid_at_the_point_limit_is_evaluated(tmp_path, monkeypatch, refinements):
+class Reached(Exception):
+    pass
+
+
+@pytest.fixture
+def sentinel_surface(monkeypatch):
+    """eval_surface replaced by a stand-in that raises Reached(resolution)
+    instead of allocating the grid."""
     from fractalis import surface
 
-    class Reached(Exception):
-        pass
-
-    def sentinel(spec, resolution):   # stands in for the 2**26-node grid
+    def sentinel(spec, resolution):
         raise Reached(resolution)
     monkeypatch.setattr(surface, "eval_surface", sentinel)
+
+
+def test_grid_at_the_point_limit_is_evaluated(tmp_path, sentinel_surface, refinements):
+    cfg = contractive_surface_without_depths()
+    cfg["obj"] = False   # an OBJ has its own, lower ceiling
     with pytest.raises(Reached, match="8191"):
-        run(tmp_path, contractive_surface_without_depths(), extra=["--resolution", "8191"])
+        run(tmp_path, cfg, extra=["--resolution", "8191"])
+    assert refinements == [13, 13]
+
+
+@pytest.mark.parametrize("extra, field", [(["--resolution", "4730"], "--resolution"),
+                                          ([], "resolution")])
+def test_obj_over_the_point_limit_refines_nothing(tmp_path, capsys, refinements,
+                                                  extra, field):
+    cfg = contractive_surface_without_depths()
+    cfg["resolution"] = 4730
+    assert cfg["obj"] is True
+    code, out = run(tmp_path, cfg, extra=extra)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {field}: with obj true, the OBJ of a 4730x4730 grid needs more than "
+        f"{2 ** 26} lines ({4731 ** 2 + 2 * 4730 ** 2} vertices and faces)\n")
+    assert refinements == []
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_obj_at_the_point_limit_is_evaluated(tmp_path, sentinel_surface, refinements):
+    cfg = contractive_surface_without_depths()
+    assert cfg["obj"] is True and 4730 ** 2 + 2 * 4729 ** 2 <= 2 ** 26
+    with pytest.raises(Reached, match="4729"):
+        run(tmp_path, cfg, extra=["--resolution", "4729"])
     assert refinements == [13, 13]

@@ -2,8 +2,13 @@
 and the in-place PGM normalization against the expression it replaced.
 
 The CSV and OBJ references format one value at a time with `format_number`
-and write one line per call; every case asserts byte-equal files.
+and write one line per call; every case asserts byte-equal files.  The
+writers split their parts among forked children, one per usable CPU;
+`TestShares` sets that count, so a one-CPU host runs the forked path too.
 """
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +157,150 @@ class TestObj:
         assert lines[8] == "v 1 -5.25 1"
         assert lines[9:] == ["f 1 2 5", "f 1 5 4", "f 2 3 6", "f 2 6 5",
                              "f 4 5 8", "f 4 8 7", "f 5 6 9", "f 5 9 8"]
+
+
+def usable_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that grows by one at every os.fork call."""
+    calls, fork = [], os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def parts_of(n):
+    return -(-n // ROWS)
+
+
+CPUS = [1, 2, 3, 16]   # 16 exceeds the part count of every case but OBJ m = 384
+
+
+class TestShares:
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3, 5 * ROWS + 1])
+    def test_curve_csv(self, tmp_path, monkeypatch, forks, cpus, n):
+        usable_cpus(monkeypatch, cpus)
+        xs, ys = mixed(n, 3), mixed(n, 4)
+        assert_same_bytes(tmp_path, io.write_curve_csv, ref_write_curve_csv, xs, ys)
+        assert len(forks) == min(cpus, parts_of(n)) - 1
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("m", [2, 3, 7, 384])
+    def test_obj(self, tmp_path, monkeypatch, forks, cpus, m):
+        usable_cpus(monkeypatch, cpus)
+        H = mixed((m + 1) ** 2, m + 1).reshape(m + 1, m + 1)
+        H[0, :3] = (0.0, -0.0, -7.0)
+        H[-1, -1] = 2.0
+        assert_same_bytes(tmp_path, io.write_obj, ref_write_obj, HeightField(m, H))
+        assert len(forks) == (min(cpus, m + 1) - 1) + (min(cpus, m) - 1)
+
+
+class TestForks:
+    """The speedup must not switch off silently: one child per share after
+    the first, none for a one-part file, spools beside the artifact."""
+
+    @pytest.mark.parametrize("cpus", [None, 2, 3])   # None: this host's own count
+    def test_one_child_per_later_share(self, tmp_path, monkeypatch, forks, cpus):
+        if cpus is not None:
+            usable_cpus(monkeypatch, cpus)
+        usable = len(os.sched_getaffinity(0))
+        n = 2 ** 18 + 1
+        io.write_curve_csv(tmp_path / "curve.csv", np.arange(n) / n, np.zeros(n))
+        assert len(forks) == min(usable, parts_of(n)) - 1
+        forks.clear()
+        field = HeightField(384, np.zeros((385, 385)))
+        io.write_obj(tmp_path / "surface.obj", field)
+        assert len(forks) == 2 * (min(usable, 384) - 1)
+
+    def test_one_part_forks_none(self, tmp_path, monkeypatch, forks):
+        usable_cpus(monkeypatch, 16)
+        series = BoxCountSeries((0.5, 0.25, 0.125), (2, 5, 11))
+        assert_same_bytes(tmp_path, io.write_box_csv, ref_write_box_csv, series)
+        io.write_curve_csv(tmp_path / "curve.csv", np.zeros(ROWS - 1), np.ones(ROWS - 1))
+        assert forks == []
+
+    def test_spools_sit_beside_the_artifact(self, tmp_path, monkeypatch, forks):
+        usable_cpus(monkeypatch, 3)
+        dirs, spool = [], tempfile.TemporaryFile
+
+        def recording_spool(*args, **kwargs):
+            dirs.append(kwargs.get("dir"))
+            return spool(*args, **kwargs)
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording_spool)
+        target = tmp_path / "deep" / "er"
+        target.mkdir(parents=True)
+        n = 3 * ROWS
+        io.write_curve_csv(target / "curve.csv", np.arange(n) / n, np.zeros(n))
+        assert len(forks) == 2 and dirs == [str(target)] * 2
+        assert [p.name for p in target.iterdir()] == ["curve.csv"]
+
+
+def digits(i):
+    return "%d\n", (np.arange(i * 10, i * 10 + 10),)
+
+
+def call_once(tmp_path, call):
+    """The exception call() raised, or None.  Every process that gets past
+    the call appends its pid to a file, which must then hold this
+    process's pid alone: a child never returns into the caller."""
+    me = os.getpid()
+    try:
+        call()
+        error = None
+    except Exception as exc:   # the caller checks which
+        error = exc
+    fd = os.open(tmp_path / "after", os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    os.write(fd, b"%d\n" % os.getpid())
+    os.close(fd)
+    if os.getpid() != me:
+        os._exit(0)   # a stray child leaves here, so the session runs on in one process
+    assert (tmp_path / "after").read_text() == f"{me}\n"
+    with pytest.raises(ChildProcessError):   # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    return error
+
+
+class TestFailures:
+    def write(self, tmp_path, part, count=4):
+        with open(tmp_path / "out.txt", "wb") as fh:
+            io._write_parts(fh, count, part)
+
+    def test_success_returns_once(self, tmp_path, monkeypatch, forks):
+        usable_cpus(monkeypatch, 4)
+        assert call_once(tmp_path, lambda: self.write(tmp_path, digits)) is None
+        assert len(forks) == 3
+        assert (tmp_path / "out.txt").read_text() == "".join(f"{v}\n" for v in range(40))
+
+    def test_part_failing_in_a_child_raises_in_the_parent(self, tmp_path, monkeypatch, forks):
+        usable_cpus(monkeypatch, 4)
+        parent = os.getpid()
+
+        def part(i):
+            if os.getpid() != parent and i == 2:
+                raise ValueError("only in a child")
+            return digits(i)
+        error = call_once(tmp_path, lambda: self.write(tmp_path, part))
+        assert isinstance(error, RuntimeError) and len(forks) == 3
+        assert "parts 2..2 failed (exit status 1)" in str(error)
+
+    def test_part_failing_in_the_parent_still_reaps_every_child(self, tmp_path, monkeypatch,
+                                                                 forks):
+        usable_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def part(i):
+            if os.getpid() == parent:
+                raise ValueError("in the parent's share")
+            return digits(i)
+        error = call_once(tmp_path, lambda: self.write(tmp_path, part, count=6))
+        assert isinstance(error, ValueError) and len(forks) == 2
 
 
 class TestPgm:
