@@ -45,9 +45,9 @@ def _load_config(path):
 
 
 def _out_dir(cfg, args):
-    out = Path(args.out_dir or cfg.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; each command creates it right before its first
+    artifact, so a refused run leaves none behind."""
+    return Path(args.out_dir or cfg.out_dir or "out")
 
 
 def _depth(args, model_cfg, where, planner):
@@ -88,6 +88,7 @@ def _cmd_curve(cfg, args):
     plan = _for_field(field, plan_depth, model, depth)
     sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
+    out.mkdir(parents=True, exist_ok=True)
     io.write_curve_csv(out / "curve.csv", gx, gy)
     io.write_json(out / "report.json", _model_summary(model, sampling))
     print(f"curve: {gx.size} points at depth {plan.depth} -> {out}")
@@ -102,6 +103,7 @@ def _cmd_analyze(cfg, args):
                                   depth=depth)
     payload = asdict(report)
     payload["model"] = _model_summary(model, sampling)
+    out.mkdir(parents=True, exist_ok=True)
     io.write_json(out / "dimension.json", payload)
     io.write_box_csv(out / "boxcounts.csv", report.series)
     bounds = ("[{:.5f}, {:.5f}]".format(report.lower_bound, report.upper_bound)
@@ -155,6 +157,7 @@ def _cmd_surface(cfg, args):
     spec = surface.SurfaceSpec(tuple(layers["x"]), tuple(layers["y"]))
     field = _for_field(grid, surface.eval_surface, spec, resolution)
 
+    out.mkdir(parents=True, exist_ok=True)
     lo, hi = io.write_pgm(out / "surface.pgm", field.heights)
     if cfg.obj:
         io.write_obj(out / "surface.obj", field)

@@ -24,8 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import shares
 from .catalog import abs_extrema  # noqa: F401  (unused; perfbench's tracer test patches it)
-from .rifs import ModelError, lipschitz_bounds, merged_curve, plan_depth, refine_attractor
+from .rifs import (POINT_LIMIT, ModelError, lipschitz_bounds, merged_curve, plan_depth,
+                   refine_attractor)
 
 __all__ = [
     "NumericalError",
@@ -334,7 +336,9 @@ def box_count_graph(xs, ys, delta):
     column contributes the floor-indexed cover of the vertical extent of
     its samples; samples exactly on a column boundary extend both
     neighbouring columns.  This saturates for graphs where raw point
-    counting would need one sample per cell.
+    counting would need one sample per cell.  Memory and time grow with
+    the column count, so a delta needing more than rifs.POINT_LIMIT
+    columns over the x range raises ValueError before any is built.
 
     Column boundaries are found by binary search on xs: only the samples
     within a few GRID_SNAP of an interior gridline, and the two end
@@ -365,6 +369,9 @@ def box_count_graph(xs, ys, delta):
     fold = bool(_on_gridline(q_ends[-1]))
     top = last - fold
     base = min(first, top)   # a set on one gridline folds whole
+    if top - base + 1 > POINT_LIMIT:
+        raise ValueError(f"delta {delta!r} needs {top - base + 1} columns over the samples' "
+                         f"x range, more than {POINT_LIMIT}")
     # windows around the interior gridlines; outside them floor(x / delta)
     # is the column and no sample is on a gridline
     k = np.arange(base + 1, top + 1, dtype=np.int64)
@@ -580,7 +587,11 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     scales it leaves unresolved (`DepthPlan.resolves`) are dropped with a
     note, and under three left is refused.  Counts use per-column vertical
     covers of the sampled graph (raw point counting cannot saturate fine
-    meshes at any practical depth).  The fit follows `fit_report`.
+    meshes at any practical depth).  The scales are counted on one joined
+    thread per usable CPU (`shares.run_shares`), each taking the next scale
+    left, finest first; a curve under MIN_SHARE samples is counted on the
+    caller alone.  The counts do not depend on which thread takes a scale.
+    The fit follows `fit_report`.
 
     Returns (report, sampling).
     """
@@ -596,7 +607,15 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
              f"(x spacing {plan.gap:.3g})"] if dropped else []
     sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
-    counts = [box_count_graph(gx, gy, d) for d in usable]
+    counts = [None] * len(usable)
+    finest_first = iter(range(len(usable) - 1, -1, -1))   # shared: next() is atomic
+
+    def count_scales(_):
+        for j in finest_first:
+            counts[j] = box_count_graph(gx, gy, usable[j])
+
+    workers = min(shares.usable_cpus(), len(usable)) if gx.size >= shares.MIN_SHARE else 1
+    shares.run_shares(workers, count_scales)
     return fit_report(BoxCountSeries(tuple(usable), tuple(counts)), notes), sampling
 
 

@@ -25,6 +25,8 @@ import tempfile
 
 import numpy as np
 
+from . import shares
+
 __all__ = [
     "write_curve_csv",
     "write_box_csv",
@@ -62,16 +64,13 @@ def _write_parts(fh, count, part):
     """Write parts 0..count-1 to the binary file `fh` in order; part(i)
     returns that part's (template, columns).
 
-    Shares are cut as the module docstring says, with one share where
-    os.fork or os.sched_getaffinity does not exist.  A child touches only
-    its parts and its spool, never `fh`, and always leaves by os._exit.
-    A child that fails makes this raise, and every child is reaped
-    however this returns.
+    Shares are cut as the module docstring says (`shares.cuts`), with one
+    share where os.fork does not exist.  A child touches only its parts
+    and its spool, never `fh`, and always leaves by os._exit.  A child
+    that fails makes this raise, and every child is reaped however this
+    returns.
     """
-    usable = (len(os.sched_getaffinity(0))
-              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    shares = max(1, min(usable, count))
-    cuts = [count * s // shares for s in range(shares + 1)]
+    cuts = shares.cuts(count) if hasattr(os, "fork") else [0, count]
     later = list(zip(cuts[1:-1], cuts[2:]))
     spools, pids = [], []
     try:

@@ -11,9 +11,10 @@ source domain.  Region-endpoint samples are pinned to the exact data
 nodes (their map images agree with the nodes up to rounding); this keeps
 interpolation exact and makes refinement bit-stable across depths.
 
-A refinement round walks the regions grouped by feeder run: the
-region-independent part of the vertical map is computed once per run, and
-each region writes its images straight into its slice of the new curve.
+A refinement round walks the regions grouped by feeder run, each run cut
+into one piece per usable CPU on joined threads: the region-independent
+part of the vertical map is computed once per piece, and each region
+writes its images straight into its slice of the new curve.
 
 Each region's |scaling| range is certified once (`RifsModel.scale_range`)
 and every Lipschitz bound the reports use comes from `lipschitz_bounds`.
@@ -29,7 +30,7 @@ from itertools import accumulate, count, groupby
 
 import numpy as np
 
-from . import catalog
+from . import catalog, shares
 from .catalog import (ScalarSpec, abs_extrema, abs_extrema_each, identity, lipschitz_bound,
                       lipschitz_bound_each)
 
@@ -508,26 +509,36 @@ def _depth_zero(model):
 
 
 def _refine_step(model, sampling):
-    """One refinement round.  Regions are walked grouped by feeder run, so
-    `_detail` is computed once per run and dropped before the next run's;
-    each region's x image and vertical map are written straight into its
-    slice of the new curve, reversed for a flipped region."""
+    """One refinement round.  Regions are walked grouped by feeder run, and
+    each run is cut into one contiguous piece per usable CPU
+    (`shares.cuts`, at least MIN_SHARE samples a piece); the pieces run on
+    joined threads (`shares.run_shares`).  A piece computes `_detail` once
+    for its samples, and each region of the run writes the piece's x
+    image and vertical map straight into the matching sub-slice of its
+    slice of the new curve, reversed for a flipped region.  Every
+    operation is elementwise, so the bytes do not depend on the cuts.
+    Region ends are pinned after the pieces are joined."""
     prev = sampling.starts
     runs = [(prev[r.start], prev[r.stop]) for r in map(model.feeders, range(model.n_regions))]
     starts = tuple(accumulate((e - s for s, e in runs), initial=0))
     xs, ys = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
     for (s, e), regions in groupby(sorted(range(model.n_regions), key=runs.__getitem__),
                                    key=runs.__getitem__):
-        ux = sampling.xs[s:e + 1]
-        detail = _detail(model, ux, sampling.ys[s:e + 1])
-        for i in regions:
-            step = -1 if model.flip[i] else 1
-            a, b = starts[i], starts[i + 1]
-            lx = model.map_apply(i, ux, out=xs[a:b + 1][::step])
-            _vertical(model, i, lx, detail, out=ys[a:b + 1][::step])
+        regions = [(i, starts[i], starts[i + 1], -1 if model.flip[i] else 1) for i in regions]
+        bounds = shares.cuts(e - s + 1, shares.MIN_SHARE)
+
+        def piece(k):
+            lo, hi = bounds[k], bounds[k + 1]
+            ux = sampling.xs[s + lo:s + hi]
+            detail = _detail(model, ux, sampling.ys[s + lo:s + hi])
+            for i, a, b, step in regions:
+                lx = model.map_apply(i, ux, out=xs[a:b + 1][::step][lo:hi])
+                _vertical(model, i, lx, detail, out=ys[a:b + 1][::step][lo:hi])
+
+        shares.run_shares(len(bounds) - 1, piece)
+        for i, a, b, _ in regions:
             xs[a], xs[b] = model.data.region_bounds(i)
             ys[a], ys[b] = model.data.ys[i], model.data.ys[i + 1]
-        del detail
     return AttractorSampling(sampling.depth + 1, xs, ys, starts)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import shares
 from .catalog import BivariateSpec
 from .dimension import BoxCountSeries, _surface_counts, fit_report
 from .rifs import SAMPLES_PER_SCALE, ModelError, merged_curve, refine_attractor
@@ -117,6 +118,13 @@ def eval_surface(spec, resolution):
     1/(SAMPLES_PER_SCALE * resolution), or ModelError (`too_coarse`) is
     raised before any layer is summed.  `rifs.plan_depth(model,
     delta=(x1 - x0) / resolution)` gives the shallowest such depth.
+
+    Each curve is interpolated on the grid axis once.  The rows of the
+    grid are then cut into one band per usable CPU (`shares.cuts`, at
+    least MIN_SHARE nodes a band), summed on joined threads
+    (`shares.run_shares`): each band evaluates every coefficient on its
+    rows alone and adds the layers in order, so the heights are those of
+    a one-band sum, bit for bit.
     """
     m = int(resolution)
     if m < 2:
@@ -126,11 +134,18 @@ def eval_surface(spec, resolution):
             raise ModelError(too_coarse(layer.curve.max_gap, m))
     axis = np.linspace(0.0, 1.0, m + 1)
     H = np.zeros((m + 1, m + 1))
-    for layers, along in ((spec.x_layers, np.s_[None, :]), (spec.y_layers, np.s_[:, None])):
-        for layer in layers:
-            g = layer.coeff.grid(axis, axis)   # a fresh array: the product goes into it
-            g *= layer.curve.value(axis)[along]
-            H += g
+    terms = ([(layer.coeff, layer.curve.value(axis), True) for layer in spec.x_layers]
+             + [(layer.coeff, layer.curve.value(axis), False) for layer in spec.y_layers])
+    bands = shares.cuts(m + 1, -(-shares.MIN_SHARE // (m + 1)))
+
+    def band(k):
+        lo, hi = bands[k], bands[k + 1]
+        for coeff, values, along_x in terms:
+            g = coeff.grid(axis, axis[lo:hi])   # a fresh array: the product goes into it
+            g *= values[None, :] if along_x else values[lo:hi, None]
+            H[lo:hi] += g
+
+    shares.run_shares(len(bands) - 1, band)
     return HeightField(m, H)
 
 

@@ -4,6 +4,7 @@
 only the samples next to a gridline.  The per-sample body it replaced is
 kept below as the reference; every case here must give the same count.
 """
+import time
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalis import box_count_graph, curve_scale_schedule, merged_curve, refine_attractor
+from fractalis import (box_count_graph, curve_scale_schedule, dimension, merged_curve,
+                       refine_attractor)
 from fractalis.dimension import _on_gridline, _snapped_floor, _vspan_cells
 from test_plan_depth import FIXTURE_MODELS
 
@@ -164,3 +166,17 @@ class TestInputContract:
 
     def test_repeated_x_accepted(self):
         assert_same([0.5, 0.5, 0.5, 1.0], [0.0, 1.0, 0.2, 0.3], 0.25)
+
+    def test_columns_over_the_point_limit_refused(self):
+        # time and memory follow the column count: 1e8 columns would take GBs
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=r"^delta 1e-08 needs 100000000 columns "
+                                             r".* more than 67108864$"):
+            box_count_graph([0.0, 1.0], [0.0, 1.0], 1e-8)
+        assert time.monotonic() - start < 0.5
+
+    def test_columns_at_the_point_limit_counted(self, monkeypatch):
+        monkeypatch.setattr(dimension, "POINT_LIMIT", 4)
+        assert_same([0.0, 0.6, 1.0], [0.0, 2.0, 1.0], 0.25)   # 4 columns
+        with pytest.raises(ValueError, match="needs 5 columns"):
+            box_count_graph([0.0, 0.6, 1.0], [0.0, 2.0, 1.0], 0.2)
