@@ -223,7 +223,11 @@ def _horner(coeffs, x):
 class _ClosedForm:
     """Bounds from the closed forms `_lip(lo, hi)` and `_range(lo, hi)`,
     one interval at a time in scalar `math` (np.cos may differ from
-    math.cos by an ulp)."""
+    math.cos by an ulp).  `_seg_lip` is `_lip`, which holds where `_lip`
+    does not read its interval; `Sinusoid` gives a global bound instead."""
+
+    def _seg_lip(self, u, v):
+        return self._lip(u, v)
 
     def _lip_each(self, lo, hi):
         return np.array([self._lip(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
@@ -247,9 +251,6 @@ class Constant(_ClosedForm):
         v = abs(float(self.value))
         return v, v
 
-    def _seg_lip(self, u, v):
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Affine(_ClosedForm):
@@ -270,9 +271,6 @@ class Affine(_ClosedForm):
             if lo < root < hi:
                 vals.append(0.0)
         return min(vals), max(vals)
-
-    def _seg_lip(self, u, v):
-        return abs(float(self.slope))
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,8 @@ def check_irreducible(A):
     return bool(_reachability(_as_square(A)).all())
 
 
-def spectral_radius(A):
-    """Perron growth rate of an irreducible nonnegative matrix.
+def _perron(A):
+    """Perron growth rate of a validated irreducible nonnegative block.
 
     Power iteration from the all-ones vector on the shifted matrix
     A + max(A)*I.  The shift makes the dominant eigenvalue simple and
@@ -111,14 +111,10 @@ def spectral_radius(A):
     Iteration stops once the two-sided ratio bracket
     min_i (Ax)_i/x_i <= rho <= max_i (Ax)_i/x_i is tighter than
     POWER_TOL, so the returned midpoint carries a certified error bound.
+    A block [a] returns 0.5*(4a) - a = a exactly; at any size, entries
+    past about 4.5e307 overflow the shifted sums.
     """
-    A = _as_square(A)
-    if not check_irreducible(A):
-        raise ValueError("matrix support is not strongly connected (reducible); "
-                         "the Perron growth rate is not isolated")
     n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0])
     shift = float(A.max())
     A = A + shift * np.eye(n)
     x = np.ones(n)
@@ -134,6 +130,15 @@ def spectral_radius(A):
         f"power iteration did not converge in {POWER_CAP} steps "
         f"(last bracket [{lo - shift:.17g}, {hi - shift:.17g}]); "
         "the dominant eigenvalue may be nearly tied")
+
+
+def spectral_radius(A):
+    """Perron growth rate of an irreducible nonnegative matrix (`_perron`)."""
+    A = _as_square(A)
+    if not _reachability(A).all():
+        raise ValueError("matrix support is not strongly connected (reducible); "
+                         "the Perron growth rate is not isolated")
+    return _perron(A)
 
 
 def nonneg_spectral_radius(A):
@@ -155,11 +160,7 @@ def nonneg_spectral_radius(A):
             continue
         comp = np.nonzero(R[i])[0]
         seen[comp] = True
-        block = A[np.ix_(comp, comp)]
-        if comp.size == 1:
-            best = max(best, float(block[0, 0]))
-        else:
-            best = max(best, spectral_radius(block))
+        best = max(best, _perron(A[np.ix_(comp, comp)]))   # irreducible by construction
     return best
 
 
@@ -283,16 +284,15 @@ def curve_dimension_bounds(model):
 # box counting
 # ---------------------------------------------------------------------------
 
-def _snapped_floor(q):
-    """floor, with values within GRID_SNAP of an integer rounded to it first."""
-    r = np.rint(q)
-    near = np.abs(q - r) <= GRID_SNAP * np.maximum(1.0, np.abs(q))
-    return np.where(near, r, np.floor(q)).astype(np.int64)
-
-
 def _on_gridline(q):
+    """True where q lies within GRID_SNAP (relative) of an integer."""
     r = np.rint(q)
     return np.abs(q - r) <= GRID_SNAP * np.maximum(1.0, np.abs(q))
+
+
+def _snapped_floor(q):
+    """floor, with the values where `_on_gridline` holds rounded first."""
+    return np.where(_on_gridline(q), np.rint(q), np.floor(q)).astype(np.int64)
 
 
 def box_count_curve(points, delta):
@@ -310,21 +310,16 @@ def box_count_curve(points, delta):
     idx = np.empty(pts.shape, dtype=np.int64)
     for axis in range(2):
         c = pts[:, axis]
-        q = c / delta
-        ix = _snapped_floor(q)
-        cmax = float(c.max())
-        qm = cmax / delta
-        if abs(qm - round(qm)) <= GRID_SNAP * max(1.0, abs(qm)):
-            ix = np.where(c == cmax, int(round(qm)) - 1, ix)
-        idx[:, axis] = ix
+        idx[:, axis] = _snapped_floor(c / delta)
+        cmax = c.max()   # top edge closed: the snapped ceil, less 1
+        idx[c == cmax, axis] = -_snapped_floor(-cmax / delta) - 1
     return int(np.unique(idx, axis=0).shape[0])
 
 
 def _vspan_cells(vmin, vmax, delta):
     """Cells covering [vmin, vmax], top edge closed, at least 1 per column."""
     bot = _snapped_floor(np.asarray(vmin) / delta)
-    qt = np.asarray(vmax) / delta
-    top = np.where(_on_gridline(qt), np.rint(qt) - 1, np.floor(qt)).astype(np.int64)
+    top = -_snapped_floor(-np.asarray(vmax) / delta) - 1   # the snapped ceil, less 1
     return np.maximum(top - bot + 1, 1)
 
 
@@ -588,9 +583,11 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     note, and under three left is refused.  Counts use per-column vertical
     covers of the sampled graph (raw point counting cannot saturate fine
     meshes at any practical depth).  The scales are counted on one joined
-    thread per usable CPU (`shares.run_shares`), each taking the next scale
-    left, finest first; a curve under MIN_SHARE samples is counted on the
-    caller alone.  The counts do not depend on which thread takes a scale.
+    thread per usable CPU (`shares.run_shares`), each counting a contiguous
+    share of the scales, finest first, that passes at least MIN_SHARE
+    samples in all (`shares.cuts`).  A finer scale costs more (it has more
+    columns to search), so the first share, which `cuts` keeps smallest,
+    takes the finest.  The counts do not depend on which thread counts a scale.
     The fit follows `fit_report`.
 
     Returns (report, sampling).
@@ -608,14 +605,13 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
     counts = [None] * len(usable)
-    finest_first = iter(range(len(usable) - 1, -1, -1))   # shared: next() is atomic
+    bounds = shares.cuts(len(usable), math.ceil(shares.MIN_SHARE / gx.size))
 
-    def count_scales(_):
-        for j in finest_first:
-            counts[j] = box_count_graph(gx, gy, usable[j])
+    def count_share(k):
+        for j in range(bounds[k], bounds[k + 1]):
+            counts[-1 - j] = box_count_graph(gx, gy, usable[-1 - j])
 
-    workers = min(shares.usable_cpus(), len(usable)) if gx.size >= shares.MIN_SHARE else 1
-    shares.run_shares(workers, count_scales)
+    shares.run_shares(len(bounds) - 1, count_share)
     return fit_report(BoxCountSeries(tuple(usable), tuple(counts)), notes), sampling
 
 

@@ -60,6 +60,7 @@ SCALE_FRACTION = 1.0 / 64
 POINT_LIMIT = 2 ** 26    # ~2.4 GB at the ~36 bytes a refined point costs at peak
 SAMPLES_PER_SCALE = 4    # a planned mesh width delta holds at least 4 x gaps
 DEFAULT_DEPTH = 8        # the depth planned when neither a depth nor a mesh width is given
+ENVELOPE_ROUNDS = 64     # rounds of the certified y-envelope iteration before it gives up
 
 
 class ModelError(ValueError):
@@ -291,8 +292,8 @@ def build_model(data, domains, domain_of, scaling, range_map=None,
     region's |scaling| range is certified once, into the read-only
     `scale_range`.  Endpoint identities (base/interpolant node values, the
     endpoint behaviour of the composed vertical map) are checked
-    numerically; the y envelope is then sized to provably (or, for
-    marginal scalings, empirically) contain the fixed curve.  The scaling
+    numerically; the y envelope is then sized to contain the fixed curve,
+    provably or, with a note, empirically (`_size_envelope`).  The scaling
     bound |s| * L_range < 1 is checked before the vertical maps are
     evaluated when the range map is affine (L_range is then its slope),
     and after sizing otherwise (L_range is certified on the envelope).
@@ -362,7 +363,7 @@ def build_model(data, domains, domain_of, scaling, range_map=None,
                     f"region {i}: vertical map sends node {node} to {got}, "
                     f"expected {expect} (base/interpolant/range_map endpoint mismatch)")
 
-    # only a structurally sound system reaches envelope sizing (the marginal
+    # only a structurally sound system reaches envelope sizing (the sampled
     # branch refines it, which diverges for broken map families)
     envelope, env_warnings = _size_envelope(model, margin)
     model = replace(model, y_envelope=envelope)
@@ -424,9 +425,12 @@ def _size_envelope(model, margin):
 
     With strict vertical contraction (max|s| * L_range < 1) the fixed
     point satisfies sup|f - interpolant| <= s_max * sup|range(interpolant)
-    - base| / (1 - s_max * L_range), which gives a certified range.  In
-    the marginal case (|s| touching 1) that bound is void, so the range
-    of a deep refinement sample is padded instead.
+    - base| / (1 - s_max * L_range), L_range taken on the envelope; that
+    bound is iterated until it lies inside the envelope it came from,
+    which certifies it.  Where s_max * L_range >= 1 on the first envelope
+    (marginal), or the iteration has not settled when it reaches 1 or
+    ENVELOPE_ROUNDS rounds, the range of a deep refinement sample is
+    padded instead, with a note giving the reason.
     """
     data = model.data
     lo, hi = data.xs[0], data.xs[-1]
@@ -438,7 +442,8 @@ def _size_envelope(model, margin):
     s_max = float(model.scale_range[:, 1].max())
 
     env = (base_lo - margin, base_hi + margin)
-    for _ in range(2):
+    reason = "vertical contraction is marginal"
+    for k in range(ENVELOPE_ROUNDS):
         L_a = lipschitz_bound(model.range_map, env)
         if s_max * L_a >= 1.0:
             break
@@ -450,10 +455,9 @@ def _size_envelope(model, margin):
         if new_env[0] >= env[0] - 1e-12 and new_env[1] <= env[1] + 1e-12:
             return new_env, ()
         env = new_env
-    else:
-        return env, ()
+        reason = f"the certified y envelope had not settled by round {k + 1}"
 
-    # marginal contraction: pad the range of a deep sample, the first at
+    # no certified bound: pad the range of a deep sample, the first at
     # depth >= 6 whose points times the widest feeder run pass 200_000
     widest = max(len(model.feeders(i)) for i in range(model.n_regions))
     depth = next(d for d in count(6) if plan_depth(model, d).total * widest > 200_000)
@@ -463,7 +467,7 @@ def _size_envelope(model, margin):
                          "|scaling| must stay below 1/L_range on the regions")
     obs_lo, obs_hi = float(ys.min()), float(ys.max())
     pad = 0.25 * (obs_hi - obs_lo) + margin
-    note = (f"vertical contraction is marginal; y envelope sized from a depth-{depth} "
+    note = (f"{reason}; y envelope sized from a depth-{depth} "
             "sample with 25% padding, not from a certified bound")
     return (min(base_lo, obs_lo) - pad, max(base_hi, obs_hi) + pad), (note,)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalis import (BoxCountSeries, Constant, HypothesisError, Sinusoid,
+from fractalis import (BoxCountSeries, Constant, HypothesisError, NumericalError, Sinusoid,
                        box_count_curve, box_count_graph, box_count_surface,
                        build_model, check_irreducible, curve_dimension_bounds,
                        curve_scale_schedule, estimate_curve_dimension,
@@ -14,6 +14,7 @@ from fractalis import (BoxCountSeries, Constant, HypothesisError, Sinusoid,
                        nodes_collinear, nonneg_spectral_radius,
                        refine_attractor, spectral_radius,
                        variation_bound_report, HeightField)
+from fractalis import dimension
 from fractalis.rifs import InterpolationData, ModelError
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
@@ -119,6 +120,95 @@ class TestSpectralRadius:
         for _ in range(50):
             A = random_irreducible(rng)
             assert nonneg_spectral_radius(A) == pytest.approx(spectral_radius(A), abs=1e-9)
+
+
+def ref_spectral_radius(A):
+    """`spectral_radius` as it was with a power iteration of its own and a
+    1 x 1 branch (test reference); irreducibility is the caller's."""
+    A = np.asarray(A, dtype=np.float64)
+    n = A.shape[0]
+    if n == 1:
+        return float(A[0, 0])
+    shift = float(A.max())
+    A = A + shift * np.eye(n)
+    x = np.ones(n)
+    for _ in range(dimension.POWER_CAP):
+        y = A @ x
+        ratios = y / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= dimension.POWER_TOL * max(hi, 1.0):
+            return 0.5 * (lo + hi) - shift
+        x = y / np.linalg.norm(y)
+    raise NumericalError("no convergence")
+
+
+def ref_nonneg_spectral_radius(A):
+    """`nonneg_spectral_radius` as it was: the largest component rate, a
+    singleton's diagonal entry read directly (test reference)."""
+    A = np.asarray(A, dtype=np.float64)
+    n = A.shape[0]
+    S = (A > 0) | np.eye(n, dtype=bool)
+    for k in range(n):   # Warshall closure
+        S = S | (S[:, [k]] & S[[k], :])
+    R = S & S.T
+    best, seen = 0.0, np.zeros(n, dtype=bool)
+    for i in range(n):
+        if seen[i]:
+            continue
+        comp = np.nonzero(R[i])[0]
+        seen[comp] = True
+        block = A[np.ix_(comp, comp)]
+        best = max(best, float(block[0, 0]) if comp.size == 1 else ref_spectral_radius(block))
+    return best
+
+
+@st.composite
+def sparse_nonneg(draw):
+    """Nonnegative n x n matrices, n <= 8, with a random zero pattern: their
+    components include singletons with zero and with nonzero diagonals."""
+    n = draw(st.integers(1, 8))
+    values = draw(st.lists(st.floats(0.05, 10.0), min_size=n * n, max_size=n * n))
+    keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.array([v if k else 0.0 for v, k in zip(values, keep)]).reshape(n, n)
+
+
+class TestOnePerronIteration:
+    """Both growth rates run one iteration, with no 1 x 1 branch, and give
+    the bits the two separate copies gave."""
+
+    @given(sparse_nonneg())
+    @settings(max_examples=150, deadline=None)
+    def test_nonneg_matches_reference(self, A):
+        assert nonneg_spectral_radius(A).hex() == ref_nonneg_spectral_radius(A).hex()
+        if reachable_everywhere(A):
+            assert spectral_radius(A).hex() == ref_spectral_radius(A).hex()
+
+    @given(st.floats(0.0, 1e300))
+    def test_one_by_one_is_its_entry(self, a):
+        for rate in (spectral_radius([[a]]), nonneg_spectral_radius([[a]])):
+            assert rate.hex() == ref_spectral_radius([[a]]).hex() == a.hex()
+
+    def test_singleton_components(self):
+        # node 0 alone with a loop, node 1 alone without one, nodes 2-3 a cycle
+        A = np.array([[3.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.5, 0.0]])
+        assert nonneg_spectral_radius(A) == 3.0
+        A[0, 0] = 0.0
+        assert nonneg_spectral_radius(A).hex() == ref_nonneg_spectral_radius(A).hex()
+        assert nonneg_spectral_radius(A) == pytest.approx(1.0, abs=1e-10)
+
+    def test_three_closures_per_bounds(self, monkeypatch):
+        calls, closure = [], dimension._reachability
+
+        def counting(A):
+            calls.append(A.shape)
+            return closure(A)
+        monkeypatch.setattr(dimension, "_reachability", counting)
+        for model in (whole_domain_model(Constant(0.6)),
+                      split_model(Sinusoid(1.0, 8 * math.pi, 0.0, "cos"))):
+            calls.clear()
+            curve_dimension_bounds(model)
+            assert len(calls) == 3
 
 
 class TestEnvelopes:

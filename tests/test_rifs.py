@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalis import (Affine, Constant, ContractionReport, HypothesisError, LagrangeNodes,
@@ -434,7 +434,7 @@ def ref_certified_envelope(model):
     s_max = max(abs_extrema(model.scaling[i], data.region_bounds(i))[1]
                 for i in range(model.n_regions))
     env = (base_lo - margin, base_hi + margin)
-    for _ in range(2):
+    for _ in range(rifs.ENVELOPE_ROUNDS):
         L_a = lipschitz_bound(model.range_map, env)
         assert s_max * L_a < 1.0
         gap = model.range_map(model.interpolant(xs)) - model.base(xs)
@@ -444,7 +444,67 @@ def ref_certified_envelope(model):
         if new_env[0] >= env[0] - 1e-12 and new_env[1] <= env[1] + 1e-12:
             return new_env
         env = new_env
-    return env
+    pytest.fail("the certified envelope did not settle")
+
+
+def quadratic_range_model(c, s):
+    """DATA on one domain, constant scaling s and the range map
+    y + c (y - 10)(y - 20), which fixes both endpoint heights."""
+    return build_model(DATA, [(0, 4)], [0] * 4, Constant(s),
+                       range_map=Polynomial((200.0 * c, 1.0 - 30.0 * c, c)))
+
+
+def envelope_successor(model, env):
+    """The certified envelope bound with L_range taken on `env`."""
+    data = model.data
+    margin = 0.5 * (max(data.ys) - min(data.ys)) + 1.0
+    lo, hi = data.xs[0], data.xs[-1]
+    lip_h = lipschitz_bound(model.interpolant, (lo, hi))
+    h_lo, h_hi = _sampled_range(model.interpolant, lip_h, lo, hi)
+    s_max = float(model.scale_range[:, 1].max())
+    L_a = lipschitz_bound(model.range_map, env)
+    assert s_max * L_a < 1.0
+    g_lo, g_hi = _sampled_range(
+        lambda x: model.range_map(model.interpolant(x)) - model.base(x),
+        L_a * lip_h + lipschitz_bound(model.base, (lo, hi)), lo, hi)
+    detail = s_max * max(-g_lo, g_hi) / (1.0 - s_max * L_a)
+    return (min(h_lo, min(data.ys)) - detail - margin, max(h_hi, max(data.ys)) + detail + margin)
+
+
+class TestEnvelopeSettles:
+    """A non-affine range map needs more than two rounds of the certified
+    envelope bound; an envelope is returned certified only once it holds
+    its successor, else sampled with a note that gives the reason."""
+
+    @given(st.floats(0.001, 0.03), st.floats(0.05, 0.6))
+    @example(0.005, 0.3)
+    @settings(max_examples=40, deadline=None)
+    def test_quadratic_range_maps(self, c, s):
+        try:
+            model = quadratic_range_model(c, s)
+        except ModelError as exc:   # the scaling check on the envelope refuses it
+            assert "range Lipschitz reaches" in str(exc)
+            return
+        env = model.y_envelope
+        ys = refine_attractor(model, 8).ys
+        assert env[0] <= ys.min() and ys.max() <= env[1]
+        if model.warnings:
+            (note,) = model.warnings
+            assert note.endswith("not from a certified bound")
+        else:
+            nxt = envelope_successor(model, env)
+            assert nxt[0] >= env[0] - 1e-12 and nxt[1] <= env[1] + 1e-12
+
+    def test_certified_after_more_rounds(self):
+        model = quadratic_range_model(0.005, 0.3)
+        assert model.warnings == ()
+        assert model.y_envelope == pytest.approx((-60.2, 128.2), abs=0.05)
+
+    def test_unsettled_envelope_is_sampled_and_noted(self):
+        model = quadratic_range_model(0.03, 0.1)
+        (note,) = model.warnings
+        assert note.startswith(f"the certified y envelope had not settled by round "
+                               f"{rifs.ENVELOPE_ROUNDS}; y envelope sized from a depth-")
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -860,7 +920,8 @@ def ref_size_envelope(model, margin):
     s_max = max(abs_extrema(model.scaling[i], data.region_bounds(i))[1]
                 for i in range(model.n_regions))
     env = (base_lo - margin, base_hi + margin)
-    for _ in range(2):
+    reason = "vertical contraction is marginal"
+    for k in range(rifs.ENVELOPE_ROUNDS):
         L_a = lipschitz_bound(model.range_map, env)
         if s_max * L_a >= 1.0:
             break
@@ -872,8 +933,7 @@ def ref_size_envelope(model, margin):
         if new_env[0] >= env[0] - 1e-12 and new_env[1] <= env[1] + 1e-12:
             return new_env, ()
         env = new_env
-    else:
-        return env, ()
+        reason = f"the certified y envelope had not settled by round {k + 1}"
     widest = max(len(model.feeders(i)) for i in range(model.n_regions))
     sampling = _depth_zero(model)
     while sampling.depth < 6 or sampling.xs.size * widest <= 200_000:
@@ -881,7 +941,7 @@ def ref_size_envelope(model, margin):
     depth, ys = sampling.depth, sampling.ys
     obs_lo, obs_hi = float(ys.min()), float(ys.max())
     pad = 0.25 * (obs_hi - obs_lo) + margin
-    note = (f"vertical contraction is marginal; y envelope sized from a depth-{depth} "
+    note = (f"{reason}; y envelope sized from a depth-{depth} "
             "sample with 25% padding, not from a certified bound")
     return (min(base_lo, obs_lo) - pad, max(base_hi, obs_hi) + pad), (note,)
 

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from fractalis import (BivariateSpec, Constant, SeparableTerm, SurfaceLayer, SurfaceSpec,
-                       build_model, estimate_curve_dimension, eval_surface, io, refine_attractor,
-                       shares)
+                       box_count_graph, build_model, estimate_curve_dimension, eval_surface, io,
+                       merged_curve, refine_attractor, shares)
 from fractalis.config import parse_config
 from fractalis.surface import CurveSamples
 from test_plan_depth import DATA, FIXTURE_MODELS
@@ -91,6 +91,22 @@ class TestBoxCounts:
         report, _ = estimate_curve_dimension(model, *cfg.scales, depth=cfg.curve.depth)
         assert report == one
         assert share_counts[-1] == min(cpus, len(one.series.deltas))
+
+    @pytest.mark.parametrize("depth, min_share, count", [
+        (6, shares.MIN_SHARE, 1),   # 16385 samples: 4 scales under MIN_SHARE together
+        (7, shares.MIN_SHARE, 5),   # 65537 samples: each scale a share
+        (6, 2 * 16385, 2),          # a share takes 2 scales to pass min_share samples
+        (6, 16385, 4)])
+    def test_shares_pass_min_share_samples(self, monkeypatch, share_counts, depth, min_share,
+                                           count):
+        usable_cpus(monkeypatch, 16)
+        monkeypatch.setattr(shares, "MIN_SHARE", min_share)
+        model = build_model(DATA, [(0, 4)], [0] * 4, Constant(0.5))
+        report, sampling = estimate_curve_dimension(model, depth=depth)
+        gx, gy = merged_curve(sampling)
+        assert report.series.counts == tuple(box_count_graph(gx, gy, d)
+                                             for d in report.series.deltas)
+        assert share_counts[-1] == count
 
 
 def fixture_spec(name):
