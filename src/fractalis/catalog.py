@@ -485,16 +485,18 @@ class BivariateSpec:
             raise FunctionSpecError("bivariate spec needs at least one term")
         object.__setattr__(self, "terms", terms)
 
-    def grid(self, xs, ys):
+    def grid(self, xs, ys, out=None):
         """Evaluate on a tensor grid; result[iy, ix] = f(xs[ix], ys[iy]).
 
         The first term's outer product is the result, and the other terms
         are added into it, so an entry where every product is -0.0 stays
-        -0.0 (a sum started from +0.0 would turn it into +0.0).
+        -0.0 (a sum started from +0.0 would turn it into +0.0).  With
+        `out`, a float64 array of shape (len(ys), len(xs)), the result is
+        written there, with the same values, and returned.
         """
         xs, ys = _arr(xs), _arr(ys)
         first, *rest = self.terms
-        out = np.outer(first.fy(ys), first.fx(xs))
+        out = np.outer(first.fy(ys), first.fx(xs), out)
         for t in rest:
             out += np.outer(t.fy(ys), t.fx(xs))
         return out

@@ -406,13 +406,27 @@ def box_count_graph(xs, ys, delta):
 
 def _closed_blocks(H, m):
     """(min, max) of H over each closed m x m block of grid steps, as (n, n)
-    arrays: rows [I*m, (I+1)*m] inclusive, then the same on columns."""
+    arrays: rows [I*m, (I+1)*m] inclusive, then the same on columns.
+
+    Block rows are taken a few at a time (`shares.run_blocks` with step
+    m, on up to one thread per usable CPU): their row-wise min goes into
+    the thread's scratch block and is reduced on columns there, and then
+    the same for the max, so no array of H's size is made.  min and max
+    are exact, so the result does not depend on the cuts.
+    """
     n = (H.shape[0] - 1) // m
-    rows = H[:-1].reshape(n, m, -1)
-    rmin = np.minimum(rows.min(axis=1), H[m::m])
-    rmax = np.maximum(rows.max(axis=1), H[m::m])
-    cmin = np.minimum(rmin[:, :-1].reshape(n, n, m).min(axis=2), rmin[:, m::m])
-    cmax = np.maximum(rmax[:, :-1].reshape(n, n, m).max(axis=2), rmax[:, m::m])
+    cmin, cmax = np.empty((n, n)), np.empty((n, n))
+
+    def block(lo, hi, scratch):
+        rows = H[lo:hi].reshape(-1, m, H.shape[1])
+        edge = H[lo + m:hi + 1:m]
+        r = scratch[:len(rows)]
+        for reduce, combine, out in ((np.min, np.minimum, cmin), (np.max, np.maximum, cmax)):
+            combine(reduce(rows, axis=1, out=r), edge, out=r)
+            c = reduce(r[:, :-1].reshape(len(rows), n, m), axis=2, out=out[lo // m:hi // m])
+            combine(c, r[:, m::m], out=c)
+
+    shares.run_blocks(n * m, H.shape[1], block, step=m)
     return cmin, cmax
 
 

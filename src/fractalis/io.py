@@ -127,20 +127,29 @@ def write_pgm(path, heights):
     """P5/65535 heightmap; returns the (min, max) used for normalization.
 
     Row iy of the image is the grid row y = iy/m; the first pixel is the
-    value at (0, 0).
+    value at (0, 0).  Heights that are not all finite raise ValueError
+    before the file is opened.  Pixels are rint((h - min) / (max - min) *
+    65535), or 0 on a flat field, normalized in row blocks on up to one
+    thread per usable CPU (`shares.run_blocks`) straight into the
+    big-endian 16-bit array that is written; the bytes are those of one
+    whole-array pass.
     """
     H = np.asarray(heights, dtype=np.float64)
     lo, hi = float(H.min()), float(H.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):   # min and max carry NaN
+        raise ValueError("heights must be finite")
+    px = np.zeros(H.shape, dtype=">u2")
     if hi > lo:
-        norm = H - lo
-        norm /= hi - lo
-    else:
-        norm = np.zeros_like(H)
-    norm *= 65535.0
-    px = np.rint(norm, out=norm).astype(">u2")
+        def block(a, b, scratch):
+            norm = np.subtract(H[a:b], lo, out=scratch[:b - a])
+            norm /= hi - lo
+            norm *= 65535.0
+            px[a:b] = np.rint(norm, out=norm)
+
+        shares.run_blocks(H.shape[0], H.shape[1], block)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{H.shape[1]} {H.shape[0]}\n65535\n".encode("ascii"))
-        fh.write(px.tobytes())
+        fh.write(px)
     return lo, hi
 
 

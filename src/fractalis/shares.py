@@ -3,9 +3,13 @@
 `cuts` splits a range into contiguous shares, and `run_shares` runs the
 shares of a call on joined threads: share 0 on the caller, each later
 share on a thread of its own, every thread joined before the call
-returns.  The callers run numpy loops that release the GIL and write
-disjoint slices, so a threaded result is bit-identical to a one-share
-run.  `io` forks a process per share instead, over the same cuts.
+returns.  `run_blocks` cuts the rows of a 2-D array into such shares and
+walks each share in row blocks of about BLOCK_BYTES, with one reusable
+scratch array per thread, so a sweep over a large array allocates no
+array of its size.  The callers run numpy loops that release the GIL and
+write disjoint slices, elementwise or per row, so a threaded or blocked
+result is bit-identical to a one-share, one-block run.  `io`'s text
+writers fork a process per share instead, over the same cuts.
 """
 from __future__ import annotations
 
@@ -13,9 +17,12 @@ import contextvars
 import os
 import threading
 
-__all__ = ["MIN_SHARE", "usable_cpus", "cuts", "run_shares"]
+import numpy as np
+
+__all__ = ["MIN_SHARE", "BLOCK_BYTES", "usable_cpus", "cuts", "run_shares", "run_blocks"]
 
 MIN_SHARE = 1 << 16   # elements per threaded share; a smaller job runs as one share
+BLOCK_BYTES = 1 << 19   # bytes a row block holds; 256 KB to 2 MB timed alike at 2049^2
 
 
 def usable_cpus():
@@ -61,3 +68,29 @@ def run_shares(count, work):
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def run_blocks(rows, width, work, step=1):
+    """work(lo, hi, scratch) over consecutive row blocks [lo, hi) of
+    range(rows), a band of them per share of `run_shares`.
+
+    A row holds `width` float64 values, and `rows` is a multiple of
+    `step`; lo and hi are multiples of `step` too.  The rows are cut by
+    `cuts` into bands of whole steps, at least MIN_SHARE values a band,
+    and each band is walked in blocks of as many whole steps as fit in
+    BLOCK_BYTES, at least one.  Each band gets one float64 scratch array
+    of shape (steps per block, width), one row per step, which every
+    block of the band reuses; work(lo, hi, scratch) may use its first
+    (hi - lo) // step rows.
+    """
+    size = step * width
+    bands = cuts(rows // step, -(-MIN_SHARE // size))
+    block = max(1, BLOCK_BYTES // (8 * size))
+
+    def band(k):
+        start, stop = bands[k], bands[k + 1]
+        scratch = np.empty((min(block, stop - start), width))
+        for lo in range(start, stop, block):
+            work(lo * step, min(lo + block, stop) * step, scratch)
+
+    run_shares(len(bands) - 1, band)

@@ -106,7 +106,7 @@ class HeightField:
         m = self.resolution
         if H.shape != (m + 1, m + 1):
             raise ValueError(f"heights must be ({m + 1}, {m + 1}), got {H.shape}")
-        if not np.all(np.isfinite(H)):
+        if not (np.isfinite(H.min()) and np.isfinite(H.max())):   # min and max carry NaN
             raise ValueError("heights must be finite")
         object.__setattr__(self, "heights", H)
 
@@ -120,11 +120,13 @@ def eval_surface(spec, resolution):
     delta=(x1 - x0) / resolution)` gives the shallowest such depth.
 
     Each curve is interpolated on the grid axis once.  The rows of the
-    grid are then cut into one band per usable CPU (`shares.cuts`, at
-    least MIN_SHARE nodes a band), summed on joined threads
-    (`shares.run_shares`): each band evaluates every coefficient on its
-    rows alone and adds the layers in order, so the heights are those of
-    a one-band sum, bit for bit.
+    grid are then summed in row blocks of about `shares.BLOCK_BYTES`, in
+    one band per usable CPU on joined threads (`shares.run_blocks`): a
+    block evaluates each coefficient on its rows into its thread's
+    scratch block, multiplies by the curve values and adds that into the
+    heights, layer by layer in order, so the heights are those of a
+    one-band, one-block sum, bit for bit, and no temporary of the grid's
+    size is made.
     """
     m = int(resolution)
     if m < 2:
@@ -136,16 +138,15 @@ def eval_surface(spec, resolution):
     H = np.zeros((m + 1, m + 1))
     terms = ([(layer.coeff, layer.curve.value(axis), True) for layer in spec.x_layers]
              + [(layer.coeff, layer.curve.value(axis), False) for layer in spec.y_layers])
-    bands = shares.cuts(m + 1, -(-shares.MIN_SHARE // (m + 1)))
 
-    def band(k):
-        lo, hi = bands[k], bands[k + 1]
+    def block(lo, hi, scratch):
+        g = scratch[:hi - lo]
         for coeff, values, along_x in terms:
-            g = coeff.grid(axis, axis[lo:hi])   # a fresh array: the product goes into it
+            coeff.grid(axis, axis[lo:hi], out=g)
             g *= values[None, :] if along_x else values[lo:hi, None]
             H[lo:hi] += g
 
-    shares.run_shares(len(bands) - 1, band)
+    shares.run_blocks(m + 1, m + 1, block)
     return HeightField(m, H)
 
 

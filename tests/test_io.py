@@ -304,6 +304,14 @@ class TestFailures:
 
 
 class TestPgm:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_heights_are_refused_before_the_file(self, tmp_path, value):
+        H = np.linspace(0.0, 1.0, 20).reshape(4, 5)
+        H[2, 3] = value
+        with pytest.raises(ValueError, match="^heights must be finite$"):
+            io.write_pgm(tmp_path / "surface.pgm", H)
+        assert not (tmp_path / "surface.pgm").exists()
+
     @pytest.mark.parametrize("fill", [0.0, -0.0, 3.5, -1e300])
     def test_constant_field(self, tmp_path, fill):
         H = np.full((5, 7), fill)

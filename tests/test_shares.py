@@ -1,24 +1,30 @@
-"""Joined threads over disjoint slices: `shares.run_shares` and its callers.
+"""Joined threads over disjoint slices: `shares.run_shares`, `shares.run_blocks`
+and their callers.
 
-Refinement, curve box counting and surface evaluation must give the same
-bytes on any number of usable CPUs.  MIN_SHARE is set to 1 so that the
-small fixture inputs take the threaded path; the usable-CPU count is set
+Refinement, curve box counting, surface evaluation, PGM normalization and
+the closed-block pass must give the same bytes on any number of usable
+CPUs and at any row-block size.  MIN_SHARE is set to 1 so that the small
+fixture inputs take the threaded path; the usable-CPU count is set
 through os.sched_getaffinity, as in test_io.
 """
 import json
 import os
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fractalis import (BivariateSpec, Constant, SeparableTerm, SurfaceLayer, SurfaceSpec,
-                       box_count_graph, build_model, estimate_curve_dimension, eval_surface, io,
-                       merged_curve, refine_attractor, shares)
+from fractalis import (Affine, BivariateSpec, Constant, HeightField, SeparableTerm, Sinusoid,
+                       SurfaceLayer, SurfaceSpec, box_count_graph, build_model,
+                       estimate_curve_dimension, eval_surface, io, merged_curve,
+                       refine_attractor, shares)
 from fractalis.config import parse_config
+from fractalis.dimension import _closed_blocks, _surface_counts
 from fractalis.surface import CurveSamples
+from test_io import ref_write_pgm
 from test_plan_depth import DATA, FIXTURE_MODELS
 from test_rifs import STEP_MODELS
 
@@ -139,6 +145,181 @@ class TestSurface:
         eval_surface(spec, 256)   # 257 rows of 257 nodes: under two bands of 1 << 16
         eval_surface(spec, 512)   # 513 rows, at least 128 a band
         assert share_counts == [1, 4]
+
+
+# rows a block holds: one row, a block that divides no band, more than any band
+BLOCK_ROWS = [1, 7, None]
+
+
+@pytest.fixture
+def blocked(monkeypatch, threaded):
+    """Sets the usable-CPU count and the rows of `width` float64 values that
+    a block holds; None makes every band one block."""
+    def setting(cpus, rows, width):
+        threaded(cpus)
+        monkeypatch.setattr(shares, "BLOCK_BYTES", 1 << 62 if rows is None else 8 * rows * width)
+    return setting
+
+
+@pytest.fixture
+def block_spans(monkeypatch):
+    """A list that grows by the (lo, hi) of every block run through run_blocks."""
+    spans, run = [], shares.run_blocks
+
+    def recording(rows, width, work, step=1):
+        def work_and_record(lo, hi, scratch):
+            spans.append((lo, hi))
+            work(lo, hi, scratch)
+        return run(rows, width, work_and_record, step)
+    monkeypatch.setattr(shares, "run_blocks", recording)
+    return spans
+
+
+def assert_blocks(spans, rows, cpus, block_rows, step=1):
+    """The blocks tile range(rows) in whole steps, none larger than
+    `block_rows` allows (one a band when None)."""
+    spans = sorted(spans)
+    assert spans[0][0] == 0 and spans[-1][1] == rows
+    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+    assert all((hi - lo) % step == 0 and hi > lo for lo, hi in spans)
+    if block_rows is None:
+        assert len(spans) == min(cpus, rows // step)
+    else:
+        most = step * max(1, block_rows // step)
+        assert max(hi - lo for lo, hi in spans) <= most
+        if cpus == 1:
+            assert max(hi - lo for lo, hi in spans) == min(most, rows)
+
+
+MULTI_TERM = BivariateSpec((SeparableTerm(Affine(-2.0, 1.0), Affine(1.0, -0.5)),
+                            SeparableTerm(Sinusoid(0.3, 7.0, 0.1, "sin"), Constant(-1.0)),
+                            SeparableTerm(Constant(-0.0), Constant(1.0))))
+
+
+def multi_term_spec():
+    xs = np.linspace(0.0, 1.0, 4097)
+    wave, line = CurveSamples(xs, np.sin(9.0 * xs)), CurveSamples(xs, 2.0 - 3.0 * xs)
+    return SurfaceSpec((SurfaceLayer(wave, MULTI_TERM), SurfaceLayer(line, MULTI_TERM)),
+                       (SurfaceLayer(line, MULTI_TERM),)), 100
+
+
+SPECS = {"fig3a": lambda: fixture_spec("fig3a"), "fig4c": lambda: fixture_spec("fig4c"),
+         "multi_term": multi_term_spec}
+
+
+# the height fields the PGM and closed-block tests run over
+FIELDS = {"fig3a": lambda: eval_surface(*fixture_spec("fig3a")).heights,
+          "random_60": lambda: np.random.default_rng(16).standard_normal((61, 61)),
+          "grid_3x3": lambda: np.array([[0.0, -0.0, 1.5], [2.0, -3.0, 0.25],
+                                        [1e-300, 7.0, -0.5]]),
+          "flat": lambda: np.full((5, 7), 2.5),
+          "wide_9x40": lambda: np.random.default_rng(17).standard_normal((9, 40)) * 1e3}
+
+
+class TestRowBlocks:
+    """Every caller of run_blocks, byte for byte against a one-share,
+    one-block run."""
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_eval_surface(self, blocked, block_spans, name, cpus, rows):
+        spec, m = SPECS[name]()
+        blocked(1, None, m + 1)
+        one = eval_surface(spec, m).heights.tobytes()
+        blocked(cpus, rows, m + 1)
+        block_spans.clear()
+        assert eval_surface(spec, m).heights.tobytes() == one
+        assert_blocks(block_spans, m + 1, cpus, rows)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_write_pgm(self, tmp_path, blocked, block_spans, name, cpus, rows):
+        H = FIELDS[name]()
+        blocked(1, None, H.shape[1])
+        one = io.write_pgm(tmp_path / "one.pgm", H)
+        blocked(cpus, rows, H.shape[1])
+        block_spans.clear()
+        assert io.write_pgm(tmp_path / "got.pgm", H) == one == ref_write_pgm(tmp_path / "ref", H)
+        got = (tmp_path / "got.pgm").read_bytes()
+        assert got == (tmp_path / "one.pgm").read_bytes() == (tmp_path / "ref").read_bytes()
+        if name == "flat":
+            assert block_spans == [] and got.endswith(bytes(2 * H.size))
+        else:
+            assert_blocks(block_spans, H.shape[0], cpus, rows)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("name, sizes", [
+        ("fig3a", (256, 64, 16, 4, 2, 1)),    # nested: the field is reduced once, at m = 1
+        ("random_60", (60, 30, 10, 5, 1)),    # nested
+        ("random_60", (20, 15, 12, 6, 4)),    # not nested: the field is reduced at 4, 6, 15, 20
+        ("random_60", (60,)),                 # m = resolution
+        ("grid_3x3", (2, 1))])
+    def test_surface_counts(self, blocked, block_spans, name, sizes, cpus, rows):
+        H = FIELDS[name]()
+        res = H.shape[0] - 1
+        field, deltas = HeightField(res, H), [m / res for m in sizes]
+        blocked(1, None, res + 1)
+        one = _surface_counts(field, deltas), [_closed_blocks(H, m) for m in sizes]
+        blocked(cpus, rows, res + 1)
+        block_spans.clear()
+        got = _surface_counts(field, deltas), [_closed_blocks(H, m) for m in sizes]
+        assert got[0] == one[0]
+        for (lo, hi), (one_lo, one_hi) in zip(got[1], one[1]):
+            assert lo.tobytes() == one_lo.tobytes() and hi.tobytes() == one_hi.tobytes()
+        block_spans.clear()
+        for m in sizes:
+            _closed_blocks(H, m)
+            assert_blocks(block_spans, res, cpus, rows, step=m)
+            block_spans.clear()
+
+    @pytest.mark.parametrize("coeff, negative_zero", [
+        (MULTI_TERM, False),
+        (BivariateSpec((SeparableTerm(Sinusoid(0.3, 7.0, 0.1, "cos"), Affine(0.5, -1.0)),)),
+         False),
+        # every product of every entry is -0.0, so the entries stay -0.0
+        (BivariateSpec((SeparableTerm(Constant(-0.0), Constant(1.0)),
+                        SeparableTerm(Affine(2.0, 1.0), Constant(-0.0)))), True)])
+    def test_grid_out(self, coeff, negative_zero):
+        xs, ys = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 17)[3:11]
+        want = coeff.grid(xs, ys)
+        out = np.full((ys.size, xs.size), np.nan)
+        assert coeff.grid(xs, ys, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert not negative_zero or (np.all(np.signbit(out)) and not out.any())
+
+
+def extra_peak(call):
+    """Peak bytes traced while call() runs, its result included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """At 1025^2 a sweep allocates its output and a few blocks per thread:
+    a temporary of the field's size would break the bound."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_write_pgm(self, tmp_path, monkeypatch, cpus):
+        usable_cpus(monkeypatch, cpus)
+        H = np.random.default_rng(3).standard_normal((1025, 1025))
+        peak = extra_peak(lambda: io.write_pgm(tmp_path / "surface.pgm", H))
+        assert peak < 2 * H.size + 4 * cpus * shares.BLOCK_BYTES
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_eval_surface(self, monkeypatch, cpus):
+        usable_cpus(monkeypatch, cpus)
+        xs = np.linspace(0.0, 1.0, 4097)
+        spec = SurfaceSpec((SurfaceLayer(CurveSamples(xs, np.sin(9.0 * xs)), MULTI_TERM),),
+                           (SurfaceLayer(CurveSamples(xs, 2.0 - 3.0 * xs), MULTI_TERM),))
+        peak = extra_peak(lambda: eval_surface(spec, 1024))
+        assert peak < 8 * 1025 ** 2 + 4 * cpus * shares.BLOCK_BYTES
 
 
 class TestRunShares:

@@ -186,6 +186,14 @@ class TestHeightField:
         with pytest.raises(ValueError, match="finite"):
             HeightField(4, bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (3, 1), (4, 4)])
+    def test_one_bad_cell_is_refused(self, value, cell):
+        bad = np.linspace(-2.0, 3.0, 25).reshape(5, 5)
+        bad[cell] = value
+        with pytest.raises(ValueError, match="^heights must be finite$"):
+            HeightField(4, bad)
+
 
 class TestComposedDimension:
     def test_pair(self):
