@@ -205,9 +205,10 @@ def _poly_lip_coeff(coeffs, u, v):
 
 
 def _horner(coeffs, x):
-    r = np.zeros_like(x)[()]   # in place on arrays; a 0-d x keeps numpy scalars
-    for c in reversed(coeffs):
-        r *= x
+    r = np.multiply(x, 0.0)   # 0 * x, as a zero start times x; a 0-d x gives a numpy scalar
+    r += coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        r *= x   # in place on arrays
         r += c
     return r
 

@@ -13,9 +13,11 @@ vertical extent spanned by the samples is covered with floor-indexed
 cells, again closing the top edge.  Columns are closed intervals, so
 samples on a column boundary extend both neighbours; nested schedules
 then give monotone counts.  Graph columns are found by binary search on
-the sorted x samples, so only samples next to a gridline are classified.
-Height-field columns over a schedule of scales come from one min/max
-pyramid: each nested scale reduces the finer scale's block extents.
+the sorted x samples, so only samples next to a gridline are classified;
+over a schedule of widths the finest is searched once and each width
+that provably nests in it reduces its column extents.  Height-field
+columns over a schedule of scales come from one min/max pyramid: each
+nested scale reduces the finer scale's block extents.
 """
 from __future__ import annotations
 
@@ -323,6 +325,122 @@ def _vspan_cells(vmin, vmax, delta):
     return np.maximum(top - bot + 1, 1)
 
 
+def _graph_columns(xs, delta):
+    """(base, top, fold): the first and last closed column of width `delta`
+    over the sorted samples, and whether the samples on the last gridline
+    fold into the column below.  More than POINT_LIMIT columns raise
+    ValueError."""
+    q_ends = xs[[0, -1]] / delta
+    first, last = (int(c) for c in _snapped_floor(q_ends))
+    # top-edge closure in x: when the rightmost samples sit exactly on a
+    # mesh line, fold that final run into the column below instead of
+    # opening a new one
+    fold = bool(_on_gridline(q_ends[-1]))
+    top = last - fold
+    base = min(first, top)   # a set on one gridline folds whole
+    if top - base + 1 > POINT_LIMIT:
+        raise ValueError(f"delta {delta!r} needs {top - base + 1} columns over the samples' "
+                         f"x range, more than {POINT_LIMIT}")
+    return base, top, fold
+
+
+def _graph_extents(xs, ys, delta, base, top, fold):
+    """(min, max) of ys over each closed column base..top of width delta,
+    (inf, -inf) where a column holds no sample.
+
+    The columns are cut into `shares.cuts` shares of at least MIN_SHARE
+    samples on average, each on a joined thread (`shares.run_shares`)
+    that writes only its own columns.  A share searches xs for the
+    windows around the gridlines that bound its columns; outside them
+    floor(x / delta) is the column and no sample is on a gridline.
+    """
+    n, cols = xs.size, top - base + 1
+    cmin, cmax = np.full(cols, np.inf), np.full(cols, -np.inf)
+    bounds = shares.cuts(cols, -(-shares.MIN_SHARE * cols // n))
+
+    def share(j):
+        c0, c1 = base + bounds[j], base + bounds[j + 1]   # columns c0..c1 - 1
+        k = np.arange(max(c0, base + 1), min(c1, top) + 1, dtype=np.int64)
+        w = 4.0 * GRID_SNAP * np.maximum(1.0, np.abs(k))
+        lo = np.searchsorted(xs, (k - w) * delta, side="left")
+        hi = np.searchsorted(xs, (k + w) * delta, side="right")
+        size = hi - lo   # window samples, concatenated in order
+        win = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+        win = np.unique(win)   # windows overlap only beyond |k| ~ 1e11
+        q = xs[win] / delta
+        col = _snapped_floor(q)
+        grid = _on_gridline(q)
+        folded = fold & (col == top + fold)
+        col -= folded
+        # column k starts at its first sample with col >= k (col never
+        # decreases); column c0 at 0 if it is the first, column c1 at n
+        # if it is past the last
+        starts = np.minimum(np.append(win, n)[np.searchsorted(col, k, side="left")], hi)
+        if c0 == base:
+            starts = np.insert(starts, 0, 0)
+        if c1 > top:
+            starts = np.append(starts, n)
+        full = starts[:-1] < starts[1:]
+        if np.any(full):
+            part = ys[starts[0]:starts[-1]]
+            at = starts[:-1][full] - starts[0]
+            cmin[c0 - base:c1 - base][full] = np.minimum.reduceat(part, at)
+            cmax[c0 - base:c1 - base][full] = np.maximum.reduceat(part, at)
+        # closed columns: boundary samples also extend the column below,
+        # when that column is this share's
+        dup = grid & ~folded & (col > c0) & (col <= c1)
+        if np.any(dup):
+            below = col[dup] - 1 - base
+            with np.errstate(invalid="ignore"):   # a NaN is rejected below
+                np.minimum.at(cmin, below, ys[win[dup]])
+                np.maximum.at(cmax, below, ys[win[dup]])
+
+    shares.run_shares(len(bounds) - 1, share)
+    # only a column without samples may keep a non-finite extent, (inf, -inf)
+    hit = np.isfinite(cmin) & np.isfinite(cmax)
+    if not np.all(hit | ((cmin == np.inf) & (cmax == -np.inf))):
+        raise ValueError("ys must be finite")
+    return cmin, cmax
+
+
+def _nests(xs, fine, delta):
+    """True when every closed column of width `delta` is exactly a run of
+    f = delta / fine closed columns of width `fine`, the runs aligned on
+    the multiples of f.
+
+    That holds when f is an exact power of two (so x / delta is exactly
+    (x / fine) / f) and every sample gets the same column and gridline
+    test at both widths: its fine column is f times its coarse column
+    plus a remainder, and it is on a coarse gridline exactly when it is on
+    a fine gridline that is a multiple of f.  `_on_gridline`'s window is
+    GRID_SNAP * max(1, |q|) at each width; it is the same relative window
+    wherever |x| >= delta, and, while it stays under half a fine column
+    (checked on the two end samples), a sample there passes both tests
+    alike.  Only near x = 0 and x = +-delta can the max(1, .) make the
+    widths differ, so the samples there are checked directly.
+    """
+    f = delta / fine
+    if math.frexp(f)[0] != 0.5 or f * fine != delta:
+        return False
+    if GRID_SNAP * max(abs(xs[0]), abs(xs[-1])) / fine >= 0.5:
+        return False
+    at = np.array([-delta, 0.0, delta])
+    lo = np.searchsorted(xs, at - 2.0 * GRID_SNAP * delta, side="left")
+    hi = np.searchsorted(xs, at + 2.0 * GRID_SNAP * delta, side="right")
+    near = np.concatenate([xs[a:b] for a, b in zip(lo, hi)])
+    q, qf = near / delta, near / fine
+    return (np.array_equal(_snapped_floor(q), np.floor(_snapped_floor(qf) / f))
+            and np.array_equal(_on_gridline(q), _on_gridline(qf) & (np.rint(qf) % f == 0)))
+
+
+def _coarsen(cmin, cmax, base, f):
+    """Extents of the columns f times as wide, from those of columns
+    base, base + 1, ...: column c holds the columns whose index // f is c."""
+    first = -base % f or f
+    starts = np.array([0, *range(first, cmin.size, f)])
+    return np.minimum.reduceat(cmin, starts), np.maximum.reduceat(cmax, starts)
+
+
 def box_count_graph(xs, ys, delta):
     """Mesh cells met by the sampled graph of a function.
 
@@ -335,12 +453,18 @@ def box_count_graph(xs, ys, delta):
     the column count, so a delta needing more than rifs.POINT_LIMIT
     columns over the x range raises ValueError before any is built.
 
-    Column boundaries are found by binary search on xs: only the samples
-    within a few GRID_SNAP of an interior gridline, and the two end
-    samples, are classified with the snapped predicates.  Every other
-    sample lies strictly inside the column `floor(x / delta)`.
+    `delta` is one width, and the count an int, or a sequence of widths,
+    and the counts a tuple in the same order.  The column extents are
+    found once, at the finest width (`_graph_extents`, on up to one
+    thread per usable CPU).  A width that is a power-of-two multiple f of
+    the finest, where each of its columns is provably a run of f fine
+    columns (`_nests`), takes its extents from those runs; any other
+    width is searched directly.  Either way the counts are those of
+    separate one-width calls.
     """
-    if delta <= 0:
+    scalar = np.ndim(delta) == 0
+    deltas = [float(d) for d in np.atleast_1d(delta)]
+    if not all(d > 0 for d in deltas):
         raise ValueError("delta must be positive")
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -355,53 +479,23 @@ def box_count_graph(xs, ys, delta):
         if not np.all(np.isfinite(xs)):
             raise ValueError("xs must be finite")
         raise ValueError("xs must be sorted ascending")
-    n = xs.size
-    q_ends = xs[[0, -1]] / delta
-    first, last = (int(c) for c in _snapped_floor(q_ends))
-    # top-edge closure in x: when the rightmost samples sit exactly on a
-    # mesh line, fold that final run into the column below instead of
-    # opening a new one
-    fold = bool(_on_gridline(q_ends[-1]))
-    top = last - fold
-    base = min(first, top)   # a set on one gridline folds whole
-    if top - base + 1 > POINT_LIMIT:
-        raise ValueError(f"delta {delta!r} needs {top - base + 1} columns over the samples' "
-                         f"x range, more than {POINT_LIMIT}")
-    # windows around the interior gridlines; outside them floor(x / delta)
-    # is the column and no sample is on a gridline
-    k = np.arange(base + 1, top + 1, dtype=np.int64)
-    w = 4.0 * GRID_SNAP * np.maximum(1.0, np.abs(k))
-    lo = np.searchsorted(xs, (k - w) * delta, side="left")
-    hi = np.searchsorted(xs, (k + w) * delta, side="right")
-    size = hi - lo   # window samples, concatenated in order
-    win = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-    win = np.unique(win)   # windows overlap only beyond |k| ~ 1e11
-    q = xs[win] / delta
-    col = _snapped_floor(q)
-    grid = _on_gridline(q)
-    folded = fold & (col == last)
-    col -= folded
-    # column k starts at its first sample with col >= k (col never decreases)
-    pos = np.searchsorted(col, k, side="left")
-    starts = np.concatenate(([0], np.minimum(np.append(win, n)[pos], hi)))
-    ends = np.append(starts[1:], n)
-    full = starts < ends
-    cmin = np.full(top - base + 1, np.inf)
-    cmax = np.full(top - base + 1, -np.inf)
-    cmin[full] = np.minimum.reduceat(ys, starts[full])
-    cmax[full] = np.maximum.reduceat(ys, starts[full])
-    # closed columns: interior boundary samples also extend the column below
-    dup = grid & ~folded & (col > base)
-    if np.any(dup):
-        below = col[dup] - 1 - base
-        with np.errstate(invalid="ignore"):   # a NaN is rejected just below
-            np.minimum.at(cmin, below, ys[win[dup]])
-            np.maximum.at(cmax, below, ys[win[dup]])
-    # only a column without samples may keep a non-finite extent, (inf, -inf)
-    hit = np.isfinite(cmin) & np.isfinite(cmax)
-    if not np.all(hit | ((cmin == np.inf) & (cmax == -np.inf))):
-        raise ValueError("ys must be finite")
-    return int(_vspan_cells(cmin[hit], cmax[hit], delta).sum())
+    columns = [_graph_columns(xs, d) for d in deltas]   # every width passes before any search
+    if not deltas:
+        return ()
+    fine = min(deltas)
+    fine_columns = columns[deltas.index(fine)]
+    extents = _graph_extents(xs, ys, fine, *fine_columns)
+    counts = []
+    for d, cols in zip(deltas, columns):
+        if d == fine:
+            cmin, cmax = extents
+        elif _nests(xs, fine, d):
+            cmin, cmax = _coarsen(*extents, fine_columns[0], int(d / fine))
+        else:
+            cmin, cmax = _graph_extents(xs, ys, d, *cols)
+        hit = np.isfinite(cmin)
+        counts.append(int(_vspan_cells(cmin[hit], cmax[hit], d).sum()))
+    return counts[0] if scalar else tuple(counts)
 
 
 def _closed_blocks(H, m):
@@ -596,13 +690,10 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     scales it leaves unresolved (`DepthPlan.resolves`) are dropped with a
     note, and under three left is refused.  Counts use per-column vertical
     covers of the sampled graph (raw point counting cannot saturate fine
-    meshes at any practical depth).  The scales are counted on one joined
-    thread per usable CPU (`shares.run_shares`), each counting a contiguous
-    share of the scales, finest first, that passes at least MIN_SHARE
-    samples in all (`shares.cuts`).  A finer scale costs more (it has more
-    columns to search), so the first share, which `cuts` keeps smallest,
-    takes the finest.  The counts do not depend on which thread counts a scale.
-    The fit follows `fit_report`.
+    meshes at any practical depth).  All usable scales are counted in one
+    `box_count_graph` call: the finest scale's columns are searched once,
+    on up to one thread per usable CPU, and each nested scale reduces
+    them.  The fit follows `fit_report`.
 
     Returns (report, sampling).
     """
@@ -618,15 +709,8 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
              f"(x spacing {plan.gap:.3g})"] if dropped else []
     sampling = refine_attractor(model, plan.depth)
     gx, gy = merged_curve(sampling)
-    counts = [None] * len(usable)
-    bounds = shares.cuts(len(usable), math.ceil(shares.MIN_SHARE / gx.size))
-
-    def count_share(k):
-        for j in range(bounds[k], bounds[k + 1]):
-            counts[-1 - j] = box_count_graph(gx, gy, usable[-1 - j])
-
-    shares.run_shares(len(bounds) - 1, count_share)
-    return fit_report(BoxCountSeries(tuple(usable), tuple(counts)), notes), sampling
+    counts = box_count_graph(gx, gy, usable)
+    return fit_report(BoxCountSeries(tuple(usable), counts), notes), sampling
 
 
 def analyze_curve(model, r_lo=2, r_hi=6, depth=None):

@@ -118,9 +118,10 @@ def write_box_csv(path, series):
 
 
 def write_json(path, payload):
+    """`payload` as indented JSON with sorted keys and a final newline,
+    formatted whole and written in one call."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_pgm(path, heights):

@@ -11,10 +11,11 @@ source domain.  Region-endpoint samples are pinned to the exact data
 nodes (their map images agree with the nodes up to rounding); this keeps
 interpolation exact and makes refinement bit-stable across depths.
 
-A refinement round walks the regions grouped by feeder run, each run cut
-into one piece per usable CPU on joined threads: the region-independent
-part of the vertical map is computed once per piece, and each region
-writes its images straight into its slice of the new curve.
+A refinement round computes the region-independent part of the vertical
+map once per old sample, then walks the new curve output-major, in
+cache-sized blocks on up to one joined thread per usable CPU: each region
+writes the images of its feeder samples into its part of a block, and the
+interpolant is added once per block.
 
 Each region's |scaling| range is certified once (`RifsModel.scale_range`)
 and every Lipschitz bound the reports use comes from `lipschitz_bounds`.
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate, count, groupby
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -476,24 +478,18 @@ def _size_envelope(model, margin):
 # evaluation and refinement
 # ---------------------------------------------------------------------------
 
-def _detail(model, x, y):
+def _detail(model, x, y, out=None):
     """The part of every vertical map on a domain that does not depend on
-    the region: range_map(y) - base(x)."""
-    return model.range_map(y) - model.base(x)
-
-
-def _vertical(model, i, lx, detail, out=None):
-    """Region i's vertical map from its parts, s(lx) * detail + interpolant(lx),
-    with lx = L_i(x) and detail = `_detail(model, x, y)`; written into
-    `out` when given."""
-    out = np.multiply(model.scaling[i](lx), detail, out=out)
-    out += model.interpolant(lx)
-    return out
+    the region: range_map(y) - base(x), written into `out` when given."""
+    return np.subtract(model.range_map(y), model.base(x), out=out)
 
 
 def _eval_region_map(model, i, x, y):
     """Vertical component for region i: s(L(x)) * (a(y) - base(x)) + interpolant(L(x))."""
-    return _vertical(model, i, model.map_apply(i, x), _detail(model, x, y))
+    lx = model.map_apply(i, x)
+    out = model.scaling[i](lx) * _detail(model, x, y)
+    out += model.interpolant(lx)
+    return out
 
 
 def eval_F(model, i, x, y):
@@ -513,36 +509,44 @@ def _depth_zero(model):
 
 
 def _refine_step(model, sampling):
-    """One refinement round.  Regions are walked grouped by feeder run, and
-    each run is cut into one contiguous piece per usable CPU
-    (`shares.cuts`, at least MIN_SHARE samples a piece); the pieces run on
-    joined threads (`shares.run_shares`).  A piece computes `_detail` once
-    for its samples, and each region of the run writes the piece's x
-    image and vertical map straight into the matching sub-slice of its
-    slice of the new curve, reversed for a flipped region.  Every
-    operation is elementwise, so the bytes do not depend on the cuts.
-    Region ends are pinned after the pieces are joined."""
+    """One refinement round, walked output-major.
+
+    `_detail` is computed once per old sample.  The new curve is then
+    walked in blocks (`shares.run_blocks`, width 1: about BLOCK_BYTES of
+    samples a block, on up to one joined thread per usable CPU).  In a
+    block, each region that overlaps it writes the x images of its feeder
+    samples and scaling_i(lx) * detail into its part of the block, in
+    reverse for a flipped region, and the interpolant at the block's x
+    values is then added in one call.  Region ends are pinned to the
+    nodes in one assignment at the end.  Every operation is elementwise,
+    so the bytes do not depend on the blocks or the CPU count.
+    """
     prev = sampling.starts
     runs = [(prev[r.start], prev[r.stop]) for r in map(model.feeders, range(model.n_regions))]
     starts = tuple(accumulate((e - s for s, e in runs), initial=0))
+    old_x, old_y = sampling.xs, sampling.ys
+    detail = np.empty(old_x.size)
+    shares.run_blocks(old_x.size, 1, lambda lo, hi, _: _detail(
+        model, old_x[lo:hi], old_y[lo:hi], out=detail[lo:hi]))
     xs, ys = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
-    for (s, e), regions in groupby(sorted(range(model.n_regions), key=runs.__getitem__),
-                                   key=runs.__getitem__):
-        regions = [(i, starts[i], starts[i + 1], -1 if model.flip[i] else 1) for i in regions]
-        bounds = shares.cuts(e - s + 1, shares.MIN_SHARE)
+    n = model.n_regions
 
-        def piece(k):
-            lo, hi = bounds[k], bounds[k + 1]
-            ux = sampling.xs[s + lo:s + hi]
-            detail = _detail(model, ux, sampling.ys[s + lo:s + hi])
-            for i, a, b, step in regions:
-                lx = model.map_apply(i, ux, out=xs[a:b + 1][::step][lo:hi])
-                _vertical(model, i, lx, detail, out=ys[a:b + 1][::step][lo:hi])
+    def block(lo, hi, _):
+        for i in range(min(bisect_right(starts, lo), n) - 1, min(bisect_left(starts, hi), n)):
+            # region i holds new samples a..b, the images of old samples
+            # s..e (e..s when flipped); p..q - 1 of them lie in this block
+            (s, e), a, b = runs[i], starts[i], starts[i + 1]
+            p, q = max(lo, a), min(hi, b + 1)
+            step = -1 if model.flip[i] else 1
+            u = e - (q - 1 - a) if model.flip[i] else s + (p - a)
+            old = slice(u, u + q - p)
+            lx = model.map_apply(i, old_x[old], out=xs[p:q][::step])
+            np.multiply(model.scaling[i](lx), detail[old], out=ys[p:q][::step])
+        ys[lo:hi] += model.interpolant(xs[lo:hi])
 
-        shares.run_shares(len(bounds) - 1, piece)
-        for i, a, b, _ in regions:
-            xs[a], xs[b] = model.data.region_bounds(i)
-            ys[a], ys[b] = model.data.ys[i], model.data.ys[i + 1]
+    shares.run_blocks(xs.size, 1, block)
+    xs[list(starts)] = model.data.xs
+    ys[list(starts)] = model.data.ys
     return AttractorSampling(sampling.depth + 1, xs, ys, starts)
 
 

@@ -67,3 +67,30 @@ def test_counters_read_the_pinned_arguments():
 def test_workload_names_are_traced(table):
     for workload, names in getattr(spans, table).items():
         assert set(names) <= set(spans.TRACED), workload
+
+
+def test_estimate_counts_through_the_module_binding_once_per_model(monkeypatch):
+    # the tracer replaces dimension.box_count_graph at its module binding;
+    # `analyze` must reach it there once per model, with the curve as `xs`,
+    # for EXPECTED["analyze"] and the `samples` counter to read the pass
+    from fractalis import build_model, dimension
+    from fractalis.catalog import Constant
+
+    calls, count = [], dimension.box_count_graph
+    signature = inspect.signature(count)
+
+    def recording(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return count(*args, **kwargs)
+    monkeypatch.setattr(dimension, "box_count_graph", recording)
+    data = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
+    curves = []
+    for s in (0.5, 0.7):
+        model = build_model(data, [(0, 4)], [0] * 4, Constant(s))
+        report, sampling = dimension.estimate_curve_dimension(model, depth=7)
+        curves.append(sampling.xs)
+        assert calls[-1]["ys"] is sampling.ys
+        assert tuple(calls[-1]["delta"]) == report.series.deltas
+    assert len(calls) == 2 and all(c["xs"] is xs for c, xs in zip(calls, curves))
+    assert "xs" in signature.parameters
+    assert spans.TRACED["dimension.box_count_graph"](calls[0], None) == {"samples": 4 ** 8 + 1}

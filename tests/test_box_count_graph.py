@@ -113,6 +113,123 @@ class TestAgainstReference:
         assert_same(np.full(3, 6 * delta), [0.0, 1.0, 2.0], delta)
 
 
+def schedule(a, width=0.75, levels=5):
+    """Widths width * a^-r, r = 0..levels - 1, coarsest first, as
+    `curve_scale_schedule` builds them."""
+    return [width * float(a) ** (-r) for r in range(levels)]
+
+
+def assert_widths(xs, ys, deltas):
+    """One multi-width call equals the reference at every width."""
+    want = tuple(reference_count(xs, ys, d) for d in deltas)
+    assert box_count_graph(xs, ys, deltas) == want
+    assert box_count_graph(xs, ys, deltas[::-1]) == want[::-1]
+
+
+@st.composite
+def near_grid_schedules(draw):
+    """`near_grid_samples` with a schedule of widths whose finest is the drawn delta."""
+    xs, ys, delta = draw(near_grid_samples())
+    a = draw(st.sampled_from([2, 3, 4]))
+    return xs, ys, [delta * a ** r for r in range(draw(st.integers(1, 4)), -1, -1)]
+
+
+class TestWidths:
+    """Several widths in one call: nested widths reduce the finest width's
+    columns, the rest are searched, and every count is the reference's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_grid_schedules())
+    def test_random_sorted_samples(self, case):
+        assert_widths(*case)
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    @pytest.mark.parametrize("x0", [0.0, -1.3, 5.0])   # -1.3 straddles 0
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_offsets_around_every_gridline(self, a, x0, offset):
+        deltas = schedule(a)
+        k0 = round(x0 / deltas[-1])
+        k = np.arange(k0, k0 + 2 * a ** 4 + 3)   # every finest gridline over two coarsest columns
+        xs = np.sort(np.concatenate([k * deltas[-1] * (1.0 + offset), k * deltas[-1]]))
+        ys = np.sin(np.arange(xs.size, dtype=np.float64))
+        assert_widths(xs, ys, deltas)
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("level", range(5))
+    def test_offsets_around_zero_and_one_coarse_column(self, a, offset, level):
+        # max(1, |q|) in the gridline test makes the widths differ only
+        # within a coarse column of x = 0: absolute offsets of each width
+        deltas = schedule(a)
+        d = deltas[level]
+        xs = np.sort(np.array([-d, -d * (1.0 - offset), -offset * d, 0.0, offset * d,
+                               d * (1.0 - offset), d, 0.3, -0.4]))
+        assert_widths(xs, np.cos(5.0 * np.arange(xs.size)), deltas)
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    @pytest.mark.parametrize("level", range(5))
+    def test_folded_top_edge(self, a, level):
+        # the last samples on a gridline of width `level` (the finest's for 4)
+        deltas = schedule(a)
+        top = 3 * deltas[level]
+        xs = np.append(np.linspace(-0.2, top, 200), [top, top])
+        assert_widths(xs, np.sin(11.0 * xs) + np.arange(xs.size) % 3, deltas)
+        assert_widths(np.full(3, top), [0.0, 1.0, 2.0], deltas)
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_single_column(self, a):
+        deltas = schedule(a)
+        xs = 5 * deltas[-1] + np.linspace(0.1, 0.9, 7) * deltas[-1]
+        assert_widths(xs, np.linspace(-1.0, 2.0, 7), deltas)
+        assert box_count_graph(xs, np.zeros(7), deltas) == (1,) * 5
+        assert_widths([0.3], [1.7], deltas)
+
+    @pytest.mark.parametrize("a, near_zero, searches", [
+        (4, None, 1),     # every width nests: the finest is the only search
+        (2, None, 1),
+        (3, None, 5),     # 3 is no power of two: every width is searched
+        (2, 3e-12, 4),    # 3e-12 finest widths from 0: on gridline 0 at f >= 4 only
+        (4, 1e-13, 1)])   # on gridline 0 at every width
+    def test_nested_widths_reduce_the_finest(self, monkeypatch, a, near_zero, searches):
+        deltas = schedule(a)
+        xs = np.linspace(0.0, 2.0, 4001)
+        if near_zero is not None:
+            xs[1] = near_zero * deltas[-1]
+        ys = np.sin(9.0 * xs)
+        calls, search = [], dimension._graph_extents
+
+        def counting(*args):
+            calls.append(args[2])
+            return search(*args)
+        monkeypatch.setattr(dimension, "_graph_extents", counting)
+        got = box_count_graph(xs, ys, deltas)
+        assert len(calls) == searches and calls[0] == deltas[-1]
+        monkeypatch.setattr(dimension, "_graph_extents", search)
+        assert got == tuple(reference_count(xs, ys, d) for d in deltas)
+
+    def test_far_from_zero_is_searched(self, monkeypatch):
+        # past |x| / delta ~ 5e11 the gridline windows reach half a column
+        deltas = schedule(4)
+        xs = 1e12 * deltas[-1] + np.arange(9) * deltas[-1]
+        calls, search = [], dimension._graph_extents
+        monkeypatch.setattr(dimension, "_graph_extents",
+                            lambda *args: calls.append(args) or search(*args))
+        box_count_graph(xs, np.arange(9.0), deltas)
+        assert len(calls) == 5
+
+    def test_scalar_and_sequence(self):
+        xs, ys = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 33) ** 2
+        assert box_count_graph(xs, ys, 0.25) == reference_count(xs, ys, 0.25) == 6
+        assert box_count_graph(xs, ys, np.float64(0.25)) == 6
+        assert box_count_graph(xs, ys, [0.25]) == (6,)
+        assert box_count_graph(xs, ys, ()) == ()
+        for bad in ([0.5, 0.0], np.nan, [0.5, np.nan]):   # a NaN width used to count 1
+            with pytest.raises(ValueError, match="delta must be positive"):
+                box_count_graph(xs, ys, bad)
+        with pytest.raises(ValueError, match="needs 100000000 columns"):
+            box_count_graph(xs, ys, [0.5, 1e-8])
+
+
 @pytest.mark.parametrize("model", FIXTURE_MODELS)
 def test_fixture_curves_depths_0_to_8(model):
     deltas = curve_scale_schedule(model)
@@ -120,6 +237,7 @@ def test_fixture_curves_depths_0_to_8(model):
         gx, gy = merged_curve(refine_attractor(model, depth))
         for delta in deltas:
             assert_same(gx, gy, delta)
+        assert_widths(gx, gy, deltas)
 
 
 class TestInputContract:

@@ -11,7 +11,7 @@ from fractalis import (Affine, BivariateSpec, Constant, FunctionSpecError,
                        LagrangeNodes, Polynomial, Scaled, SeparableTerm,
                        Sinusoid, Sum, abs_extrema, bivariate_from_json,
                        lagrange_from_nodes, lipschitz_bound, scalar_from_json)
-from fractalis.catalog import MAX_PIECES, abs_extrema_each, lipschitz_bound_each
+from fractalis.catalog import MAX_PIECES, _horner, abs_extrema_each, lipschitz_bound_each
 
 EX2_NODES = ((0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0))
 
@@ -680,6 +680,31 @@ def test_horner_in_place_matches_fresh_temporaries():
     got = spec(np.float64(0.3))
     assert type(got) is np.float64
     assert got == ref_horner(spec.coefficients, np.asarray(0.3))
+
+
+def zero_filled_horner(coeffs, x):
+    """The loop `_horner` replaced: a zero start, then r *= x; r += c for
+    every coefficient."""
+    r = np.zeros_like(x)[()]
+    for c in reversed(coeffs):
+        r *= x
+        r += c
+    return r
+
+
+@pytest.mark.parametrize("coeffs", [(2.5,), (-0.0,), (0.0, 1.0), (-1.5, 0.0, -0.0),
+                                    (0.25, -1.0, 1.0, 0.5, -0.125), (1e300, 1e300, 3.0)])
+def test_horner_matches_the_zero_filled_loop(coeffs):
+    # 0 * x starts the result as the zero fill times x did: -0.0 for a
+    # negative x, NaN for +-inf and NaN
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -2.0, 3.5, 1e-310, -1e200])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = _horner(coeffs, x), zero_filled_horner(coeffs, x)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        for v in x.tolist():
+            got, want = _horner(coeffs, np.asarray(v)), zero_filled_horner(coeffs, np.asarray(v))
+            assert type(got) is type(want) is np.float64
+            assert float(got).hex() == float(want).hex()
 
 
 class TestGridSignedZero:

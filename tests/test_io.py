@@ -6,6 +6,7 @@ and write one line per call; every case asserts byte-equal files.  The
 writers split their parts among forked children, one per usable CPU;
 `TestShares` sets that count, so a one-CPU host runs the forked path too.
 """
+import json
 import os
 import tempfile
 
@@ -138,6 +139,50 @@ class TestBoxCsv:
         series = BoxCountSeries(tuple(deltas), tuple(counts))
         assert_same_bytes(tmp_path_factory.mktemp("box"), io.write_box_csv,
                           ref_write_box_csv, series)
+
+
+def ref_write_json(path, payload):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+class TestJson:
+    @settings(max_examples=60, deadline=None)
+    @given(st.recursive(st.one_of(st.none(), st.booleans(), floats, st.integers(),
+                                  st.text(max_size=8)),
+                        lambda inner: st.one_of(st.lists(inner, max_size=6),
+                                                st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=6)),
+                        max_leaves=40))
+    def test_matches_json_dump(self, tmp_path_factory, payload):
+        assert_same_bytes(tmp_path_factory.mktemp("json"), io.write_json, ref_write_json,
+                          payload)
+
+    def test_one_write(self, tmp_path, monkeypatch):
+        writes, real_open = [], open
+
+        class Counting:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                writes.append(text)
+                return self.fh.write(text)
+
+        monkeypatch.setattr(io, "open", lambda *a, **k: Counting(real_open(*a, **k)),
+                            raising=False)
+        payload = {"b": [0.1, -0.0, 1e16, list(range(50))], "a": {"x": None, "y": True}}
+        io.write_json(tmp_path / "got.json", payload)
+        ref_write_json(tmp_path / "want.json", payload)
+        assert len(writes) == 1
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 class TestObj:

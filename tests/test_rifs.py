@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import astuple
 from itertools import accumulate
 
@@ -12,7 +13,7 @@ from fractalis import (Affine, Constant, ContractionReport, HypothesisError, Lag
                        abs_extrema, build_model, contraction_report, curve_dimension_bounds,
                        default_base, default_interpolant, derive_connectivity, eval_F,
                        functional_residual, lipschitz_bound, max_variation,
-                       merged_curve, refine_attractor, rifs, variation_bound_report)
+                       merged_curve, refine_attractor, rifs, shares, variation_bound_report)
 from fractalis.rifs import (InterpolationData, _depth_zero, _refine_step, _sampled_range,
                             plan_depth)
 from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
@@ -696,6 +697,17 @@ class TestRefineStep:
     def test_random_models_match_reference(self, model):
         if model is not None:
             assert_steps_match_reference(model, max_total=2 ** 14)
+
+    @pytest.mark.parametrize("block", [1, 7, None])   # samples a block holds; None: all
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+    @pytest.mark.parametrize("model", FIXTURE_MODELS[:1] + STEP_MODELS)
+    def test_blocks_and_cpus_match_reference(self, monkeypatch, model, cpus, block):
+        # every block and band of the output-major walk, the region ends
+        # inside a block and a flipped region cut by a block edge included
+        monkeypatch.setattr(shares, "MIN_SHARE", 1)
+        monkeypatch.setattr(shares, "BLOCK_BYTES", 1 << 62 if block is None else 8 * block)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert_steps_match_reference(model, max_depth=5)
 
     def test_non_affine_range_map_is_not_affine(self):
         model = STEP_MODELS[-1].values[0]

@@ -23,13 +23,18 @@ from fractalis import (Affine, BivariateSpec, Constant, HeightField, SeparableTe
                        refine_attractor, shares)
 from fractalis.config import parse_config
 from fractalis.dimension import _closed_blocks, _surface_counts
+from fractalis.rifs import plan_depth
 from fractalis.surface import CurveSamples
+from test_box_count_graph import reference_count
 from test_io import ref_write_pgm
 from test_plan_depth import DATA, FIXTURE_MODELS
 from test_rifs import STEP_MODELS
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 CPUS = [1, 2, 3, 16]
+# rows a block holds (a curve sample is a row of one value): one row, a
+# block that divides no band, more than any band
+BLOCK_ROWS = [1, 7, None]
 
 
 def usable_cpus(monkeypatch, k):
@@ -71,17 +76,37 @@ class TestRefine:
         assert max(share_counts) == cpus
 
     def test_small_steps_run_as_one_share(self, monkeypatch, share_counts):
+        # a step runs two passes, _detail over the old curve and the blocks
+        # over the new one: each is one share below MIN_SHARE samples
         usable_cpus(monkeypatch, 16)
         model = FIXTURE_MODELS[0].values[0]
         refine_attractor(model, 6)
-        assert share_counts and set(share_counts) == {1}
+        assert share_counts == [1, 1] * 6
 
     def test_pieces_hold_min_share_samples(self, monkeypatch, share_counts):
         usable_cpus(monkeypatch, 16)
-        monkeypatch.setattr(shares, "MIN_SHARE", 9)   # one domain of 4 regions: runs of 17, 65
+        monkeypatch.setattr(shares, "MIN_SHARE", 9)   # one domain of 4 regions: 5, 17, 65, 257
         model = build_model(DATA, [(0, 4)], [0] * 4, Constant(0.5))
         refine_attractor(model, 3)
-        assert share_counts == [1, 1, 7]
+        # (old, new) curve per step: (5, 17), (17, 65), (65, 257) samples
+        assert share_counts == [1, 1, 1, 7, 7, 16]
+
+    @pytest.mark.parametrize("block", BLOCK_ROWS)
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("model", FIXTURE_MODELS + STEP_MODELS)   # STEP_MODELS flip
+    def test_blocks_match_one_block(self, blocked, block_calls, model, cpus, block):
+        blocked(1, None, 1)
+        one = curve_bytes(refine_attractor(model, 5))
+        blocked(cpus, block, 1)
+        block_calls.clear()
+        sampling = refine_attractor(model, 5)
+        assert curve_bytes(sampling) == one
+        # per step, _detail's blocks tile the old curve and the walk's the new one
+        sizes = [plan_depth(model, d).total for d in range(6)]
+        assert [rows for rows, _ in block_calls] == [n for pair in zip(sizes, sizes[1:])
+                                                     for n in pair]
+        for rows, spans in block_calls:
+            assert_blocks(spans, rows, cpus, block)
 
 
 class TestBoxCounts:
@@ -96,23 +121,41 @@ class TestBoxCounts:
         share_counts.clear()
         report, _ = estimate_curve_dimension(model, *cfg.scales, depth=cfg.curve.depth)
         assert report == one
-        assert share_counts[-1] == min(cpus, len(one.series.deltas))
+        # the schedule nests (a = 4), so the finest width's columns are
+        # the last pass: a share per CPU, each of many columns
+        assert share_counts[-1] == cpus
 
     @pytest.mark.parametrize("depth, min_share, count", [
-        (6, shares.MIN_SHARE, 1),   # 16385 samples: 4 scales under MIN_SHARE together
-        (7, shares.MIN_SHARE, 5),   # 65537 samples: each scale a share
-        (6, 2 * 16385, 2),          # a share takes 2 scales to pass min_share samples
-        (6, 16385, 4)])
+        (6, shares.MIN_SHARE, 1),   # 16385 samples over 16384 finest columns: one share
+        (8, shares.MIN_SHARE, 4),   # 262145 samples: 4096 columns pass MIN_SHARE samples
+        (6, 4097, 3),               # 4097 columns a share: 16384 columns cut in 3
+        (6, 1, 16)])                # one share per usable CPU
     def test_shares_pass_min_share_samples(self, monkeypatch, share_counts, depth, min_share,
                                            count):
         usable_cpus(monkeypatch, 16)
         monkeypatch.setattr(shares, "MIN_SHARE", min_share)
         model = build_model(DATA, [(0, 4)], [0] * 4, Constant(0.5))
         report, sampling = estimate_curve_dimension(model, depth=depth)
+        assert share_counts[-1] == count   # the finest width's columns
         gx, gy = merged_curve(sampling)
         assert report.series.counts == tuple(box_count_graph(gx, gy, d)
                                              for d in report.series.deltas)
-        assert share_counts[-1] == count
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_share_cuts_on_gridline_samples(self, threaded, a, cpus):
+        # every sample sits on or next to a finest gridline, so each column
+        # cut lands on a gridline sample, which extends the column below
+        finest = 0.75 * a ** -4
+        k = np.arange(-37, 91)
+        xs = np.sort(np.concatenate([k * finest * (1 + o) for o in (0.0, 1e-13, -3e-12)]))
+        ys = np.sin(7.0 * xs) + np.cos(1e3 * xs)
+        deltas = [0.75 * a ** -r for r in range(5)]
+        threaded(1)
+        one = box_count_graph(xs, ys, deltas)
+        threaded(cpus)
+        assert box_count_graph(xs, ys, deltas) == one == tuple(
+            reference_count(xs, ys, d) for d in deltas)
 
 
 def fixture_spec(name):
@@ -147,8 +190,6 @@ class TestSurface:
         assert share_counts == [1, 4]
 
 
-# rows a block holds: one row, a block that divides no band, more than any band
-BLOCK_ROWS = [1, 7, None]
 
 
 @pytest.fixture
@@ -173,6 +214,24 @@ def block_spans(monkeypatch):
         return run(rows, width, work_and_record, step)
     monkeypatch.setattr(shares, "run_blocks", recording)
     return spans
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """A list that grows by (rows, [(lo, hi) of each block]) for every
+    run_blocks call."""
+    calls, run = [], shares.run_blocks
+
+    def recording(rows, width, work, step=1):
+        spans = []
+        calls.append((rows, spans))
+
+        def work_and_record(lo, hi, scratch):
+            spans.append((lo, hi))
+            work(lo, hi, scratch)
+        return run(rows, width, work_and_record, step)
+    monkeypatch.setattr(shares, "run_blocks", recording)
+    return calls
 
 
 def assert_blocks(spans, rows, cpus, block_rows, step=1):
