@@ -5,7 +5,8 @@ factors, the range map, base and interpolant curves, surface coefficient
 functions) is described by one of the variants below instead of an opaque
 callable.  That keeps two things computable that the dimension analysis
 needs as *inputs*: a certified Lipschitz constant and certified bounds on
-min/max of |f| over an interval.
+min/max of |f| over an interval.  Every variant's numbers must be finite
+(`_check_finite`, called by each constructor).
 
 Both bounds are certified on many intervals at once
 (`lipschitz_bound_each`, `abs_extrema_each`); `lipschitz_bound` and
@@ -213,6 +214,18 @@ def _horner(coeffs, x):
     return r
 
 
+def _check_finite(kind, **params):
+    """Every variant's finiteness rule: the first non-finite entry of a keyword
+    parameter raises FunctionSpecError naming it, e.g. "lagrange nodes[2][1]"."""
+    for name, value in params.items():
+        values = np.asarray(value, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            index = "".join(f"[{i}]" for i in bad[0])
+            raise FunctionSpecError(f"{kind} {name}{index} must be finite, "
+                                    f"got {float(values[tuple(bad[0])])!r}")
+
+
 # ---------------------------------------------------------------------------
 # scalar variants
 #
@@ -242,6 +255,9 @@ class _ClosedForm:
 class Constant(_ClosedForm):
     value: float
 
+    def __post_init__(self):
+        _check_finite("constant", value=self.value)
+
     def __call__(self, x):
         return np.full(np.shape(_arr(x)), float(self.value))
 
@@ -257,6 +273,9 @@ class Constant(_ClosedForm):
 class Affine(_ClosedForm):
     slope: float
     intercept: float
+
+    def __post_init__(self):
+        _check_finite("affine", slope=self.slope, intercept=self.intercept)
 
     def __call__(self, x):
         return self.slope * _arr(x) + self.intercept
@@ -282,8 +301,7 @@ class Polynomial:
         coeffs = tuple(float(c) for c in self.coefficients)
         if len(coeffs) < 1:
             raise FunctionSpecError("polynomial needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise FunctionSpecError("polynomial coefficients must be finite")
+        _check_finite("polynomial", coefficients=coeffs)
         object.__setattr__(self, "coefficients", coeffs)
 
     def __call__(self, x):
@@ -314,6 +332,7 @@ class Sinusoid(_ClosedForm):
     def __post_init__(self):
         if self.wave not in ("cos", "sin"):
             raise FunctionSpecError(f"sinusoid wave must be 'cos' or 'sin', got {self.wave!r}")
+        _check_finite("sinusoid", amplitude=self.amplitude, omega=self.omega, phase=self.phase)
 
     def __call__(self, x):
         u = self.omega * _arr(x) + self.phase
@@ -344,6 +363,7 @@ class LagrangeNodes:
         nodes = tuple((float(x), float(y)) for x, y in self.nodes)
         if len(nodes) < 1:
             raise FunctionSpecError("lagrange spec needs at least one node")
+        _check_finite("lagrange", nodes=nodes)
         xs = [x for x, _ in nodes]
         if len(set(xs)) != len(xs):
             raise FunctionSpecError("lagrange nodes must have distinct x values")
@@ -439,8 +459,7 @@ class Scaled:
     spec: "ScalarSpec"
 
     def __post_init__(self):
-        if not math.isfinite(self.factor):
-            raise FunctionSpecError(f"scaled factor must be finite, got {self.factor!r}")
+        _check_finite("scaled", factor=self.factor)
 
     def __call__(self, x):
         return self.factor * self.spec(_arr(x))

@@ -22,7 +22,7 @@ from .catalog import FunctionSpecError
 from .config import ConfigError, parse_config
 from .dimension import NumericalError
 from .rifs import (POINT_LIMIT, ModelError, contraction_report, merged_curve, plan_depth,
-                   refine_attractor)
+                   refine_attractor, resolves)
 
 __all__ = ["main"]
 
@@ -68,11 +68,16 @@ def _for_field(field, fn, *args, **kwargs):
 
 
 def _model_summary(model, sampling):
+    """The model part of a report; an unbounded weight limit is written as null."""
     sizes = [b - a + 1 for a, b in zip(sampling.starts, sampling.starts[1:])]
+    contraction = asdict(contraction_report(model))
+    if contraction["weight_limit"] == math.inf:
+        contraction["weight_limit"] = None
+    C = model.connection
     return {
-        "contraction": asdict(contraction_report(model)),
-        "connection_matrix": model.connection.tolist(),
-        "transition_matrix": model.transition.tolist(),
+        "contraction": contraction,
+        "connection_matrix": C.tolist(),
+        "transition_matrix": (C.T / C.sum(axis=0)[:, None]).tolist(),
         "depth": sampling.depth,
         "points_per_region": sizes,
         "points_total": sampling.xs.size,
@@ -129,7 +134,7 @@ def _cmd_surface(cfg, args):
             model = _for_field(f"{key}[{i}].curve", model_cfg.build)
             span = model.data.xs[-1] - model.data.xs[0]
             plan = _for_field(field, plan_depth, model, depth, span / resolution)
-            if not plan.resolves(span / resolution):
+            if not resolves(plan.gap, span / resolution):
                 raise ConfigError(f"{field}: {surface.too_coarse(plan.gap / span, resolution)}")
             planned.append((axis, model, plan, coeff))
     if (resolution + 1) ** 2 > POINT_LIMIT:
@@ -158,7 +163,7 @@ def _cmd_surface(cfg, args):
     field = _for_field(grid, surface.eval_surface, spec, resolution)
 
     out.mkdir(parents=True, exist_ok=True)
-    lo, hi = io.write_pgm(out / "surface.pgm", field.heights)
+    io.write_pgm(out / "surface.pgm", field)
     if cfg.obj:
         io.write_obj(out / "surface.obj", field)
 
@@ -172,8 +177,8 @@ def _cmd_surface(cfg, args):
                              if None not in exact else None)}
     io.write_json(out / "report.json", {
         "resolution": resolution,
-        "height_min": lo,
-        "height_max": hi,
+        "height_min": field.height_min,
+        "height_max": field.height_max,
         "curves": curve_details,
         "formula_dimension": formula,
         "obj": bool(cfg.obj),

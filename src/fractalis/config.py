@@ -20,7 +20,7 @@ Mode "curve" adds nothing.  Mode "analyze" adds optional "scales":
 with "x_curves"/"y_curves", each entry {"curve": {model fields},
 "coeff": bivariate spec}, plus an integer "resolution" (default 256) and
 an optional JSON boolean "obj" (default false).
-`rifs.plan_depth` plans a missing depth: x gaps of at most a quarter of
+`rifs.plan_depth` plans a missing depth, the shallowest that `rifs.resolves`
 the finest mesh served (analyze scale or surface cell); a curve gets 8.
 An optional "out_dir" must be a string.
 Bivariate specs are {"terms": [{"fx": spec, "fy": spec}, ...]} or the

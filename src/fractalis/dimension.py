@@ -29,7 +29,7 @@ import numpy as np
 from . import shares
 from .catalog import abs_extrema  # noqa: F401  (unused; perfbench's tracer test patches it)
 from .rifs import (POINT_LIMIT, ModelError, lipschitz_bounds, merged_curve, plan_depth,
-                   refine_attractor)
+                   refine_attractor, resolves)
 
 __all__ = [
     "NumericalError",
@@ -687,7 +687,7 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     """Box-count estimate of the curve's dimension over a geometric schedule.
 
     `plan_depth` plans the depth for the finest delta; before refining,
-    scales it leaves unresolved (`DepthPlan.resolves`) are dropped with a
+    scales it leaves unresolved (`rifs.resolves`) are dropped with a
     note, and under three left is refused.  Counts use per-column vertical
     covers of the sampled graph (raw point counting cannot saturate fine
     meshes at any practical depth).  All usable scales are counted in one
@@ -699,7 +699,7 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     """
     deltas = curve_scale_schedule(model, r_lo, r_hi)
     plan = plan_depth(model, depth, min(deltas))
-    usable = [d for d in deltas if plan.resolves(d)]
+    usable = [d for d in deltas if resolves(plan.gap, d)]
     if len(usable) < 3:
         raise ModelError(
             f"sampling too coarse for the requested scales: x spacing {plan.gap:.3g} "

@@ -2,9 +2,9 @@
 
 CSV is UTF-8, LF, no header.  JSON reports use sorted keys.  PGM is
 binary P5 with 16-bit big-endian samples; heights are normalized with
-the min/max recorded in the run report.  OBJ is ASCII with one vertex
-per grid node (x, height, y) and two counter-clockwise triangles per
-cell.
+the field's min/max, which the run report records.  OBJ is ASCII with
+one vertex per grid node (x, height, y) and two counter-clockwise
+triangles per cell.
 
 Numbers in CSV and OBJ are shortest round-trip decimals (`repr`), with
 integral values written without their '.0'.  Those files are written as
@@ -119,26 +119,25 @@ def write_box_csv(path, series):
 
 def write_json(path, payload):
     """`payload` as indented JSON with sorted keys and a final newline,
-    formatted whole and written in one call."""
+    formatted whole and written in one call.  A NaN or infinite float
+    raises ValueError before the file is opened: strict JSON has no
+    token for it."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
-def write_pgm(path, heights):
-    """P5/65535 heightmap; returns the (min, max) used for normalization.
+def write_pgm(path, field):
+    """P5/65535 heightmap of a `surface.HeightField`.
 
     Row iy of the image is the grid row y = iy/m; the first pixel is the
-    value at (0, 0).  Heights that are not all finite raise ValueError
-    before the file is opened.  Pixels are rint((h - min) / (max - min) *
-    65535), or 0 on a flat field, normalized in row blocks on up to one
-    thread per usable CPU (`shares.run_blocks`) straight into the
-    big-endian 16-bit array that is written; the bytes are those of one
-    whole-array pass.
+    value at (0, 0).  Pixels are rint((h - min) / (max - min) * 65535),
+    or 0 on a flat field, with the field's own height_min/height_max (no
+    sweep here), normalized in row blocks on up to one thread per usable
+    CPU (`shares.run_blocks`) straight into the big-endian 16-bit array
+    that is written; the bytes are those of one whole-array pass.
     """
-    H = np.asarray(heights, dtype=np.float64)
-    lo, hi = float(H.min()), float(H.max())
-    if not (np.isfinite(lo) and np.isfinite(hi)):   # min and max carry NaN
-        raise ValueError("heights must be finite")
+    H, lo, hi = field.heights, field.height_min, field.height_max
     px = np.zeros(H.shape, dtype=">u2")
     if hi > lo:
         def block(a, b, scratch):
@@ -151,7 +150,6 @@ def write_pgm(path, heights):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{H.shape[1]} {H.shape[0]}\n65535\n".encode("ascii"))
         fh.write(px)
-    return lo, hi
 
 
 def write_obj(path, field):

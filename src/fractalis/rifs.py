@@ -49,6 +49,7 @@ __all__ = [
     "build_model",
     "eval_F",
     "plan_depth",
+    "resolves",
     "refine_attractor",
     "merged_curve",
     "functional_residual",
@@ -111,7 +112,6 @@ class RifsModel:
     interpolant: ScalarSpec   # passes through every node
     flip: tuple               # per region bool, orientation of the x map
     connection: np.ndarray    # 0/1, row i marks regions feeding region i
-    transition: np.ndarray    # row-stochastic companion matrix
     scale_range: np.ndarray   # read-only (n, 2): certified min/max |scaling| per region
     y_envelope: tuple         # (lo, hi)
     warnings: tuple = ()
@@ -172,6 +172,11 @@ class AttractorSampling:
                      for a, b in zip(self.starts, self.starts[1:]))
 
 
+def resolves(gap, delta):
+    """SAMPLES_PER_SCALE * gap <= delta, with 1e-9 relative slack so rounding ties count."""
+    return SAMPLES_PER_SCALE * gap <= delta * (1.0 + 1e-9)
+
+
 @dataclass(frozen=True)
 class DepthPlan:
     """A refinement depth and the samples it yields, known before refining."""
@@ -187,10 +192,6 @@ class DepthPlan:
     @property
     def gap(self):
         return max(self.gaps)
-
-    def resolves(self, delta):
-        """SAMPLES_PER_SCALE * gap <= delta, with 1e-9 relative slack so exact ties count."""
-        return SAMPLES_PER_SCALE * self.gap <= delta * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -238,12 +239,10 @@ def default_base(data, domains):
 
 
 def derive_connectivity(data, domains, domain_of):
-    """Check every wiring rule, unused domains too; return C and row-stochastic M.
+    """Check every wiring rule, unused domains too; return the connection matrix C.
 
-    C[i, j] = 1 iff region j lies inside region i's source domain;
-    M[i, j] = 1/a_i over the a_i regions j whose source domain contains
-    region i.  Each region's source span is compared with every region
-    index at once, so both are exact.
+    C[i, j] = 1 iff region j lies inside region i's source domain.  Each
+    region's source span is compared with every region index at once.
     """
     n = data.n_regions
     if len(domains) < 1:
@@ -281,7 +280,7 @@ def derive_connectivity(data, domains, domain_of):
         raise ModelError(
             f"region {int(np.argmin(users))} is contained in no assigned domain; "
             "its content would never be used")
-    return C, np.ascontiguousarray(C.T / users[:, None])
+    return C
 
 
 def build_model(data, domains, domain_of, scaling, range_map=None,
@@ -301,7 +300,7 @@ def build_model(data, domains, domain_of, scaling, range_map=None,
     and after sizing otherwise (L_range is certified on the envelope).
     """
     data = InterpolationData(tuple(p[0] for p in data), tuple(p[1] for p in data))
-    C, M = derive_connectivity(data, domains, domain_of)
+    C = derive_connectivity(data, domains, domain_of)
     domains = tuple((int(s), int(e)) for s, e in domains)
     domain_of = tuple(int(k) for k in domain_of)
     n = data.n_regions
@@ -328,7 +327,7 @@ def build_model(data, domains, domain_of, scaling, range_map=None,
     margin = 0.5 * spread + 1.0
     envelope = (float(ys.min() - margin), float(ys.max() + margin))
     model = RifsModel(data, domains, domain_of, scaling, range_map, base,
-                      interpolant, flip, C, M, scale_range, envelope)
+                      interpolant, flip, C, scale_range, envelope)
 
     for i in range(n):
         if not abs(model.map_ratio(i)) < 1.0:
@@ -556,9 +555,9 @@ def plan_depth(model, depth=None, delta=None):
     A round maps each region's feeder run through one affine x map, so
     its samples become sum(p over feeders) - (feeders - 1) and its
     largest x gap |map ratio| * max(g over feeders).  Nothing is refined.
-    `depth` is planned as given; else the shallowest depth whose gap is at
-    most delta / SAMPLES_PER_SCALE (`delta`: the finest mesh width served);
-    else DEFAULT_DEPTH.  A plan over POINT_LIMIT points is refused.
+    `depth` is planned as given; else the shallowest depth that `resolves`
+    `delta`, the finest mesh width served; else DEFAULT_DEPTH.  A plan
+    over POINT_LIMIT points is refused.
     """
     if depth is not None and depth < 0:
         raise ModelError("depth must be >= 0")
@@ -572,7 +571,7 @@ def plan_depth(model, depth=None, delta=None):
             raise ModelError(
                 f"depth {plan.depth if depth is None else depth} needs more than "
                 f"{POINT_LIMIT} points ({plan.total} at depth {plan.depth})")
-        if plan.depth == depth or (depth is None and plan.gap <= delta / SAMPLES_PER_SCALE):
+        if plan.depth == depth or (depth is None and resolves(plan.gap, delta)):
             return plan
         plan = DepthPlan(
             plan.depth + 1,

@@ -7,14 +7,14 @@ lookup error is controlled by the sampling density.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import shares
 from .catalog import BivariateSpec
 from .dimension import BoxCountSeries, _surface_counts, fit_report
-from .rifs import SAMPLES_PER_SCALE, ModelError, merged_curve, refine_attractor
+from .rifs import SAMPLES_PER_SCALE, ModelError, merged_curve, refine_attractor, resolves
 
 __all__ = [
     "CurveSamples",
@@ -92,12 +92,14 @@ class SurfaceSpec:
 
 @dataclass(frozen=True)
 class HeightField:
-    """Heights on the uniform (m+1) x (m+1) grid over [0, 1]^2.
+    """Read-only heights on the uniform (m+1) x (m+1) grid over [0, 1]^2.
 
-    heights[iy, ix] is the value at (ix/m, iy/m).
+    heights[iy, ix] is the value at (ix/m, iy/m); height_min/height_max is their range.
     """
     resolution: int
     heights: np.ndarray
+    height_min: float = field(init=False)
+    height_max: float = field(init=False)
 
     def __post_init__(self):
         if self.resolution < 2:
@@ -106,17 +108,20 @@ class HeightField:
         m = self.resolution
         if H.shape != (m + 1, m + 1):
             raise ValueError(f"heights must be ({m + 1}, {m + 1}), got {H.shape}")
-        if not (np.isfinite(H.min()) and np.isfinite(H.max())):   # min and max carry NaN
+        object.__setattr__(self, "height_min", float(H.min()))
+        object.__setattr__(self, "height_max", float(H.max()))
+        if not np.isfinite([self.height_min, self.height_max]).all():   # min/max carry NaN
             raise ValueError("heights must be finite")
+        H.flags.writeable = False
         object.__setattr__(self, "heights", H)
 
 
 def eval_surface(spec, resolution):
     """Sum the layers on the grid: coeff(x, y) * curve(x or y).
 
-    Every curve's largest sampled x gap must be at most
-    1/(SAMPLES_PER_SCALE * resolution), or ModelError (`too_coarse`) is
-    raised before any layer is summed.  `rifs.plan_depth(model,
+    Every curve's samples must resolve a grid cell, by `rifs.resolves`
+    on its largest x gap and 1/resolution, or ModelError (`too_coarse`)
+    is raised before any layer is summed.  `rifs.plan_depth(model,
     delta=(x1 - x0) / resolution)` gives the shallowest such depth.
 
     Each curve is interpolated on the grid axis once.  The rows of the
@@ -132,7 +137,7 @@ def eval_surface(spec, resolution):
     if m < 2:
         raise ValueError("resolution must be >= 2")
     for layer in spec.x_layers + spec.y_layers:
-        if layer.curve.max_gap > 1.0 / (SAMPLES_PER_SCALE * m):
+        if not resolves(layer.curve.max_gap, 1.0 / m):
             raise ModelError(too_coarse(layer.curve.max_gap, m))
     axis = np.linspace(0.0, 1.0, m + 1)
     H = np.zeros((m + 1, m + 1))

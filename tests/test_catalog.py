@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -233,6 +234,29 @@ class TestValidation:
     def test_bad_interval(self):
         with pytest.raises(FunctionSpecError):
             lipschitz_bound(Constant(1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("named, make", [
+        pytest.param(named, make, id=named) for named, make in (
+            ("constant value", lambda v: Constant(v)),
+            ("affine slope", lambda v: Affine(v, 1.0)),
+            ("affine intercept", lambda v: Affine(1.0, v)),
+            ("polynomial coefficients[2]", lambda v: Polynomial((1.0, 2.0, v))),
+            ("sinusoid amplitude", lambda v: Sinusoid(v, 1.0, 0.0, "cos")),
+            ("sinusoid omega", lambda v: Sinusoid(1.0, v, 0.0, "sin")),
+            ("sinusoid phase", lambda v: Sinusoid(1.0, 1.0, v, "cos")),
+            ("lagrange nodes[1][0]", lambda v: LagrangeNodes(((0.0, 1.0), (v, 2.0)))),
+            ("lagrange nodes[1][1]", lambda v: LagrangeNodes(((0.0, 1.0), (1.0, v)))),
+            ("scaled factor", lambda v: Scaled(v, Constant(1.0))))])
+    def test_every_variant_refuses_a_non_finite_parameter(self, named, make, value):
+        with pytest.raises(FunctionSpecError, match=re.escape(
+                f"{named} must be finite, got {value!r}")):
+            make(value)
+
+    def test_no_nan_range_is_certified(self):
+        # Constant(nan) used to certify (nan, nan) as its |f| range
+        with pytest.raises(FunctionSpecError, match="constant value must be finite"):
+            abs_extrema(Constant(math.nan), (0.0, 1.0))
 
     @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
     def test_non_finite_scaled_factor(self, factor):

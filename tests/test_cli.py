@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from fractalis.cli import main
 from fractalis.config import ConfigError, parse_config
+from test_plan_depth import TIE_NODES, TIE_YS
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json"))
@@ -364,6 +365,57 @@ class TestPointLimit:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: resolution (x_curves[0]): depth 24 needs more than {2 ** 26} points")
+
+
+def tie_curve(name):
+    """The tie model of tests/test_plan_depth.py with nodes at `name`."""
+    return {"data": [[x, y] for x, y in zip(TIE_NODES[name], TIE_YS)],
+            "domains": [[0, 4]], "region_domains": [0, 0, 0, 0],
+            "scaling": {"kind": "constant", "value": 0.5}}
+
+
+class TestRoundingTies:
+    @pytest.mark.parametrize("name", sorted(TIE_NODES))
+    def test_analyze_plans_the_shallowest_depth_that_resolves(self, tmp_path, name):
+        # r_hi = 6 needs gap 4^-8 * span: depth 7, not 8 (262145 points)
+        code, out = run(tmp_path, {"mode": "analyze", **tie_curve(name)})
+        assert code == 0
+        model = json.loads((out / "dimension.json").read_text())["model"]
+        assert (model["depth"], model["points_total"]) == (7, 4 ** 8 + 1)
+
+    @pytest.mark.parametrize("name", sorted(TIE_NODES))
+    def test_surface_depth_4_resolves_resolution_256(self, tmp_path, name):
+        cfg = {"mode": "surface", "resolution": 256,
+               "x_curves": [{"curve": tie_curve(name),
+                             "coeff": {"of_x": {"kind": "constant", "value": 1.0}}}]}
+        (tmp_path / "planned").mkdir()
+        (tmp_path / "given").mkdir()
+        planned, out = run(tmp_path / "planned", cfg)
+        given, out_4 = run(tmp_path / "given", cfg, extra=["--depth", "4"])
+        assert planned == given == 0
+        assert json.loads((out / "report.json").read_text())["curves"][0]["depth"] == 4
+        for artifact in ("surface.pgm", "report.json"):
+            assert (out / artifact).read_bytes() == (out_4 / artifact).read_bytes()
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictReports:
+    @pytest.mark.parametrize("mode, name", [("curve", "report.json"),
+                                            ("analyze", "dimension.json")])
+    def test_unbounded_weight_limit_is_null(self, tmp_path, mode, name):
+        # equal node heights: no coupling, so every weight makes the maps contract
+        flat = {"data": [[0.25 * i, 5.0] for i in range(5)], "domains": [[0, 4]],
+                "region_domains": [0, 0, 0, 0], "scaling": {"kind": "constant", "value": 0.5}}
+        code, out = run(tmp_path, {"mode": mode, **flat, "depth": 7})
+        assert code == 0
+        rep = strict_json((out / name).read_text())
+        assert (rep if mode == "curve" else rep["model"])["contraction"]["weight_limit"] is None
 
 
 class TestAnalyzeCommand:

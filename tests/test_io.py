@@ -7,6 +7,7 @@ writers split their parts among forked children, one per usable CPU;
 `TestShares` sets that count, so a one-CPU host runs the forked path too.
 """
 import json
+import math
 import os
 import tempfile
 
@@ -65,8 +66,10 @@ def ref_write_obj(path, field):
                 fh.write(f"f {a} {c} {d}\n")
 
 
-def ref_write_pgm(path, heights):
-    H = np.asarray(heights, dtype=np.float64)
+def ref_write_pgm(path, field):
+    """The whole-array normalization write_pgm replaced, with its own
+    min/max sweep; returns that (min, max)."""
+    H = field.heights
     lo, hi = float(H.min()), float(H.max())
     if hi > lo:
         norm = (H - lo) / (hi - lo)
@@ -148,6 +151,13 @@ def ref_write_json(path, payload):
 
 
 class TestJson:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_are_refused_before_the_file(self, tmp_path, value):
+        # strict JSON has no token for them; json.dumps would write Infinity or NaN
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            io.write_json(tmp_path / "report.json", {"a": [1.0, {"b": value}]})
+        assert not (tmp_path / "report.json").exists()
+
     @settings(max_examples=60, deadline=None)
     @given(st.recursive(st.one_of(st.none(), st.booleans(), floats, st.integers(),
                                   st.text(max_size=8)),
@@ -351,17 +361,18 @@ class TestFailures:
 class TestPgm:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_heights_are_refused_before_the_file(self, tmp_path, value):
-        H = np.linspace(0.0, 1.0, 20).reshape(4, 5)
+        # write_pgm takes a HeightField, which refuses the heights itself
+        H = np.linspace(0.0, 1.0, 25).reshape(5, 5)
         H[2, 3] = value
         with pytest.raises(ValueError, match="^heights must be finite$"):
-            io.write_pgm(tmp_path / "surface.pgm", H)
+            io.write_pgm(tmp_path / "surface.pgm", HeightField(4, H))
         assert not (tmp_path / "surface.pgm").exists()
 
     @pytest.mark.parametrize("fill", [0.0, -0.0, 3.5, -1e300])
     def test_constant_field(self, tmp_path, fill):
-        H = np.full((5, 7), fill)
-        assert_same_bytes(tmp_path, io.write_pgm, ref_write_pgm, H)
-        assert (tmp_path / "got").read_bytes().endswith(bytes(2 * H.size))
+        field = HeightField(6, np.full((7, 7), fill))
+        assert_same_bytes(tmp_path, io.write_pgm, ref_write_pgm, field)
+        assert (tmp_path / "got").read_bytes().endswith(bytes(2 * field.heights.size))
 
     @pytest.mark.parametrize("m", [2, 9, 256])
     def test_field_with_signed_zeros(self, tmp_path, m):
@@ -369,6 +380,16 @@ class TestPgm:
         H[0, :3] = (0.0, -0.0, -0.0)
         H[1, 0] = -0.0
         before = H.tobytes()
-        assert_same_bytes(tmp_path, io.write_pgm, ref_write_pgm, H)
-        assert io.write_pgm(tmp_path / "again", H) == ref_write_pgm(tmp_path / "ref", H)
+        field = HeightField(m, H)
+        assert_same_bytes(tmp_path, io.write_pgm, ref_write_pgm, field)
+        assert (field.height_min, field.height_max) == ref_write_pgm(tmp_path / "ref", field)
         assert H.tobytes() == before   # normalized in a copy, not in the caller's array
+
+    def test_normalizes_with_the_fields_range(self, tmp_path):
+        # the pixels follow the range the field holds: write_pgm takes no
+        # min or max of its own
+        field = HeightField(2, np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]))
+        object.__setattr__(field, "height_max", 16.0)
+        io.write_pgm(tmp_path / "surface.pgm", field)
+        px = np.frombuffer((tmp_path / "surface.pgm").read_bytes()[-18:], dtype=">u2")
+        assert px.tolist() == [round(v / 16.0 * 65535) for v in range(9)]

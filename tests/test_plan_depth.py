@@ -3,10 +3,13 @@
 `plan_depth` predicts sample counts and x gaps without refining.  These
 tests hold it to what `refine_attractor` produces, to the trial-refinement
 loop it replaced for the `analyze` auto depth (kept below as the
-reference, with the point limit as its one ceiling), and to the gap rule
-`eval_surface` enforces.
+reference, with the point limit as its one ceiling), and to the one gap
+rule, `rifs.resolves`, that its stop, the `analyze` scale filter, the
+`surface` command and `eval_surface` share.  Ties that rounding puts an
+ulp over the rule come from nodes at tenths and at thirds.
 """
 import json
+from itertools import count
 from pathlib import Path
 from unittest import mock
 
@@ -15,15 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalis import (Constant, CurveSamples, ModelError, build_model,
-                       curve_scale_schedule, merged_curve)
+from fractalis import (BivariateSpec, Constant, CurveSamples, ModelError, SeparableTerm,
+                       SurfaceLayer, SurfaceSpec, build_model, curve_scale_schedule,
+                       estimate_curve_dimension, eval_surface, merged_curve)
 from fractalis import rifs
 from fractalis.config import parse_config
-from fractalis.rifs import POINT_LIMIT, _depth_zero, _refine_step, plan_depth
+from fractalis.rifs import (POINT_LIMIT, _depth_zero, _refine_step, plan_depth,
+                            refine_attractor, resolves)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
 EPS = np.finfo(np.float64).eps
+SAMPLES_PER_SCALE = rifs.SAMPLES_PER_SCALE
 
 
 def fixture_models():
@@ -40,6 +46,12 @@ def fixture_models():
 FIXTURE_MODELS = fixture_models()
 EXACT_FAMILY = [pytest.param(build_model(DATA, [(0, 4)], [0] * 4, Constant(s)), id=f"s{s}")
                 for s in (0.3, 0.6, 0.95)]
+# nodes at tenths and at thirds: every depth's x gap against a power-of-4
+# mesh is a tie that rounding puts an ulp or two over the gap rule
+TIE_YS = (1.0, 3.0, -1.0, 2.0, 0.0)
+TIE_NODES = {"tenths": [0.1 * i for i in range(5)], "thirds": [i / 3 for i in range(5)]}
+TIES = [pytest.param(build_model(list(zip(xs, TIE_YS)), [(0, 4)], [0] * 4, Constant(0.5)),
+                     id=f"on-{name}") for name, xs in TIE_NODES.items()]
 
 
 @st.composite
@@ -154,18 +166,30 @@ class TestSurfaceDepth:
                                   enumerate((1.0, 3.0, -1.0, 2.0, 0.0))],
                                  [(0, 2), (2, 4)], [0, 1, 0, 1], Constant(0.5)),
                      id="on-2-5"),
-        pytest.param(build_model([(0.1 * i, y) for i, y in
-                                  enumerate((1.0, 3.0, -1.0, 2.0, 0.0))],
-                                 [(0, 4)], [0] * 4, Constant(0.5)),
-                     id="on-0-0.4"),
+        pytest.param(TIES[0].values[0], id="on-0-0.4"),
+        pytest.param(TIES[1].values[0], id="on-0-1.33"),
     ])
     def test_smallest_depth_passing_the_gap_rule(self, model, resolution):
+        # the renormalized samples that eval_surface checks, by the same rule
         xs = model.data.xs
         plan = plan_depth(model, delta=(xs[-1] - xs[0]) / resolution)
-        limit = 1.0 / (4.0 * resolution)
-        assert CurveSamples.from_model(model, plan.depth).max_gap <= limit
+        assert resolves(CurveSamples.from_model(model, plan.depth).max_gap, 1.0 / resolution)
         if plan.depth > 0:
-            assert CurveSamples.from_model(model, plan.depth - 1).max_gap > limit
+            assert not resolves(CurveSamples.from_model(model, plan.depth - 1).max_gap,
+                                1.0 / resolution)
+
+    @pytest.mark.parametrize("model", TIES)
+    def test_ties_plan_the_depth_that_resolves(self, model):
+        # gap 4^-5 renormalized, one ulp or two over 1 / (4 * 256)
+        span = model.data.xs[-1] - model.data.xs[0]
+        plan = plan_depth(model, delta=span / 256)
+        assert plan.depth == 4 and resolves(plan.gap, span / 256)
+        assert SAMPLES_PER_SCALE * plan.gap > span / 256
+        samples = CurveSamples.from_model(model, 4)
+        assert SAMPLES_PER_SCALE * samples.max_gap > 1.0 / 256
+        spec = SurfaceSpec((SurfaceLayer(samples, BivariateSpec(
+            (SeparableTerm(Constant(1.0), Constant(1.0)),))),))
+        assert eval_surface(spec, 256).resolution == 256
 
 
 class TestPointLimit:
@@ -185,6 +209,35 @@ class TestPointLimit:
             plan_depth(EXACT_FAMILY[0].values[0], -1)
 
 
+class TestOneRule:
+    @settings(max_examples=60, deadline=None)
+    @given(wirings(), st.integers(0, 5),
+           st.sampled_from([1.0, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 - 1e-10, 1.0 - 2e-9, 0.7]))
+    def test_auto_depth_is_the_shallowest_that_resolves(self, model, k, factor):
+        # mesh widths at, an ulp or two around and just past depth k's tie
+        if model is None:
+            return
+        delta = SAMPLES_PER_SCALE * plan_depth(model, k).gap * factor
+        try:
+            want = next(d for d in count() if resolves(plan_depth(model, d).gap, delta))
+        except ModelError:   # past POINT_LIMIT before any depth resolves
+            with pytest.raises(ModelError):
+                plan_depth(model, delta=delta)
+            return
+        assert plan_depth(model, delta=delta).depth == want
+
+    @pytest.mark.parametrize("model", TIES)
+    def test_analyze_ties_plan_the_depth_that_resolves(self, model):
+        # the finest r_hi = 6 scale needs gap 4^-8 * span, and depth 7's
+        # gap is that, an ulp or two over
+        delta = min(curve_scale_schedule(model, 2, 6))
+        refined = refine_attractor(model, 7)
+        assert resolves(float(np.diff(refined.xs).max()), delta)
+        assert SAMPLES_PER_SCALE * float(np.diff(refined.xs).max()) > delta
+        report, sampling = estimate_curve_dimension(model)
+        assert sampling.depth == 7 and len(report.series.deltas) == 5
+
+
 class TestPolicy:
     @pytest.mark.parametrize("model", FIXTURE_MODELS + EXACT_FAMILY)
     def test_default_depth(self, model):
@@ -199,8 +252,10 @@ class TestPolicy:
         model = EXACT_FAMILY[0].values[0]
         plan = plan_depth(model, 5)     # gap 4^-6
         delta = rifs.SAMPLES_PER_SCALE * plan.gap
-        assert plan.resolves(delta) and plan.resolves(delta * (1 - 1e-10))
-        assert not plan.resolves(delta * (1 - 2e-9))
-        # the auto-depth stop has no slack: a tie one ulp short goes a depth deeper
+        assert resolves(plan.gap, delta) and resolves(plan.gap, delta * (1 - 1e-10))
+        assert not resolves(plan.gap, delta * (1 - 2e-9))
+        # the auto-depth stop is the same rule: a tie one ulp short stops at
+        # depth 5 too, and only a delta past the slack goes a depth deeper
         assert plan_depth(model, delta=delta).depth == 5
-        assert plan_depth(model, delta=np.nextafter(delta, 0.0)).depth == 6
+        assert plan_depth(model, delta=np.nextafter(delta, 0.0)).depth == 5
+        assert plan_depth(model, delta=delta * (1 - 2e-9)).depth == 6

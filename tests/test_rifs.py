@@ -14,6 +14,7 @@ from fractalis import (Affine, Constant, ContractionReport, HypothesisError, Lag
                        default_base, default_interpolant, derive_connectivity, eval_F,
                        functional_residual, lipschitz_bound, max_variation,
                        merged_curve, refine_attractor, rifs, shares, variation_bound_report)
+from fractalis.cli import _model_summary
 from fractalis.rifs import (InterpolationData, _depth_zero, _refine_step, _sampled_range,
                             plan_depth)
 from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
@@ -31,30 +32,36 @@ def whole_domain_model(scaling):
     return build_model(DATA, [(0, 4)], [0, 0, 0, 0], scaling)
 
 
+def report_transition(model):
+    """The row-stochastic transition matrix as the run reports write it."""
+    return np.array(_model_summary(model, refine_attractor(model, 0))["transition_matrix"])
+
+
 class TestConnectivity:
     def test_split_fixture_matrices(self):
         # hand-derived: regions 0,1 sit in domain [0, 0.5], regions 2,3 in [0.5, 1];
         # each region is covered by the domains assigned to regions {0,2} or {1,3}
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
-        C, M = derive_connectivity(data, TWO_DOMAINS, SPLIT)
+        C = derive_connectivity(data, TWO_DOMAINS, SPLIT)
         assert C.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1],
                               [1, 1, 0, 0], [0, 0, 1, 1]]
-        assert M.tolist() == [[0.5, 0.0, 0.5, 0.0], [0.5, 0.0, 0.5, 0.0],
-                              [0.0, 0.5, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5]]
+        assert report_transition(example_model(Constant(0.5))).tolist() == [
+            [0.5, 0.0, 0.5, 0.0], [0.5, 0.0, 0.5, 0.0],
+            [0.0, 0.5, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5]]
 
     def test_whole_interval_uniform(self):
         data = InterpolationData(tuple(p[0] for p in DATA), tuple(p[1] for p in DATA))
-        C, M = derive_connectivity(data, [(0, 4)], [0, 0, 0, 0])
+        C = derive_connectivity(data, [(0, 4)], [0, 0, 0, 0])
         assert np.all(C == 1)
-        assert np.allclose(M, 0.25)
+        assert np.all(report_transition(whole_domain_model(Constant(0.5))) == 0.25)
 
     def test_row_sums_exactly_one(self):
         for model in (example_model(), whole_domain_model(Constant(0.5))):
-            assert np.all(model.transition.sum(axis=1) == 1.0)
+            assert np.all(report_transition(model).sum(axis=1) == 1.0)
 
     def test_connection_transition_duality(self):
         model = example_model()
-        C, M = model.connection, model.transition
+        C, M = model.connection, report_transition(model)
         for i in range(4):
             for j in range(4):
                 assert (C[i, j] == 1) == (M[j, i] > 0)
@@ -63,11 +70,12 @@ class TestConnectivity:
         model = build_model([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)], [(0, 2)], [0, 0],
                             Constant(0.3))
         assert np.all(model.connection == 1)
-        assert np.allclose(model.transition, 0.5)
+        assert np.all(report_transition(model) == 0.5)
 
 
 def ref_connectivity(data, domains, dom):
-    """The loop body derive_connectivity replaced; validation is shared."""
+    """The loop body derive_connectivity replaced, with the transition
+    matrix the reports write; validation is shared."""
     n = data.n_regions
 
     def contains(region, k):
@@ -110,11 +118,18 @@ def test_connectivity_matches_loop_reference(wiring):
             derive_connectivity(*wiring)
         assert str(got.value) == str(exc)
         return
-    C, M = derive_connectivity(*wiring)
-    for got, want in zip((C, M), ref):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.flags["C_CONTIGUOUS"]
-        assert got.tobytes() == want.tobytes()
+    C = derive_connectivity(*wiring)
+    assert C.dtype == ref[0].dtype and C.shape == ref[0].shape
+    assert C.flags["C_CONTIGUOUS"]
+    assert C.tobytes() == ref[0].tobytes()
+
+
+def nan_at(x):
+    """A spec with finite parameters that evaluates to NaN at x: nodes 1e200
+    away make its barycentric weights underflow to zero, so 0/0 is left."""
+    spec = LagrangeNodes(((x, 1.0), (x + 1e200, 0.0), (x - 1e200, 0.0)))
+    assert math.isnan(float(spec(np.float64(x))))
+    return spec
 
 
 class TestBuildValidation:
@@ -195,19 +210,17 @@ class TestBuildValidation:
 
     def test_nan_interpolant_fails_the_node_check(self):
         with pytest.raises(ModelError, match="interpolant misses node 0: .* = nan"):
-            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5),
-                        interpolant=Constant(float("nan")))
+            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), interpolant=nan_at(0.0))
 
     def test_nan_base_fails_the_endpoint_check(self):
         with pytest.raises(ModelError, match="base misses domain-endpoint node 0: .* = nan"):
-            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5),
-                        base=Constant(float("nan")))
+            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), base=nan_at(0.0))
 
     def test_nan_vertical_map_fails_the_endpoint_identity(self):
-        # a non-affine range map is not checked before the endpoint identities
+        # a non-affine range map is not checked before the endpoint identities;
+        # node 0's height is 20
         with pytest.raises(ModelError, match="region 0: vertical map sends node 0 to nan"):
-            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5),
-                        range_map=Constant(float("nan")))
+            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), range_map=nan_at(20.0))
 
     def test_large_constant_scaling_rejected(self):
         with pytest.raises(ModelError, match="scaling"):
@@ -821,9 +834,12 @@ def test_random_geometries_keep_core_invariants(params):
         model = build_model(list(zip(xs, ys)), spans, gamma, Constant(s_val))
     except ModelError:
         return  # e.g. some region covered by no assigned domain
-    # transition rows are stochastic and dual to the connection pattern
-    assert np.allclose(model.transition.sum(axis=1), 1.0)
-    assert np.array_equal(model.connection.T > 0, model.transition > 0)
+    # the reported transition is the loop reference's, so its rows are
+    # stochastic and dual to the connection pattern
+    M = report_transition(model)
+    assert M.tolist() == ref_connectivity(model.data, model.domains, model.domain_of)[1].tolist()
+    assert np.allclose(M.sum(axis=1), 1.0)
+    assert np.array_equal(model.connection.T > 0, M > 0)
     sampling = refine_attractor(model, 4)
     gx, gy = merged_curve(sampling)
     assert np.all(np.diff(gx) > 0)

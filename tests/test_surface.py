@@ -186,6 +186,15 @@ class TestHeightField:
         with pytest.raises(ValueError, match="finite"):
             HeightField(4, bad)
 
+    def test_range_is_kept_and_heights_are_read_only(self):
+        H = np.linspace(-2.0, 3.0, 25).reshape(5, 5)
+        field = HeightField(4, H)
+        assert (field.height_min, field.height_max) == (-2.0, 3.0)
+        with pytest.raises(ValueError, match="read-only"):
+            field.heights[0, 0] = 7.0   # the kept range would no longer hold
+        with pytest.raises(TypeError):
+            HeightField(4, H, height_min=0.0)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("cell", [(0, 0), (3, 1), (4, 4)])
     def test_one_bad_cell_is_refused(self, value, cell):
