@@ -1,10 +1,10 @@
 """Recurrent fractal interpolation curves, composed fractal surfaces, and
 box-counting dimension analysis."""
 
-from .catalog import (Affine, BivariateSpec, Constant, FunctionSpecError,
-                      LagrangeNodes, Polynomial, Scaled, SeparableTerm,
-                      Sinusoid, Sum, abs_extrema, bivariate_from_json, identity,
-                      lagrange_from_nodes, lipschitz_bound, scalar_from_json)
+from .catalog import (Affine, BivariateSpec, Constant, FunctionSpecError, LagrangeNodes,
+                      Polynomial, Scaled, SeparableTerm, Sinusoid, Sum, abs_extrema,
+                      identity, lagrange_from_nodes, lipschitz_bound)
+from .config import bivariate_from_json, scalar_from_json
 from .dimension import (BoxCountSeries, DimensionReport, HypothesisError,
                         NumericalError, VariationCheck, analyze_curve,
                         box_count_curve, box_count_graph, box_count_surface,

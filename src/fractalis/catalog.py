@@ -6,7 +6,7 @@ functions) is described by one of the variants below instead of an opaque
 callable.  That keeps two things computable that the dimension analysis
 needs as *inputs*: a certified Lipschitz constant and certified bounds on
 min/max of |f| over an interval.  Every variant's numbers must be finite
-(`_check_finite`, called by each constructor).
+(`_check_finite`, called by each constructor).  `config` reads their JSON form.
 
 Both bounds are certified on many intervals at once
 (`lipschitz_bound_each`, `abs_extrema_each`); `lipschitz_bound` and
@@ -46,8 +46,6 @@ __all__ = [
     "lipschitz_bound_each",
     "abs_extrema_each",
     "lagrange_from_nodes",
-    "scalar_from_json",
-    "bivariate_from_json",
 ]
 
 REFINE_WIDTH = 1e-6     # pieces narrower than this are not bisected
@@ -574,83 +572,3 @@ def lagrange_from_nodes(nodes):
         return Affine(slope, y0 - slope * x0)
     return spec._power
 
-
-# ---------------------------------------------------------------------------
-# JSON decoder (tagged variants)
-# ---------------------------------------------------------------------------
-
-def _spec_error(where, message):
-    return FunctionSpecError(f"{where}: {message}" if where else message)
-
-
-def _json_number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _spec_error(where, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _json_list(item, length=None):
-    """Decoder of a JSON list (of `length` entries, when given) of `item`s."""
-    def decode(value, where):
-        if not isinstance(value, list) or length not in (None, len(value)):
-            what = "a list" if length is None else f"a list of {length}"
-            raise _spec_error(where, f"expected {what}, got {value!r}")
-        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
-    return decode
-
-
-def _scalar(obj, where):
-    """Spec from JSON; an error starts with the path of the offending field
-    below the top-level spec (`where`, empty at the top)."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise _spec_error(where, f"function spec must be an object with a 'kind': {obj!r}")
-    kind = obj["kind"]
-
-    def field(key, decode):
-        if key not in obj:
-            raise _spec_error(where, f"{kind!r} spec: missing required field {key!r}")
-        return decode(obj[key], f"{where}.{key}" if where else key)
-
-    if kind == "constant":
-        return Constant(field("value", _json_number))
-    if kind == "affine":
-        return Affine(field("slope", _json_number), field("intercept", _json_number))
-    if kind == "polynomial":
-        return Polynomial(field("coefficients", _json_list(_json_number)))
-    if kind == "sinusoid":
-        phase = field("phase", _json_number) if "phase" in obj else 0.0
-        return Sinusoid(field("amplitude", _json_number), field("omega", _json_number),
-                        phase, obj.get("wave", "cos"))
-    if kind == "lagrange":
-        return LagrangeNodes(field("nodes", _json_list(_json_list(_json_number, 2))))
-    if kind == "sum":
-        return Sum(field("terms", _json_list(_scalar)))
-    if kind == "scaled":
-        return Scaled(field("factor", _json_number), field("spec", _scalar))
-    raise _spec_error(where, f"unknown function kind {kind!r}")
-
-
-def scalar_from_json(obj):
-    """Spec from its JSON form.  Parameters must be JSON numbers (not bools
-    or strings); `coefficients`, `nodes` and `terms` must be JSON lists.
-    An error starts with the path of the offending field inside the spec,
-    e.g. `terms[1].value: expected a number, got '0.5'`."""
-    return _scalar(obj, "")
-
-
-def bivariate_from_json(obj):
-    if isinstance(obj, dict) and "of_x" in obj:
-        return BivariateSpec((SeparableTerm(_scalar(obj["of_x"], "of_x"), Constant(1.0)),))
-    if isinstance(obj, dict) and "of_y" in obj:
-        return BivariateSpec((SeparableTerm(Constant(1.0), _scalar(obj["of_y"], "of_y")),))
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise FunctionSpecError("bivariate spec needs 'terms' (or 'of_x'/'of_y')")
-    if not isinstance(obj["terms"], list):
-        raise FunctionSpecError(f"terms: expected a list of {{fx, fy}} terms, got {obj['terms']!r}")
-    terms = []
-    for i, t in enumerate(obj["terms"]):
-        if not isinstance(t, dict) or "fx" not in t or "fy" not in t:
-            raise FunctionSpecError(f"terms[{i}]: needs 'fx' and 'fy', got {t!r}")
-        terms.append(SeparableTerm(_scalar(t["fx"], f"terms[{i}].fx"),
-                                   _scalar(t["fy"], f"terms[{i}].fy")))
-    return BivariateSpec(tuple(terms))

@@ -4,14 +4,13 @@
     fractalis surface --config cfg.json [--out-dir DIR] [--depth N] [--resolution N]
     fractalis analyze --config cfg.json [--out-dir DIR] [--depth N]
 
-Flags override the matching config fields.  `rifs.plan_depth` plans every
-depth before any refinement; README "Configuration" gives the rules.  Exit
-codes: 0 success, 2 configuration/validation error, 3 numerical failure.
+Flags override the matching fields of the config, read by `config.load_config`.
+`rifs.plan_depth` plans every depth before any refinement; README "Configuration"
+gives the rules.  Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -19,29 +18,12 @@ from pathlib import Path
 
 from . import dimension, io, surface
 from .catalog import FunctionSpecError
-from .config import ConfigError, parse_config
+from .config import ConfigError, load_config
 from .dimension import NumericalError
 from .rifs import (POINT_LIMIT, ModelError, contraction_report, merged_curve, plan_depth,
                    refine_attractor, resolves)
 
 __all__ = ["main"]
-
-
-def _load_config(path):
-    def finite(text):   # json reads NaN, +/-Infinity and 1e400 as non-finite floats
-        value = float(text)
-        if not math.isfinite(value):
-            raise ConfigError(f"config {path}: {text} is not a finite JSON number")
-        return value
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=finite, parse_constant=finite)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
 
 
 def _out_dir(cfg, args):
@@ -203,7 +185,7 @@ def main(argv=None):
 
     handlers = {"curve": _cmd_curve, "surface": _cmd_surface, "analyze": _cmd_analyze}
     try:
-        cfg = _load_config(args.config)
+        cfg = load_config(args.config)
         if cfg.mode != args.command:
             raise ConfigError(
                 f"config mode is {cfg.mode!r} but the {args.command!r} command was invoked")

@@ -38,6 +38,7 @@ from .catalog import (ScalarSpec, abs_extrema, abs_extrema_each, identity, lipsc
 
 __all__ = [
     "ModelError",
+    "check_size",
     "InterpolationData",
     "RifsModel",
     "AttractorSampling",
@@ -68,6 +69,15 @@ ENVELOPE_ROUNDS = 64     # rounds of the certified y-envelope iteration before i
 
 class ModelError(ValueError):
     """Invalid model configuration."""
+
+
+def check_size(name, value, least, error=ModelError):
+    """Depth or resolution `value`: an Integral, not a bool, >= least; else `error`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -559,9 +569,9 @@ def plan_depth(model, depth=None, delta=None):
     `delta`, the finest mesh width served; else DEFAULT_DEPTH.  A plan
     over POINT_LIMIT points is refused.
     """
-    if depth is not None and depth < 0:
-        raise ModelError("depth must be >= 0")
-    if depth is None and delta is None:
+    if depth is not None:
+        check_size("depth", depth, 0)
+    elif delta is None:
         depth = DEFAULT_DEPTH
     runs = [model.feeders(i) for i in range(model.n_regions)]
     xs = model.data.xs
@@ -586,8 +596,7 @@ def refine_attractor(model, depth):
     Depth 0 is the data nodes grouped by region; each round maps the
     content of every region's source domain through that region's maps.
     """
-    if depth < 0:
-        raise ModelError("depth must be >= 0")
+    check_size("depth", depth, 0)
     sampling = _depth_zero(model)
     for _ in range(depth):
         sampling = _refine_step(model, sampling)

@@ -14,7 +14,8 @@ import numpy as np
 from . import shares
 from .catalog import BivariateSpec
 from .dimension import BoxCountSeries, _surface_counts, fit_report
-from .rifs import SAMPLES_PER_SCALE, ModelError, merged_curve, refine_attractor, resolves
+from .rifs import (SAMPLES_PER_SCALE, ModelError, check_size, merged_curve, refine_attractor,
+                   resolves)
 
 __all__ = [
     "CurveSamples",
@@ -102,8 +103,7 @@ class HeightField:
     height_max: float = field(init=False)
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
+        check_size("resolution", self.resolution, 2, ValueError)
         H = np.asarray(self.heights, dtype=np.float64)
         m = self.resolution
         if H.shape != (m + 1, m + 1):
@@ -133,9 +133,7 @@ def eval_surface(spec, resolution):
     one-band, one-block sum, bit for bit, and no temporary of the grid's
     size is made.
     """
-    m = int(resolution)
-    if m < 2:
-        raise ValueError("resolution must be >= 2")
+    m = check_size("resolution", resolution, 2, ValueError)
     for layer in spec.x_layers + spec.y_layers:
         if not resolves(layer.curve.max_gap, 1.0 / m):
             raise ModelError(too_coarse(layer.curve.max_gap, m))

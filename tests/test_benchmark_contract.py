@@ -1,32 +1,39 @@
-"""The names the benchmark's tracer pins still exist in the package.
+"""The names the benchmark's tracer pins still exist in the package, and
+the benchmark's inputs still parse.
 
 `perfbench/spans.py` wraps fractalis functions by name and reads their
 arguments by parameter name.  A rename in the package would leave the
 tracer with a missing binding or a counter that raises, so this loads
 spans.py (read-only, without running the benchmark) and checks every name it
-relies on against the package.
+relies on against the package.  A config the reader refused would fail
+every benchmark run at setup, so the configs that `perfbench/workloads.py`
+generates are parsed at a few seeds as well.
 """
 import importlib
 import inspect
+import json
 import re
 import types
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from fractalis.config import parse_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    """spans.py as a module, compiled from its source so that no bytecode
+def load(path, name):
+    """The module at `path`, compiled from its source so that no bytecode
     cache is written beside it."""
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), vars(module))
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
     return module
 
 
-spans = load_spans()
+spans = load(PERFBENCH / "spans.py", "perfbench_spans")
+workloads = load(PERFBENCH / "workloads.py", "perfbench_workloads")
 
 
 def resolve(name):
@@ -94,3 +101,10 @@ def test_estimate_counts_through_the_module_binding_once_per_model(monkeypatch):
     assert len(calls) == 2 and all(c["xs"] is xs for c, xs in zip(calls, curves))
     assert "xs" in signature.parameters
     assert spans.TRACED["dimension.box_count_graph"](calls[0], None) == {"samples": 4 ** 8 + 1}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 49])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_generated_benchmark_configs_parse(workload, seed):
+    for name, doc in workloads.generate(workload, seed).items():
+        assert parse_config(json.loads(workloads.dumps(doc))).mode == doc["mode"], name

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from fractalis import (Affine, BivariateSpec, Constant, FunctionSpecError,
                        LagrangeNodes, Polynomial, Scaled, SeparableTerm,
-                       Sinusoid, Sum, abs_extrema, bivariate_from_json,
-                       lagrange_from_nodes, lipschitz_bound, scalar_from_json)
+                       Sinusoid, Sum, abs_extrema, lagrange_from_nodes, lipschitz_bound)
 from fractalis.catalog import MAX_PIECES, _horner, abs_extrema_each, lipschitz_bound_each
+from fractalis.config import ConfigError, bivariate_from_json, scalar_from_json
 
 EX2_NODES = ((0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0))
 
@@ -293,7 +293,7 @@ class TestJsonCodec:
         assert at(of_y, 0.3, 0.9) == 0.9
 
     def test_unknown_kind(self):
-        with pytest.raises(FunctionSpecError):
+        with pytest.raises(ConfigError):
             scalar_from_json({"kind": "mystery"})
 
 

@@ -174,7 +174,7 @@ class TestParsing:
         code = main(["analyze", "--config", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"config {path}: {constant} is not a finite JSON number" in err
+        assert f"config.scaling: value: expected a finite number, got {float(constant)!r}" in err
         assert not (tmp_path / "out").exists()
 
     def test_failing_surface_curve_named(self, tmp_path, capsys):
@@ -634,8 +634,9 @@ def test_mutated_fixtures_exit_cleanly(run_args):
     ([{"curve": {}, "coeff": {"terms": 1.5}}],
      "x_curves[0].coeff: terms: expected a list of {fx, fy} terms, got 1.5"),
     ([{"curve": {}, "coeff": {"terms": [{"fx": {"kind": "constant", "value": 1.0}}]}}],
-     "x_curves[0].coeff: terms[0]: needs 'fx' and 'fy'"),
-    ([{"curve": {}, "coeff": {"terms": [2]}}], "x_curves[0].coeff: terms[0]: needs 'fx' and 'fy'"),
+     "x_curves[0].coeff: terms[0]: missing required field 'fy'"),
+    ([{"curve": {}, "coeff": {"terms": [2]}}],
+     "x_curves[0].coeff: terms[0]: expected an object, got 2"),
 ])
 def test_malformed_surface_layers_named(tmp_path, capsys, layers, message):
     cfg = json.loads((FIXTURES / "fig3a.json").read_text())
@@ -695,6 +696,101 @@ def test_surface_coefficient_numbers_named(tmp_path, capsys):
     assert code == 2
     assert ("error: y_curves[0].coeff: terms[0].fy.value: expected a number, got '1'\n"
             == capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# every object refuses a field it does not know, and every number's float
+# must be finite
+# ---------------------------------------------------------------------------
+
+def fixture(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+def run_refused(tmp_path, capsys, cfg, message):
+    """Run cfg, which must exit 2 with `message` alone and write nothing."""
+    code, out = run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert (code, err) == (2, f"error: {message}\n")
+    assert JSON_PATH.match(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, at, message", [
+    ("fig1a", (), "config: unknown field 'dpeth'"),
+    ("uniform_s06", (), "config: unknown field 'dpeth'"),
+    ("uniform_s06", ("scales",), "scales: unknown field 'dpeth'"),
+    ("fig3a", (), "top level: unknown field 'dpeth'"),
+    ("fig3a", ("x_curves", 0), "x_curves[0]: unknown field 'dpeth'"),
+    ("fig3a", ("y_curves", 0, "curve"), "y_curves[0].curve: unknown field 'dpeth'"),
+    ("fig3a", ("x_curves", 0, "coeff"), "x_curves[0].coeff: unknown field 'dpeth'"),
+    ("fig3a", ("x_curves", 0, "coeff", "terms", 0),
+     "x_curves[0].coeff: terms[0]: unknown field 'dpeth'"),
+    ("fig3a", ("x_curves", 0, "coeff", "terms", 0, "fy"),
+     "x_curves[0].coeff: terms[0].fy: 'constant' spec: unknown field 'dpeth'"),
+], ids=["curve", "analyze", "scales", "surface", "layer", "layer-curve", "bivariate", "term",
+        "term-spec"])
+def test_unknown_field_named(tmp_path, capsys, name, at, message):
+    cfg = fixture(name)
+    functools.reduce(operator.getitem, at, cfg)["dpeth"] = 3
+    run_refused(tmp_path, capsys, cfg, message)
+
+
+def test_scales_refused_in_curve_mode(tmp_path, capsys):
+    run_refused(tmp_path, capsys, curve_config(scales={"r_lo": 2, "r_hi": 6}),
+                "config: unknown field 'scales'")
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "constant", "value": 0.5},
+    {"kind": "affine", "slope": 0.1, "intercept": 0.5},
+    {"kind": "polynomial", "coefficients": [0.5]},
+    {"kind": "sinusoid", "amplitude": 0.5, "omega": 1.0},
+    {"kind": "lagrange", "nodes": [[0.0, 0.5], [1.0, 0.5]]},
+    {"kind": "sum", "terms": [{"kind": "constant", "value": 0.5}]},
+    {"kind": "scaled", "factor": 0.5, "spec": {"kind": "constant", "value": 1.0}},
+], ids=lambda spec: spec["kind"])
+def test_unknown_spec_field_named(tmp_path, capsys, spec):
+    run_refused(tmp_path, capsys, curve_config(scaling={**spec, "valeu": 0.5}),
+                f"config.scaling: {spec['kind']!r} spec: unknown field 'valeu'")
+
+
+@pytest.mark.parametrize("coeff", [{}, {"of_x": {"kind": "constant", "value": 1.0}, "terms": []},
+                                   {"of_x": {"kind": "constant", "value": 1.0},
+                                    "of_y": {"kind": "constant", "value": 1.0}}],
+                         ids=["none", "of_x-and-terms", "of_x-and-of_y"])
+def test_bivariate_spec_has_one_form(tmp_path, capsys, coeff):
+    cfg = fixture("fig3a")
+    cfg["x_curves"][0]["coeff"] = coeff
+    run_refused(tmp_path, capsys, cfg, "x_curves[0].coeff: expected exactly one of the "
+                                       "fields 'terms', 'of_x' and 'of_y'")
+
+
+def test_surface_without_layers_named(tmp_path, capsys):
+    cfg = fixture("fig3a")
+    del cfg["x_curves"], cfg["y_curves"]
+    run_refused(tmp_path, capsys, cfg, "top level: expected x_curves or y_curves, or both")
+
+
+@pytest.mark.parametrize("name, at, field", [
+    ("uniform_s06", ("scaling", "value"), "config.scaling: value"),
+    ("uniform_s06", ("data", 1, 1), "config.data[1][1]"),
+    ("uniform_s06", ("depth",), "config.depth"),
+    ("fig3a", ("resolution",), "resolution"),
+], ids=["spec-value", "data-value", "depth", "resolution"])
+def test_integer_beyond_float_range_named(tmp_path, capsys, name, at, field):
+    # float(10 ** 400) overflows; it used to raise OverflowError with a traceback
+    cfg = fixture(name)
+    functools.reduce(operator.getitem, at[:-1], cfg)[at[-1]] = 10 ** 400
+    run_refused(tmp_path, capsys, cfg, f"{field}: expected a finite number, got {10 ** 400}")
+
+
+def test_spec_field_rule_names_its_path(tmp_path, capsys):
+    scaling = {"kind": "sum", "terms": [
+        {"kind": "constant", "value": 0.25},
+        {"kind": "sinusoid", "amplitude": 0.25, "omega": 1.0, "wave": "tan"}]}
+    run_refused(tmp_path, capsys, curve_config(scaling=scaling),
+                "config.scaling: terms[1].wave: expected 'cos' or 'sin', got 'tan'")
 
 
 @pytest.mark.parametrize("value", [5, True, ["out"], {"dir": "out"}])

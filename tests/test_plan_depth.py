@@ -9,6 +9,7 @@ rule, `rifs.resolves`, that its stop, the `analyze` scale filter, the
 ulp over the rule come from nodes at tenths and at thirds.
 """
 import json
+import re
 from itertools import count
 from pathlib import Path
 from unittest import mock
@@ -207,6 +208,14 @@ class TestPointLimit:
     def test_negative_depth_refused(self):
         with pytest.raises(ModelError, match=">= 0"):
             plan_depth(EXACT_FAMILY[0].values[0], -1)
+
+
+@pytest.mark.parametrize("depth", [2.5, 2.0, np.float64(3), True])
+@pytest.mark.parametrize("entry", [plan_depth, refine_attractor])
+def test_depth_must_be_an_integer(entry, depth):
+    # a float never equalled a planned depth, and range() refused it with a bare TypeError
+    with pytest.raises(ModelError, match=f"^{re.escape(f'depth must be an integer, got {depth!r}')}$"):
+        entry(EXACT_FAMILY[0].values[0], depth)
 
 
 class TestOneRule:

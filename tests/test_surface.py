@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,13 @@ class TestEvalSurface:
         with pytest.raises(ValueError, match=">= 2"):
             eval_surface(SurfaceSpec((SurfaceLayer(f, const_coeff(1.0)),)), 1)
 
+    @pytest.mark.parametrize("resolution", [256.7, 64.0, np.float64(64), True])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # int() used to truncate 256.7 to a 256 grid
+        f = split_curve(Constant(0.5))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'resolution must be an integer, got {resolution!r}')}$"):
+            eval_surface(SurfaceSpec((SurfaceLayer(f, const_coeff(1.0)),)), resolution)
+
     def test_coarse_curve_rejected(self):
         shallow = split_curve(Constant(0.5), depth=2)
         with pytest.raises(ModelError, match="too coarse"):
@@ -179,6 +187,11 @@ class TestHeightField:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="heights must be"):
             HeightField(4, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("resolution", [4.0, np.float64(4), True])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'resolution must be an integer, got {resolution!r}')}$"):
+            HeightField(resolution, np.zeros((5, 5)))
 
     def test_finite_validation(self):
         bad = np.zeros((5, 5))
