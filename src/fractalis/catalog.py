@@ -12,12 +12,12 @@ Both bounds are certified on many intervals at once
 (`lipschitz_bound_each`, `abs_extrema_each`); `lipschitz_bound` and
 `abs_extrema` are their one-interval calls.  Bounds are exact for
 Constant/Affine/Sinusoid (closed-form critical points, per interval).
-Polynomial/Lagrange/Sum ranges come from one bisection,
-`_certified_abs_range`, which refines the pieces of all intervals
-together, over per-piece Lipschitz bounds that every variant computes on
-arrays of pieces (`_seg_lip`).  A polynomial's Lipschitz bound is its
-derivative's bisected max |.|; Lagrange nodes take both bounds from their
-power-basis polynomial.
+Polynomial/Lagrange/Sum ranges come from one bisection, `_certified_max`,
+run once per side (max |f|, and min |f| as -max(-|f|)) on the pieces of
+all intervals together, over per-piece Lipschitz bounds that every
+variant computes on arrays of pieces (`_seg_lip`).  A polynomial's
+Lipschitz bound is the max-side run on its derivative; Lagrange nodes
+take it from their power-basis polynomial.
 """
 from __future__ import annotations
 
@@ -96,15 +96,6 @@ def _trig_abs_range(amplitude, omega, phase, wave, lo, hi):
 # certified range refinement
 # ---------------------------------------------------------------------------
 
-def _abs_enclosure(fmid, rad):
-    """Per piece, an upper bound on max |f| and a lower bound on min |f|."""
-    enc_lo, enc_hi = fmid - rad, fmid + rad
-    top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
-    bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
-                   np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
-    return top, bot
-
-
 def _per_interval(ufunc, init, owner, values):
     """ufunc-reduce each piece's value into its interval's slot of a copy of init."""
     out = np.array(init, dtype=np.float64)
@@ -112,29 +103,29 @@ def _per_interval(ufunc, init, owner, values):
     return out
 
 
-def _certified_abs_range(spec, lo, hi):
-    """Certified (min |f|, max |f|) of a catalog spec over each interval
-    [lo[j], hi[j]], as an (m, 2) array; `lo` and `hi` are arrays of ends.
+def _certified_max(spec, lo, hi, side):
+    """Certified upper bound on the max of g = side * |f| over each interval
+    [lo[j], hi[j]], as an array (`lo`, `hi` arrays of ends): side +1 bounds
+    max |f|, side -1 bounds min |f| as -max(-|f|).
 
     Each interval starts as the 8 pieces np.linspace(lo, hi, 9) cuts, and
     every piece carries its interval's index.  ``spec._seg_lip(u, v)``
-    bounds f's Lipschitz constant on each piece [u, v] (arrays of piece
-    ends), so a piece encloses f within f(mid) +- L*(width/2).  Each round
-    evaluates spec and its bounds once, on all new pieces of all
-    intervals.  Best values, enclosure gaps and stop conditions are
-    reduced per interval: an interval's pieces that could still move its
-    bounds are bisected until its gap is at most REFINE_GAP or their width
-    below REFINE_WIDTH.  An interval leaves the loop when its gap closes,
-    when it has no candidates, when splitting would take its own pieces
-    past MAX_PIECES, or after 64 rounds: the outward bounds of its pieces
-    at that point go to its row, and its pieces are dropped.  Pieces never
+    bounds f's Lipschitz constant on arrays of pieces [u, v]; with
+    r = L*(width/2), g on a piece is at most |f(mid)| + r (side +1) or
+    -max(0, |f(mid)| - r) (side -1).  Each round evaluates spec and its
+    bounds once, on all new pieces of all intervals.  Per interval, pieces
+    whose bound exceeds the best g seen (ends, midpoints) by more than
+    REFINE_GAP are bisected, unless narrower than REFINE_WIDTH.  An
+    interval leaves the loop when that gap closes, when it has no
+    candidates, when splitting would take its own pieces past MAX_PIECES,
+    or after 64 rounds, with the largest bound of its pieces.  Pieces never
     meet across intervals, so each interval's result is the one a call on
-    that interval alone returns; the m intervals may hold up to
-    m * MAX_PIECES pieces between them.
+    it alone returns; m intervals may hold up to m * MAX_PIECES pieces.  A
+    NaN piece is never split and makes its interval's result NaN.
     """
     lo, hi = _arr(lo), _arr(hi)
     m = lo.size
-    out = np.empty((m, 2))
+    out = np.empty(m)
     width = hi - lo
     step = width / 8
     k = np.arange(9.0)
@@ -146,31 +137,20 @@ def _certified_abs_range(spec, lo, hi):
     owner = np.repeat(np.arange(m), 8)
     fmid = _arr(spec(0.5 * (u + v)))
     rad = spec._seg_lip(u, v) * (v - u) * 0.5
-    ends = np.abs(_arr(spec(np.concatenate([lo, hi])))).reshape(2, m)
-    ends_max, ends_min = ends.max(axis=0), ends.min(axis=0)
+    ends = (side * np.abs(_arr(spec(np.concatenate([lo, hi]))))).reshape(2, m).max(axis=0)
     live, counts = np.ones(m, dtype=bool), np.full(m, 8)
 
-    def bounds():
-        top, bot = _abs_enclosure(fmid, rad)
-        return (top, bot, _per_interval(np.maximum, np.full(m, -np.inf), owner, top),
-                _per_interval(np.minimum, np.full(m, np.inf), owner, bot))
-
-    def record(done, top_max, bot_min):
-        out[done, 0] = np.where(bot_min[done] > 0.0, bot_min[done], 0.0)
-        out[done, 1] = top_max[done]
-
-    for _ in range(64):
-        top, bot, top_max, bot_min = bounds()
+    for rnd in range(65):   # the bounds after the 64th round of splits are final
         abs_mid = np.abs(fmid)
-        best_max = _per_interval(np.maximum, ends_max, owner, abs_mid)
-        best_min = _per_interval(np.minimum, ends_min, owner, abs_mid)
-        done = (top_max - best_max <= REFINE_GAP) & (best_min - bot_min <= REFINE_GAP)
-        cand = ((v - u) > REFINE_WIDTH) & ((top > best_max[owner] + REFINE_GAP)
-                                           | (bot < best_min[owner] - REFINE_GAP))
+        top = abs_mid + rad if side > 0 else -np.maximum(abs_mid - rad, 0.0)
+        top_max = _per_interval(np.maximum, np.full(m, -np.inf), owner, top)
+        best = _per_interval(np.maximum, ends, owner, side * abs_mid)
+        cand = ((v - u) > REFINE_WIDTH) & (top > best[owner] + REFINE_GAP)
         n_new = np.bincount(owner[cand], minlength=m)
-        done = live & (done | (n_new == 0) | (counts + n_new > MAX_PIECES))
+        done = live & ((top_max - best <= REFINE_GAP) | (n_new == 0)
+                       | (counts + n_new > MAX_PIECES) | (rnd == 64))
         if done.any():
-            record(done, top_max, bot_min)
+            out[done] = top_max[done]
             live &= ~done
             if not live.any():
                 return out
@@ -187,9 +167,12 @@ def _certified_abs_range(spec, lo, hi):
         fmid = np.concatenate([fmid[keep], _arr(spec(0.5 * (nu + nv)))])
         rad = np.concatenate([rad[keep], spec._seg_lip(nu, nv) * (nv - nu) * 0.5])
 
-    _, _, top_max, bot_min = bounds()
-    record(live, top_max, bot_min)
-    return out
+
+def _certified_abs_range(spec, lo, hi):
+    """Certified (min |f|, max |f|) rows, one `_certified_max` run per side;
+    a NaN min (from a NaN piece) clamps to 0.0."""
+    low = -_certified_max(spec, lo, hi, -1)
+    return np.column_stack([np.where(low > 0.0, low, 0.0), _certified_max(spec, lo, hi, 1)])
 
 
 def _poly_lip_coeff(coeffs, u, v):
@@ -311,7 +294,7 @@ class Polynomial:
         return Polynomial(tuple(k * c[k] for k in range(1, len(c))) or (0.0,))
 
     def _lip_each(self, lo, hi):
-        return _certified_abs_range(self._derivative, lo, hi)[:, 1]
+        return _certified_max(self._derivative, lo, hi, 1)
 
     def _range_each(self, lo, hi):
         return _certified_abs_range(self, lo, hi)

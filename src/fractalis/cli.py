@@ -119,9 +119,7 @@ def _cmd_surface(cfg, args):
             if not resolves(plan.gap, span / resolution):
                 raise ConfigError(f"{field}: {surface.too_coarse(plan.gap / span, resolution)}")
             planned.append((axis, model, plan, coeff))
-    if (resolution + 1) ** 2 > POINT_LIMIT:
-        raise ConfigError(f"{grid}: a {resolution}x{resolution} grid needs more than "
-                          f"{POINT_LIMIT} points ({(resolution + 1) ** 2} nodes)")
+    _for_field(grid, surface.check_grid, resolution)
     obj_lines = (resolution + 1) ** 2 + 2 * resolution ** 2
     if cfg.obj and obj_lines > POINT_LIMIT:
         raise ConfigError(f"{grid}: with obj true, the OBJ of a {resolution}x{resolution} grid "

@@ -21,6 +21,7 @@ nested scale reduces the finer scale's block extents.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -653,12 +654,8 @@ def variation_bound_report(model, sampling):
 # estimation pipeline
 # ---------------------------------------------------------------------------
 
-def curve_scale_schedule(model, r_lo=2, r_hi=6):
-    """Geometric mesh schedule delta_r = span * a^(-r) / n for r in [r_lo, r_hi].
-
-    The ratio a is the common domain width in regions when the geometry
-    is uniform, else 2.
-    """
+def _scale_rule(model, r_lo, r_hi):
+    """The mesh delta(r) of `curve_scale_schedule`, for r_lo <= r_hi."""
     if r_hi < r_lo:
         raise ValueError("r_hi must be >= r_lo")
     try:
@@ -668,7 +665,16 @@ def curve_scale_schedule(model, r_lo=2, r_hi=6):
     xs = model.data.xs
     span = xs[-1] - xs[0]
     n = model.n_regions
-    return [span * float(a) ** (-r) / n for r in range(r_lo, r_hi + 1)]
+    return lambda r: span * float(a) ** (-r) / n
+
+
+def curve_scale_schedule(model, r_lo=2, r_hi=6):
+    """Geometric mesh schedule delta_r = span * a^(-r) / n for r in [r_lo, r_hi].
+
+    The ratio a is the common domain width in regions when the geometry
+    is uniform, else 2.
+    """
+    return list(map(_scale_rule(model, r_lo, r_hi), range(r_lo, r_hi + 1)))
 
 
 def fit_report(series, notes=()):
@@ -686,25 +692,28 @@ def fit_report(series, notes=()):
 def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     """Box-count estimate of the curve's dimension over a geometric schedule.
 
-    `plan_depth` plans the depth for the finest delta; before refining,
-    scales it leaves unresolved (`rifs.resolves`) are dropped with a
-    note, and under three left is refused.  Counts use per-column vertical
-    covers of the sampled graph (raw point counting cannot saturate fine
-    meshes at any practical depth).  All usable scales are counted in one
-    `box_count_graph` call: the finest scale's columns are searched once,
-    on up to one thread per usable CPU, and each nested scale reduces
-    them.  The fit follows `fit_report`.
+    `plan_depth` plans the depth for the finest delta alone, before any
+    scale is listed: delta_r falls with r, so the scales it resolves
+    (`rifs.resolves`) are a prefix r_lo..r_max, the rest are dropped with
+    a note, and under three left is refused.  Counts use per-column
+    vertical covers of the sampled graph (raw point counting cannot
+    saturate fine meshes at any practical depth).  All usable scales are
+    counted in one `box_count_graph` call: the finest scale's columns are
+    searched once, on up to one thread per usable CPU, and each nested
+    scale reduces them.  The fit follows `fit_report`.
 
     Returns (report, sampling).
     """
-    deltas = curve_scale_schedule(model, r_lo, r_hi)
-    plan = plan_depth(model, depth, min(deltas))
-    usable = [d for d in deltas if resolves(plan.gap, d)]
+    delta = _scale_rule(model, r_lo, r_hi)
+    plan = plan_depth(model, depth, delta(r_hi))
+    usable = list(itertools.takewhile(lambda d: resolves(plan.gap, d),
+                                      map(delta, range(r_lo, r_hi + 1))))
+    requested = r_hi - r_lo + 1
     if len(usable) < 3:
         raise ModelError(
             f"sampling too coarse for the requested scales: x spacing {plan.gap:.3g} "
-            f"saturates only {len(usable)} of {len(deltas)} scales; raise the depth")
-    dropped = len(deltas) - len(usable)
+            f"saturates only {len(usable)} of {requested} scales; raise the depth")
+    dropped = requested - len(usable)
     notes = [f"dropped {dropped} under-resolved scale{'s' if dropped > 1 else ''} "
              f"(x spacing {plan.gap:.3g})"] if dropped else []
     sampling = refine_attractor(model, plan.depth)

@@ -14,8 +14,8 @@ import numpy as np
 from . import shares
 from .catalog import BivariateSpec
 from .dimension import BoxCountSeries, _surface_counts, fit_report
-from .rifs import (SAMPLES_PER_SCALE, ModelError, check_size, merged_curve, refine_attractor,
-                   resolves)
+from .rifs import (POINT_LIMIT, SAMPLES_PER_SCALE, ModelError, check_size, merged_curve,
+                   refine_attractor, resolves)
 
 __all__ = [
     "CurveSamples",
@@ -32,6 +32,13 @@ def too_coarse(gap, resolution):
     """Why a curve on [0, 1] with largest x gap `gap` is too coarse for the grid."""
     return (f"curve sampling too coarse for resolution {resolution}: max gap {gap:.3g} > "
             f"{1.0 / (SAMPLES_PER_SCALE * resolution):.3g}; refine deeper")
+
+
+def check_grid(m):
+    """Refuse, with ModelError, an (m+1) x (m+1) grid of more than POINT_LIMIT nodes."""
+    if (m + 1) ** 2 > POINT_LIMIT:
+        raise ModelError(f"a {m}x{m} grid needs more than {POINT_LIMIT} points "
+                         f"({(m + 1) ** 2} nodes)")
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,9 @@ class HeightField:
 def eval_surface(spec, resolution):
     """Sum the layers on the grid: coeff(x, y) * curve(x or y).
 
-    Every curve's samples must resolve a grid cell, by `rifs.resolves`
-    on its largest x gap and 1/resolution, or ModelError (`too_coarse`)
-    is raised before any layer is summed.  `rifs.plan_depth(model,
+    `check_grid` runs first.  Every curve's samples must resolve a grid
+    cell, by `rifs.resolves` on its largest x gap and 1/resolution, or
+    ModelError (`too_coarse`) is raised before any layer is summed.  `rifs.plan_depth(model,
     delta=(x1 - x0) / resolution)` gives the shallowest such depth.
 
     Each curve is interpolated on the grid axis once.  The rows of the
@@ -134,6 +141,7 @@ def eval_surface(spec, resolution):
     size is made.
     """
     m = check_size("resolution", resolution, 2, ValueError)
+    check_grid(m)
     for layer in spec.x_layers + spec.y_layers:
         if not resolves(layer.curve.max_gap, 1.0 / m):
             raise ModelError(too_coarse(layer.curve.max_gap, m))

@@ -325,28 +325,29 @@ def test_sinusoid_extrema_bracket_samples(amp, omega, phase, wave, lo, width):
 # must match it bit for bit.
 # ---------------------------------------------------------------------------
 
-def ref_certified_abs_range(value, seg_lip, lo, hi,
-                            width_tol=1e-6, gap_tol=1e-9, max_pieces=262144):
+def ref_certified_max(value, seg_lip, lo, hi, side,
+                      width_tol=1e-6, gap_tol=1e-9, max_pieces=262144):
+    """Bound on the max of side * |f| over [lo, hi]: side +1 is max |f|,
+    side -1 is -(min |f|)."""
     edges = np.linspace(lo, hi, 9)
     u, v = edges[:-1].copy(), edges[1:].copy()
     fmid = np.asarray(value(0.5 * (u + v)), dtype=np.float64)
     rad = np.array([seg_lip(a, b) for a, b in zip(u, v)]) * (v - u) * 0.5
-    ends = np.abs(np.asarray(value(np.array([lo, hi])), dtype=np.float64))
+    ends = side * np.abs(np.asarray(value(np.array([lo, hi])), dtype=np.float64))
+
+    def piece_bounds():
+        enc_lo, enc_hi = fmid - rad, fmid + rad
+        if side > 0:
+            return np.maximum(np.abs(enc_lo), np.abs(enc_hi))
+        return -np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
+                         np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
 
     for _ in range(64):
-        enc_lo, enc_hi = fmid - rad, fmid + rad
-        abs_mid = np.abs(fmid)
-        abs_top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
-        abs_bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
-                           np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
-        best_max = max(float(ends.max()), float(abs_mid.max()))
-        best_min = min(float(ends.min()), float(abs_mid.min()))
-        ub_max = float(abs_top.max())
-        lb_min = float(abs_bot.min())
-        if ub_max - best_max <= gap_tol and best_min - lb_min <= gap_tol:
+        g_top = piece_bounds()
+        best = max(float(ends.max()), float((side * np.abs(fmid)).max()))
+        if float(g_top.max()) - best <= gap_tol:
             break
-        cand = ((v - u) > width_tol) & ((abs_top > best_max + gap_tol)
-                                        | (abs_bot < best_min - gap_tol))
+        cand = ((v - u) > width_tol) & (g_top > best + gap_tol)
         n_new = int(cand.sum())
         if n_new == 0 or u.size + n_new > max_pieces:
             break
@@ -363,11 +364,12 @@ def ref_certified_abs_range(value, seg_lip, lo, hi,
         fmid = np.concatenate([fmid[keep], new_f])
         rad = np.concatenate([rad[keep], new_rad])
 
-    enc_lo, enc_hi = fmid - rad, fmid + rad
-    abs_top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
-    abs_bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
-                       np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
-    return max(0.0, float(abs_bot.min())), float(abs_top.max())
+    return float(piece_bounds().max())
+
+
+def ref_certified_abs_range(value, seg_lip, lo, hi):
+    return (max(0.0, -ref_certified_max(value, seg_lip, lo, hi, -1)),
+            ref_certified_max(value, seg_lip, lo, hi, 1))
 
 
 def ref_poly_lip(coeffs, u, v):
@@ -399,10 +401,10 @@ def ref_power_coeffs(spec):
 
 def ref_derivative_max(c, lo, hi):
     d = (0.0,) if len(c) == 1 else tuple(k * c[k] for k in range(1, len(c)))
-    return ref_certified_abs_range(
+    return ref_certified_max(
         lambda x: ref_horner(d, np.asarray(x, dtype=np.float64)),
         lambda u, v: ref_poly_lip(d, u, v),
-        lo, hi)[1]
+        lo, hi, 1)
 
 
 def ref_seg_lip(spec, u, v):
@@ -525,13 +527,13 @@ def test_non_finite_power_basis_raises():
 
 
 # ---------------------------------------------------------------------------
-# reference: the one-interval bisection the batched one replaced, with the
-# reason and round it stopped in.  Each interval of a batch must come out
-# as this gives it alone, bit for bit.
+# reference: the one-interval bisection the batched one replaced, run for
+# one side, with the reason and round it stopped in.  Each interval of a
+# batch must come out as this gives it alone, bit for bit.
 # ---------------------------------------------------------------------------
 
-def ref_one_interval(spec, lo, hi):
-    """((min |f|, max |f|), (why, round)) of the one-interval bisection."""
+def ref_one_interval(spec, lo, hi, side):
+    """(bound on max side*|f|, (why, round)) of the one-interval bisection."""
     edges = np.linspace(lo, hi, 9)
     u, v = edges[:-1], edges[1:]
     fmid = np.asarray(spec(0.5 * (u + v)), dtype=np.float64)
@@ -539,17 +541,16 @@ def ref_one_interval(spec, lo, hi):
     ends = np.abs(np.asarray(spec(np.array([lo, hi])), dtype=np.float64))
     stop = ("rounds", 64)
     for rnd in range(64):
-        enc_lo, enc_hi = fmid - rad, fmid + rad
-        top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
-        bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
-                       np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
-        abs_mid = np.abs(fmid)
-        best_max = max(float(ends.max()), float(abs_mid.max()))
-        best_min = min(float(ends.min()), float(abs_mid.min()))
-        if top.max() - best_max <= 1e-9 and best_min - bot.min() <= 1e-9:
+        if side > 0:
+            top = np.abs(fmid) + rad
+            best = max(float(ends.max()), float(np.abs(fmid).max()))
+        else:
+            top = -np.maximum(np.abs(fmid) - rad, 0.0)
+            best = -min(float(ends.min()), float(np.abs(fmid).min()))
+        if top.max() - best <= 1e-9:
             stop = ("gap", rnd)
             break
-        cand = ((v - u) > 1e-6) & ((top > best_max + 1e-9) | (bot < best_min - 1e-9))
+        cand = ((v - u) > 1e-6) & (top > best + 1e-9)
         n_new = int(cand.sum())
         if n_new == 0 or u.size + n_new > 262144:
             stop = ("none" if n_new == 0 else "max_pieces", rnd)
@@ -562,16 +563,18 @@ def ref_one_interval(spec, lo, hi):
         v = np.concatenate([v[keep], nv])
         fmid = np.concatenate([fmid[keep], np.asarray(spec(0.5 * (nu + nv)), dtype=np.float64)])
         rad = np.concatenate([rad[keep], spec._seg_lip(nu, nv) * (nv - nu) * 0.5])
-    enc_lo, enc_hi = fmid - rad, fmid + rad
-    top = np.maximum(np.abs(enc_lo), np.abs(enc_hi))
-    bot = np.where((enc_lo <= 0.0) & (0.0 <= enc_hi), 0.0,
-                   np.minimum(np.abs(enc_lo), np.abs(enc_hi)))
-    return (max(0.0, float(bot.min())), float(top.max())), stop
+    top = np.abs(fmid) + rad if side > 0 else -np.maximum(np.abs(fmid) - rad, 0.0)
+    return float(top.max()), stop
+
+
+def ref_one_range(spec, lo, hi):
+    """(min |f|, max |f|): one run per side, a NaN min clamped to 0.0."""
+    return max(0.0, -ref_one_interval(spec, lo, hi, -1)[0]), ref_one_interval(spec, lo, hi, 1)[0]
 
 
 def ref_one_abs_extrema(spec, lo, hi):
     if isinstance(spec, (Polynomial, LagrangeNodes, Sum)):
-        return ref_one_interval(spec, lo, hi)[0]
+        return ref_one_range(spec, lo, hi)
     if isinstance(spec, Scaled):
         mn, mx = ref_one_abs_extrema(spec.spec, lo, hi)
         return abs(spec.factor) * mn, abs(spec.factor) * mx
@@ -580,7 +583,7 @@ def ref_one_abs_extrema(spec, lo, hi):
 
 def ref_one_lipschitz(spec, lo, hi):
     if isinstance(spec, Polynomial):
-        return ref_one_interval(spec._derivative, lo, hi)[0][1]
+        return ref_one_interval(spec._derivative, lo, hi, 1)[0]
     if isinstance(spec, LagrangeNodes):
         return ref_one_lipschitz(spec._power, lo, hi)
     if isinstance(spec, Sum):
@@ -638,11 +641,11 @@ class TestBatchedBisection:
 
     def test_intervals_stop_in_different_rounds_and_at_max_pieces(self):
         # sin - sin is 0 everywhere, but its piece bound 2 * 7 never shrinks
-        # below the gap before pieces reach REFINE_WIDTH: every piece splits
-        # each round, and [0, 1] runs into MAX_PIECES
+        # below the gap before pieces reach REFINE_WIDTH: on the max side
+        # every piece splits each round, and [0, 1] runs into MAX_PIECES
         flat = Sum((Sinusoid(1.0, 7.0, 0.0, "sin"), Sinusoid(-1.0, 7.0, 0.0, "sin")))
         ivs = [(0.0, 1.0), (0.5, 0.501), (2.0, 2.05), (3.0, 3.00002)]
-        stops = [ref_one_interval(flat, lo, hi)[1] for lo, hi in ivs]
+        stops = [ref_one_interval(flat, lo, hi, 1)[1] for lo, hi in ivs]
         assert stops[0] == ("max_pieces", 15)
         assert {why for why, _ in stops[1:]} == {"none"}
         assert len({rnd for _, rnd in stops}) == len(ivs)
@@ -650,17 +653,17 @@ class TestBatchedBisection:
 
         bumpy = Sum((Polynomial((0.3, -1.2, 0.8, 0.5)), Sinusoid(0.4, 11.0, 0.2, "sin")))
         ivs = [(-1.3, 0.7), (0.0, 1.0), (2.0, 2.001), (5.0, 6.1), (0.25, 0.2500001)]
-        stops = [ref_one_interval(bumpy, lo, hi)[1] for lo, hi in ivs]
+        stops = [ref_one_interval(bumpy, lo, hi, 1)[1] for lo, hi in ivs]
         assert len({rnd for _, rnd in stops}) >= 3
         assert_batch_matches_one_by_one(bumpy, ivs)
         assert_batch_matches_one_by_one(Scaled(-2.5, bumpy), ivs)
         assert_batch_matches_one_by_one(LagrangeNodes(EX2_NODES), ivs)
 
-        # on [-1e17, 1e17] the pieces at 0 and at the ends keep splitting
+        # on [-1e17, 1e17] the min side's pieces at 0 keep splitting
         # through all 64 rounds; the intervals beside it stop long before
         square = Polynomial((0.0, 0.0, 1.0))
         ivs = [(0.0, 1.0), (-1e17, 1e17), (2.0, 3.0)]
-        stops = [ref_one_interval(square, lo, hi)[1] for lo, hi in ivs]
+        stops = [ref_one_interval(square, lo, hi, -1)[1] for lo, hi in ivs]
         assert stops[1] == ("rounds", 64)
         assert all(why != "rounds" for why, _ in stops[::2])
         assert_batch_matches_one_by_one(square, ivs)
@@ -684,7 +687,7 @@ class TestBatchedBisection:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
             got = abs_extrema_each(nan_past, ivs)
-            want = [ref_one_interval(nan_past, lo, hi)[0] for lo, hi in ivs]
+            want = [ref_one_range(nan_past, lo, hi) for lo, hi in ivs]
         assert [[v.hex() for v in row] for row in got.tolist()] == [
             [float(v).hex() for v in row] for row in want]
         assert got[1:, 0].tolist() == [0.0, 0.0] and np.isnan(got[1:, 1]).all()

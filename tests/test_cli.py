@@ -943,3 +943,31 @@ def test_obj_at_the_point_limit_is_evaluated(tmp_path, sentinel_surface, refinem
     with pytest.raises(Reached, match="4729"):
         run(tmp_path, cfg, extra=["--resolution", "4729"])
     assert refinements == [13, 13]
+
+
+def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # distinct per-region scalings leave the Perron iteration a real bracket,
+    # which one step cannot close
+    from fractalis import dimension
+    cfg = json.loads((FIXTURES / "fig1a.json").read_text())
+    cfg.update(mode="analyze",
+               scaling=[{"kind": "constant", "value": v} for v in (0.5, 0.6, 0.7, 0.8)])
+    monkeypatch.setattr(dimension, "POWER_CAP", 1)
+    code, out = run(tmp_path, cfg)
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: power iteration did not converge in 1 steps")
+    assert not out.exists()
+
+
+def test_range_map_other_than_identity_leaves_bounds_unavailable(tmp_path):
+    cfg = {"mode": "analyze", "data": [[0, 10], [0.25, 30], [0.5, 10], [0.75, 45], [1, 10]],
+           "domains": [[0, 2], [2, 4]], "region_domains": [0, 1, 0, 1],
+           "scaling": {"kind": "constant", "value": 0.9},
+           "range_map": {"kind": "affine", "slope": 0.5, "intercept": 5}}
+    code, out = run(tmp_path, cfg)
+    assert code == 0
+    report = json.loads((out / "dimension.json").read_text())
+    assert report["lower_bound"] is None and report["upper_bound"] is None
+    assert "closed-form bounds unavailable: range map is not the identity" in report["notes"]
+    assert report["estimate"] is not None

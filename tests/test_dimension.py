@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,20 @@ class TestSchedule:
         assert "dropped 1 under-resolved scale (x spacing 6.1e-05)" in rep.notes
         assert rep.series.deltas == tuple(4.0 ** -r / 4 for r in range(2, 6))
         assert sampling.depth == 6
+
+    def test_unresolved_scales_are_counted_not_listed(self):
+        # only the prefix the plan resolves is listed: a million requested
+        # scales cost no list of a million deltas
+        model = whole_domain_model(Constant(0.6))
+        tracemalloc.start()
+        try:
+            rep, _ = estimate_curve_dimension(model, 2, 10 ** 6, depth=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert f"dropped {10 ** 6 - 5} under-resolved scales (x spacing 6.1e-05)" in rep.notes
+        assert rep.series.deltas == tuple(4.0 ** -r / 4 for r in range(2, 6))
 
     def test_hopeless_depth_rejected(self):
         model = whole_domain_model(Constant(0.6))

@@ -822,16 +822,17 @@ def random_models(draw):
         spans.append((s, e))
     gamma = draw(st.lists(st.integers(0, n_dom - 1), min_size=n, max_size=n))
     s_val = draw(st.floats(0.0, 0.85))
-    return n, ys, spans, gamma, s_val
+    flip = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, ys, spans, gamma, s_val, flip
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_models())
 def test_random_geometries_keep_core_invariants(params):
-    n, ys, spans, gamma, s_val = params
+    n, ys, spans, gamma, s_val, flip = params
     xs = [i / n for i in range(n + 1)]
     try:
-        model = build_model(list(zip(xs, ys)), spans, gamma, Constant(s_val))
+        model = build_model(list(zip(xs, ys)), spans, gamma, Constant(s_val), flip=flip)
     except ModelError:
         return  # e.g. some region covered by no assigned domain
     # the reported transition is the loop reference's, so its rows are

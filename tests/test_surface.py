@@ -178,6 +178,19 @@ class TestEvalSurface:
             assert heights.tobytes() == ref_eval_surface(spec, m).tobytes()
             assert not np.any(np.signbit(heights) & (heights == 0.0))
 
+    def test_grid_over_the_point_limit_refused_before_the_gap_check(self):
+        # at depth 8 fig3a's curves are too coarse for 8192 as well; the grid
+        # is refused first, and nothing of its size is allocated
+        cfg = parse_config(json.loads((FIXTURES / "fig3a.json").read_text()))
+        def layers(entries):
+            return tuple(SurfaceLayer(CurveSamples.from_model(mc.build(), 8), coeff)
+                         for mc, coeff in entries)
+
+        spec = SurfaceSpec(layers(cfg.x_curves), layers(cfg.y_curves))
+        with pytest.raises(ModelError, match=re.escape(
+                f"a 8192x8192 grid needs more than {2 ** 26} points ({8193 ** 2} nodes)")):
+            eval_surface(spec, 8192)
+
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
             SurfaceSpec(())
