@@ -7,7 +7,7 @@ from .catalog import (Affine, BivariateSpec, Constant, FunctionSpecError, Lagran
 from .config import bivariate_from_json, scalar_from_json
 from .dimension import (BoxCountSeries, DimensionReport, HypothesisError,
                         NumericalError, VariationCheck, analyze_curve,
-                        box_count_curve, box_count_graph, box_count_surface,
+                        box_count_graph, box_count_surface,
                         check_irreducible, curve_dimension_bounds,
                         curve_scale_schedule, estimate_curve_dimension,
                         fit_dimension, max_variation, nodes_collinear,

@@ -348,19 +348,22 @@ class LagrangeNodes:
         xs = [x for x, _ in nodes]
         if len(set(xs)) != len(xs):
             raise FunctionSpecError("lagrange nodes must have distinct x values")
-        object.__setattr__(self, "nodes", nodes)
-
-    @cached_property
-    def _weights(self):
-        xs = [x for x, _ in self.nodes]
-        w = []
+        # barycentric weights 1 / prod(x_j - x_k); a product that overflows
+        # gives a zero weight, and then every value is 0/0
+        weights = []
         for j, xj in enumerate(xs):
             p = 1.0
             for k, xk in enumerate(xs):
                 if k != j:
                     p *= xj - xk
-            w.append(1.0 / p)
-        return tuple(w)
+            w = 1.0 / p if p else math.inf
+            if w == 0.0 or not math.isfinite(w):
+                raise FunctionSpecError(
+                    f"lagrange nodes[{j}]: barycentric weight 1/prod(x_j - x_k) is {w!r}; "
+                    "the nodes are too close together or too far apart")
+            weights.append(w)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_weights", tuple(weights))
 
     @cached_property
     def _power(self):

@@ -2,20 +2,19 @@
 
 Connectivity predicates and Perron growth rates for nonnegative matrices,
 closed-form dimension bounds for uniform models, mesh box counting for
-point sets / sampled graphs / height fields, and the log-log regression
-estimator.  Certified constants are read from `rifs`.
+sampled graphs and height fields, and the log-log regression estimator.
+Certified constants are read from `rifs`.
 
-Mesh convention: cells are half-open and anchored at the origin.  For
-point counting, a coordinate sitting exactly on the top boundary of the
-occupied range is assigned to the cell below, so counts stay finite and
-deterministic.  Graph and height-field counting work per column: the
-vertical extent spanned by the samples is covered with floor-indexed
-cells, again closing the top edge.  Columns are closed intervals, so
-samples on a column boundary extend both neighbours; nested schedules
-then give monotone counts.  Graph columns are found by binary search on
-the sorted x samples, so only samples next to a gridline are classified;
-over a schedule of widths the finest is searched once and each width
-that provably nests in it reduces its column extents.  Height-field
+Mesh convention: cells are half-open and anchored at the origin.  Graph
+and height-field counting work per column: the vertical extent spanned by
+the samples is covered with floor-indexed cells, closing the top edge.
+Columns are closed intervals, so samples on a column boundary extend both
+neighbours; nested schedules then give monotone counts.  A graph width
+whose columns the samples show to be index runs (sample j*m on gridline
+j, the samples between off-grid) takes its extents from run minima and
+maxima, reduced from a finer run width where the run lengths divide;
+any other width's columns are found by binary search on the sorted x
+samples, so only samples next to a gridline are classified.  Height-field
 columns over a schedule of scales come from one min/max pyramid: each
 nested scale reduces the finer scale's block extents.
 """
@@ -29,8 +28,8 @@ import numpy as np
 
 from . import shares
 from .catalog import abs_extrema  # noqa: F401  (unused; perfbench's tracer test patches it)
-from .rifs import (POINT_LIMIT, ModelError, lipschitz_bounds, merged_curve, plan_depth,
-                   refine_attractor, resolves)
+from .rifs import (POINT_LIMIT, ModelError, check_size, lipschitz_bounds, merged_curve,
+                   plan_depth, refine_attractor, resolves)
 
 __all__ = [
     "NumericalError",
@@ -43,7 +42,6 @@ __all__ = [
     "nonneg_spectral_radius",
     "nodes_collinear",
     "curve_dimension_bounds",
-    "box_count_curve",
     "box_count_graph",
     "box_count_surface",
     "fit_dimension",
@@ -298,27 +296,6 @@ def _snapped_floor(q):
     return np.where(_on_gridline(q), np.rint(q), np.floor(q)).astype(np.int64)
 
 
-def box_count_curve(points, delta):
-    """Number of delta-mesh squares containing at least one point.
-
-    Cells are half-open; a coordinate equal to the point set's maximum
-    and sitting exactly on a mesh line drops into the cell below, so a
-    closed unit segment costs 1/delta cells, not one more.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a nonempty (n, 2) array")
-    idx = np.empty(pts.shape, dtype=np.int64)
-    for axis in range(2):
-        c = pts[:, axis]
-        idx[:, axis] = _snapped_floor(c / delta)
-        cmax = c.max()   # top edge closed: the snapped ceil, less 1
-        idx[c == cmax, axis] = -_snapped_floor(-cmax / delta) - 1
-    return int(np.unique(idx, axis=0).shape[0])
-
-
 def _vspan_cells(vmin, vmax, delta):
     """Cells covering [vmin, vmax], top edge closed, at least 1 per column."""
     bot = _snapped_floor(np.asarray(vmin) / delta)
@@ -345,58 +322,65 @@ def _graph_columns(xs, delta):
     return base, top, fold
 
 
+def _run_length(xs, delta, base, top):
+    """m when each closed column base + j of width `delta` holds exactly the
+    samples j*m ... (j+1)*m, else None.
+
+    Sample j*m must be on gridline base + j, for j = 0 .. cols (the last
+    one folds), and samples j*m + 1 and (j+1)*m - 1 off every gridline in
+    column base + j.  x / delta is monotone in x, so each sample between
+    those two is in that column and off every gridline too.
+    """
+    cols, n = top - base + 1, xs.size - 1
+    if n < cols or n % cols:
+        return None
+    m = n // cols
+    lines = base + np.arange(cols + 1)
+    q = xs[::m] / delta
+    if not (np.all(_on_gridline(q)) and np.array_equal(_snapped_floor(q), lines)):
+        return None
+    for inner in (xs[1::m], xs[m - 1::m]) if m > 1 else ():
+        q = inner / delta
+        if np.any(_on_gridline(q)) or not np.array_equal(np.floor(q), lines[:-1]):
+            return None
+    return m
+
+
 def _graph_extents(xs, ys, delta, base, top, fold):
     """(min, max) of ys over each closed column base..top of width delta,
     (inf, -inf) where a column holds no sample.
 
-    The columns are cut into `shares.cuts` shares of at least MIN_SHARE
-    samples on average, each on a joined thread (`shares.run_shares`)
-    that writes only its own columns.  A share searches xs for the
-    windows around the gridlines that bound its columns; outside them
-    floor(x / delta) is the column and no sample is on a gridline.
+    xs is searched for the windows around the interior gridlines; outside
+    them floor(x / delta) is the column and no sample is on a gridline, so
+    only the window samples are classified.
     """
     n, cols = xs.size, top - base + 1
     cmin, cmax = np.full(cols, np.inf), np.full(cols, -np.inf)
-    bounds = shares.cuts(cols, -(-shares.MIN_SHARE * cols // n))
-
-    def share(j):
-        c0, c1 = base + bounds[j], base + bounds[j + 1]   # columns c0..c1 - 1
-        k = np.arange(max(c0, base + 1), min(c1, top) + 1, dtype=np.int64)
-        w = 4.0 * GRID_SNAP * np.maximum(1.0, np.abs(k))
-        lo = np.searchsorted(xs, (k - w) * delta, side="left")
-        hi = np.searchsorted(xs, (k + w) * delta, side="right")
-        size = hi - lo   # window samples, concatenated in order
-        win = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-        win = np.unique(win)   # windows overlap only beyond |k| ~ 1e11
-        q = xs[win] / delta
-        col = _snapped_floor(q)
-        grid = _on_gridline(q)
-        folded = fold & (col == top + fold)
-        col -= folded
-        # column k starts at its first sample with col >= k (col never
-        # decreases); column c0 at 0 if it is the first, column c1 at n
-        # if it is past the last
-        starts = np.minimum(np.append(win, n)[np.searchsorted(col, k, side="left")], hi)
-        if c0 == base:
-            starts = np.insert(starts, 0, 0)
-        if c1 > top:
-            starts = np.append(starts, n)
-        full = starts[:-1] < starts[1:]
-        if np.any(full):
-            part = ys[starts[0]:starts[-1]]
-            at = starts[:-1][full] - starts[0]
-            cmin[c0 - base:c1 - base][full] = np.minimum.reduceat(part, at)
-            cmax[c0 - base:c1 - base][full] = np.maximum.reduceat(part, at)
-        # closed columns: boundary samples also extend the column below,
-        # when that column is this share's
-        dup = grid & ~folded & (col > c0) & (col <= c1)
-        if np.any(dup):
-            below = col[dup] - 1 - base
-            with np.errstate(invalid="ignore"):   # a NaN is rejected below
-                np.minimum.at(cmin, below, ys[win[dup]])
-                np.maximum.at(cmax, below, ys[win[dup]])
-
-    shares.run_shares(len(bounds) - 1, share)
+    k = np.arange(base + 1, top + 1, dtype=np.int64)
+    w = 4.0 * GRID_SNAP * np.maximum(1.0, np.abs(k))
+    lo = np.searchsorted(xs, (k - w) * delta, side="left")
+    hi = np.searchsorted(xs, (k + w) * delta, side="right")
+    size = hi - lo   # window samples, concatenated in order
+    win = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+    win = np.unique(win)   # windows overlap only beyond |k| ~ 1e11
+    q = xs[win] / delta
+    col = _snapped_floor(q)
+    grid = _on_gridline(q)
+    folded = fold & (col == top + fold)
+    col -= folded
+    # column k starts at its first sample with col >= k (col never
+    # decreases); the first column at 0
+    starts = np.minimum(np.append(win, n)[np.searchsorted(col, k, side="left")], hi)
+    starts = np.concatenate(([0], starts, [n]))
+    full = starts[:-1] < starts[1:]
+    cmin[full] = np.minimum.reduceat(ys, starts[:-1][full])
+    cmax[full] = np.maximum.reduceat(ys, starts[:-1][full])
+    # closed columns: boundary samples also extend the column below
+    dup = grid & ~folded & (col > base)
+    if np.any(dup):
+        with np.errstate(invalid="ignore"):   # a NaN is rejected below
+            np.minimum.at(cmin, col[dup] - 1 - base, ys[win[dup]])
+            np.maximum.at(cmax, col[dup] - 1 - base, ys[win[dup]])
     # only a column without samples may keep a non-finite extent, (inf, -inf)
     hit = np.isfinite(cmin) & np.isfinite(cmax)
     if not np.all(hit | ((cmin == np.inf) & (cmax == -np.inf))):
@@ -404,42 +388,19 @@ def _graph_extents(xs, ys, delta, base, top, fold):
     return cmin, cmax
 
 
-def _nests(xs, fine, delta):
-    """True when every closed column of width `delta` is exactly a run of
-    f = delta / fine closed columns of width `fine`, the runs aligned on
-    the multiples of f.
-
-    That holds when f is an exact power of two (so x / delta is exactly
-    (x / fine) / f) and every sample gets the same column and gridline
-    test at both widths: its fine column is f times its coarse column
-    plus a remainder, and it is on a coarse gridline exactly when it is on
-    a fine gridline that is a multiple of f.  `_on_gridline`'s window is
-    GRID_SNAP * max(1, |q|) at each width; it is the same relative window
-    wherever |x| >= delta, and, while it stays under half a fine column
-    (checked on the two end samples), a sample there passes both tests
-    alike.  Only near x = 0 and x = +-delta can the max(1, .) make the
-    widths differ, so the samples there are checked directly.
-    """
-    f = delta / fine
-    if math.frexp(f)[0] != 0.5 or f * fine != delta:
-        return False
-    if GRID_SNAP * max(abs(xs[0]), abs(xs[-1])) / fine >= 0.5:
-        return False
-    at = np.array([-delta, 0.0, delta])
-    lo = np.searchsorted(xs, at - 2.0 * GRID_SNAP * delta, side="left")
-    hi = np.searchsorted(xs, at + 2.0 * GRID_SNAP * delta, side="right")
-    near = np.concatenate([xs[a:b] for a, b in zip(lo, hi)])
-    q, qf = near / delta, near / fine
-    return (np.array_equal(_snapped_floor(q), np.floor(_snapped_floor(qf) / f))
-            and np.array_equal(_on_gridline(q), _on_gridline(qf) & (np.rint(qf) % f == 0)))
-
-
-def _coarsen(cmin, cmax, base, f):
-    """Extents of the columns f times as wide, from those of columns
-    base, base + 1, ...: column c holds the columns whose index // f is c."""
-    first = -base % f or f
-    starts = np.array([0, *range(first, cmin.size, f)])
-    return np.minimum.reduceat(cmin, starts), np.maximum.reduceat(cmax, starts)
+def _run_extents(ys, m, finer):
+    """(min, max) of ys over each closed run j*m ... (j+1)*m; from the runs
+    of a finer run length that divides m when `finer` holds them."""
+    if finer is not None and m % finer[0] == 0:
+        fm, lo, hi = finer
+        f = m // fm
+        return lo.reshape(-1, f).min(axis=1), hi.reshape(-1, f).max(axis=1)
+    with np.errstate(invalid="ignore"):   # a NaN is rejected below
+        lo = np.minimum(ys[:-1].reshape(-1, m).min(axis=1), ys[m::m])
+        hi = np.maximum(ys[:-1].reshape(-1, m).max(axis=1), ys[m::m])
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("ys must be finite")
+    return lo, hi
 
 
 def box_count_graph(xs, ys, delta):
@@ -455,13 +416,13 @@ def box_count_graph(xs, ys, delta):
     columns over the x range raises ValueError before any is built.
 
     `delta` is one width, and the count an int, or a sequence of widths,
-    and the counts a tuple in the same order.  The column extents are
-    found once, at the finest width (`_graph_extents`, on up to one
-    thread per usable CPU).  A width that is a power-of-two multiple f of
-    the finest, where each of its columns is provably a run of f fine
-    columns (`_nests`), takes its extents from those runs; any other
-    width is searched directly.  Either way the counts are those of
-    separate one-width calls.
+    and the counts a tuple in the same order.  Widths are taken finest
+    first.  Where the samples show that every column is an index run
+    (`_run_length`, checked on each width's own samples), the extents are
+    run minima and maxima, reduced from the last such width when its run
+    length divides this one's; any other width is searched
+    (`_graph_extents`).  Either way the counts are those of separate
+    one-width calls.
     """
     scalar = np.ndim(delta) == 0
     deltas = [float(d) for d in np.atleast_1d(delta)]
@@ -480,22 +441,20 @@ def box_count_graph(xs, ys, delta):
         if not np.all(np.isfinite(xs)):
             raise ValueError("xs must be finite")
         raise ValueError("xs must be sorted ascending")
-    columns = [_graph_columns(xs, d) for d in deltas]   # every width passes before any search
-    if not deltas:
-        return ()
-    fine = min(deltas)
-    fine_columns = columns[deltas.index(fine)]
-    extents = _graph_extents(xs, ys, fine, *fine_columns)
-    counts = []
-    for d, cols in zip(deltas, columns):
-        if d == fine:
-            cmin, cmax = extents
-        elif _nests(xs, fine, d):
-            cmin, cmax = _coarsen(*extents, fine_columns[0], int(d / fine))
+    columns = [_graph_columns(xs, d) for d in deltas]   # every width passes before any count
+    counts = [0] * len(deltas)
+    runs = None   # (m, min, max) of the last width counted by index runs
+    for i in sorted(range(len(deltas)), key=deltas.__getitem__):   # finest first
+        d, (base, top, fold) = deltas[i], columns[i]
+        m = _run_length(xs, d, base, top)
+        if m is None:
+            cmin, cmax = _graph_extents(xs, ys, d, base, top, fold)
+            hit = np.isfinite(cmin)
+            cmin, cmax = cmin[hit], cmax[hit]
         else:
-            cmin, cmax = _graph_extents(xs, ys, d, *cols)
-        hit = np.isfinite(cmin)
-        counts.append(int(_vspan_cells(cmin[hit], cmax[hit], d).sum()))
+            cmin, cmax = _run_extents(ys, m, runs)
+            runs = (m, cmin, cmax)
+        counts[i] = int(_vspan_cells(cmin, cmax, d).sum())
     return counts[0] if scalar else tuple(counts)
 
 
@@ -655,9 +614,10 @@ def variation_bound_report(model, sampling):
 # ---------------------------------------------------------------------------
 
 def _scale_rule(model, r_lo, r_hi):
-    """The mesh delta(r) of `curve_scale_schedule`, for r_lo <= r_hi."""
-    if r_hi < r_lo:
-        raise ValueError("r_hi must be >= r_lo")
+    """The mesh delta(r) of `curve_scale_schedule`, for integers
+    0 <= r_lo <= r_hi (`check_size`, else ModelError)."""
+    r_lo = check_size("r_lo", r_lo, 0)
+    check_size("r_hi", r_hi, r_lo)
     try:
         _, a = _uniform_geometry(model)
     except HypothesisError:
@@ -665,7 +625,13 @@ def _scale_rule(model, r_lo, r_hi):
     xs = model.data.xs
     span = xs[-1] - xs[0]
     n = model.n_regions
-    return lambda r: span * float(a) ** (-r) / n
+
+    def delta(r):
+        try:
+            return span * float(a) ** (-r) / n
+        except OverflowError:   # r past float range; a^-r is 0.0 from r = 1075 on
+            return 0.0
+    return delta
 
 
 def curve_scale_schedule(model, r_lo=2, r_hi=6):
@@ -698,9 +664,10 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     a note, and under three left is refused.  Counts use per-column
     vertical covers of the sampled graph (raw point counting cannot
     saturate fine meshes at any practical depth).  All usable scales are
-    counted in one `box_count_graph` call: the finest scale's columns are
-    searched once, on up to one thread per usable CPU, and each nested
-    scale reduces them.  The fit follows `fit_report`.
+    counted in one `box_count_graph` call on the curve's own arrays; on a
+    uniform model each scale's columns are index runs of the curve, and
+    the coarser scales reduce the finer scales' runs.  The fit follows
+    `fit_report`.
 
     Returns (report, sampling).
     """

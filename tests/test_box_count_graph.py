@@ -1,21 +1,29 @@
 """Graph box counting against the per-sample classifier it replaced.
 
-`box_count_graph` finds column boundaries by binary search and classifies
-only the samples next to a gridline.  The per-sample body it replaced is
-kept below as the reference; every case here must give the same count.
+`box_count_graph` takes a width's columns as index runs where the samples
+show that they are runs, and otherwise finds the column boundaries by
+binary search, classifying only the samples next to a gridline.  The
+per-sample body it replaced is kept below as the reference; every case
+here must give the same count on either path.
 """
+import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalis import (box_count_graph, curve_scale_schedule, dimension, merged_curve,
-                       refine_attractor)
+from fractalis import (Constant, box_count_graph, build_model, curve_scale_schedule, dimension,
+                       estimate_curve_dimension, merged_curve, refine_attractor)
+from fractalis.config import parse_config
 from fractalis.dimension import _on_gridline, _snapped_floor, _vspan_cells
+from test_benchmark_contract import workloads
 from test_plan_depth import FIXTURE_MODELS
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 DELTAS = [1 / 3, 1 / 96, 0.0123, 2.0 ** -5, 0.7]
 # relative offsets from a gridline: exact, inside the snap tolerance,
@@ -135,8 +143,8 @@ def near_grid_schedules(draw):
 
 
 class TestWidths:
-    """Several widths in one call: nested widths reduce the finest width's
-    columns, the rest are searched, and every count is the reference's."""
+    """Several widths in one call: every count is the reference's, whichever
+    path each width takes."""
 
     @settings(max_examples=300, deadline=None)
     @given(near_grid_schedules())
@@ -184,39 +192,6 @@ class TestWidths:
         assert box_count_graph(xs, np.zeros(7), deltas) == (1,) * 5
         assert_widths([0.3], [1.7], deltas)
 
-    @pytest.mark.parametrize("a, near_zero, searches", [
-        (4, None, 1),     # every width nests: the finest is the only search
-        (2, None, 1),
-        (3, None, 5),     # 3 is no power of two: every width is searched
-        (2, 3e-12, 4),    # 3e-12 finest widths from 0: on gridline 0 at f >= 4 only
-        (4, 1e-13, 1)])   # on gridline 0 at every width
-    def test_nested_widths_reduce_the_finest(self, monkeypatch, a, near_zero, searches):
-        deltas = schedule(a)
-        xs = np.linspace(0.0, 2.0, 4001)
-        if near_zero is not None:
-            xs[1] = near_zero * deltas[-1]
-        ys = np.sin(9.0 * xs)
-        calls, search = [], dimension._graph_extents
-
-        def counting(*args):
-            calls.append(args[2])
-            return search(*args)
-        monkeypatch.setattr(dimension, "_graph_extents", counting)
-        got = box_count_graph(xs, ys, deltas)
-        assert len(calls) == searches and calls[0] == deltas[-1]
-        monkeypatch.setattr(dimension, "_graph_extents", search)
-        assert got == tuple(reference_count(xs, ys, d) for d in deltas)
-
-    def test_far_from_zero_is_searched(self, monkeypatch):
-        # past |x| / delta ~ 5e11 the gridline windows reach half a column
-        deltas = schedule(4)
-        xs = 1e12 * deltas[-1] + np.arange(9) * deltas[-1]
-        calls, search = [], dimension._graph_extents
-        monkeypatch.setattr(dimension, "_graph_extents",
-                            lambda *args: calls.append(args) or search(*args))
-        box_count_graph(xs, np.arange(9.0), deltas)
-        assert len(calls) == 5
-
     def test_scalar_and_sequence(self):
         xs, ys = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 33) ** 2
         assert box_count_graph(xs, ys, 0.25) == reference_count(xs, ys, 0.25) == 6
@@ -240,6 +215,9 @@ def test_fixture_curves_depths_0_to_8(model):
         assert_widths(gx, gy, deltas)
 
 
+RUN = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 class TestInputContract:
     @pytest.mark.parametrize("xs", [[0.1, 0.6, 0.2, 0.7], [0.9, 0.1]])
     def test_unsorted_rejected(self, xs):
@@ -257,7 +235,12 @@ class TestInputContract:
                                         ([0.1, 0.6], [-np.inf, 1.0]),
                                         ([0.1, 0.2, 0.6], [np.nan, 0.0, 1.0]),
                                         ([0.1, 0.5, 0.7], [0.0, np.nan, 1.0]),
-                                        ([0.1, 2.7], [np.inf, -np.inf])])
+                                        ([0.1, 2.7], [np.inf, -np.inf]),
+                                        # columns that are runs of two samples
+                                        (RUN, [np.nan, 0.0, 0.0, 0.0, 0.0]),
+                                        (RUN, [0.0, np.nan, 0.0, 0.0, 0.0]),
+                                        (RUN, [0.0, 0.0, np.inf, 0.0, 0.0]),
+                                        (RUN, [0.0, 0.0, 0.0, 0.0, -np.inf])])
     def test_non_finite_ys_rejected(self, xs, ys):
         # NaN and inf reach the column extents, which used to drop the column
         with warnings.catch_warnings():
@@ -298,3 +281,127 @@ class TestInputContract:
         assert_same([0.0, 0.6, 1.0], [0.0, 2.0, 1.0], 0.25)   # 4 columns
         with pytest.raises(ValueError, match="needs 5 columns"):
             box_count_graph([0.0, 0.6, 1.0], [0.0, 2.0, 1.0], 0.2)
+
+
+# node layouts of n regions: dyadic, rounded (tenths, thirds, i/96) and
+# away from 0, where the columns straddle the nodes
+NODES = {
+    "unit": lambda n: [i / n for i in range(n + 1)],
+    "tenths": lambda n: [0.1 * i for i in range(n + 1)],
+    "thirds": lambda n: [i / 3 for i in range(n + 1)],
+    "96ths": lambda n: [i / 96 for i in range(n + 1)],
+    "5-6.1": lambda n: [5 + 1.1 * i / n for i in range(n + 1)],
+}
+DEPTHS = {2: 8, 3: 5, 4: 4}   # deepest refinement drawn: at most 2049 samples
+
+
+@st.composite
+def uniform_curves(draw):
+    """(samples, widths r = 0..depth) of a refined uniform model: domains of
+    a regions, a random wiring that feeds every domain, flips."""
+    a = draw(st.sampled_from(sorted(DEPTHS)))
+    nodes = draw(st.sampled_from(sorted(NODES)))
+    # domains; 7 or 9 nodes on [5, 6.1] miss the default interpolant
+    k = draw(st.integers(1, 1 if nodes == "5-6.1" else 2))
+    n = a * k
+    data = list(zip(NODES[nodes](n), draw(st.lists(st.floats(-5.0, 5.0), min_size=n + 1,
+                                                      max_size=n + 1))))
+    gamma = draw(st.permutations([i % k for i in range(n)]))
+    flip = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    scaling = Constant(draw(st.sampled_from([0.3, 0.6, -0.8])))
+    model = build_model(data, [(a * j, a * j + a) for j in range(k)], gamma, scaling, flip=flip)
+    depth = draw(st.integers(0, DEPTHS[a]))
+    return merged_curve(refine_attractor(model, depth)), curve_scale_schedule(model, 0, depth)
+
+
+@st.composite
+def perturbed_runs(draw):
+    """Samples that are runs of m per column of width delta, and widths
+    around delta.  Some samples are moved: by OFFSETS, onto their nearest
+    gridline and then by OFFSETS, or onto a neighbour's x."""
+    delta = draw(st.sampled_from(DELTAS))
+    k0 = draw(st.sampled_from([0, 3, -7, 1000]))
+    m = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    cols = draw(st.integers(1, 24))
+    xs = (k0 + np.arange(cols * m + 1) / m) * delta
+    n = xs.size - 1
+    for i in draw(st.lists(st.integers(0, n), max_size=6)):
+        move = draw(st.sampled_from(["offset", "gridline", "previous", "next"]))
+        if move == "previous":
+            xs[i] = xs[max(i - 1, 0)]
+        elif move == "next":
+            xs[i] = xs[min(i + 1, n)]
+        else:
+            x = np.rint(xs[i] / delta) * delta if move == "gridline" else xs[i]
+            xs[i] = x * (1.0 + draw(st.sampled_from(OFFSETS)))
+    xs = np.sort(xs)
+    ys = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=xs.size, max_size=xs.size)))
+    return xs, ys, [delta * f for f in (1, 2, 3, 4, m, 2 * m)] + [delta / m]
+
+
+def searched_widths(monkeypatch):
+    """A list that grows by the width of every `_graph_extents` search."""
+    calls, search = [], dimension._graph_extents
+
+    def counting(xs, ys, delta, *columns):
+        calls.append(delta)
+        return search(xs, ys, delta, *columns)
+    monkeypatch.setattr(dimension, "_graph_extents", counting)
+    return calls
+
+
+def fixture_curves():
+    """pytest params (model, depth) of every fixture curve, at its configured
+    depth."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        cfg = parse_config(json.loads(path.read_text()))
+        curves = [cfg.curve] if cfg.curve is not None else [mc for mc, _ in cfg.x_curves
+                                                              + cfg.y_curves]
+        out += [pytest.param(mc.build(), mc.depth, id=f"{path.stem}-{k}")
+                for k, mc in enumerate(curves)]
+    return out
+
+
+class TestRuns:
+    """Columns that are index runs of the samples are counted without a
+    search, and each run is checked on its own width's samples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(uniform_curves())
+    def test_refined_uniform_models(self, case):
+        (gx, gy), deltas = case
+        assert_widths(gx, gy, deltas)
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_runs())
+    def test_perturbed_runs(self, case):
+        assert_widths(*case)
+
+    @pytest.mark.parametrize("model, depth", fixture_curves())
+    def test_fixture_curves_are_never_searched(self, monkeypatch, model, depth):
+        gx, gy = merged_curve(refine_attractor(model, depth))
+        deltas = curve_scale_schedule(model, 0, depth)
+        calls = searched_widths(monkeypatch)
+        counts = box_count_graph(gx, gy, deltas)
+        assert calls == []
+        assert counts == tuple(reference_count(gx, gy, d) for d in deltas)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_benchmark_models_are_never_searched(self, monkeypatch, seed):
+        calls = searched_widths(monkeypatch)
+        for name, doc in workloads.generate("analyze", seed).items():
+            cfg = parse_config(json.loads(workloads.dumps(doc)))
+            estimate_curve_dimension(cfg.curve.build(), *cfg.scales, depth=cfg.curve.depth)
+            assert calls == [], name
+
+    def test_nodes_away_from_zero_are_searched(self, monkeypatch):
+        xs = NODES["5-6.1"](4)
+        model = build_model(list(zip(xs, (1.0, 3.0, -1.0, 2.0, 0.0))), [(0, 4)], [0] * 4,
+                            Constant(0.5))
+        gx, gy = merged_curve(refine_attractor(model, 5))
+        deltas = curve_scale_schedule(model, 0, 5)
+        calls = searched_widths(monkeypatch)
+        counts = box_count_graph(gx, gy, deltas)
+        assert len(calls) >= 1
+        assert counts == tuple(reference_count(gx, gy, d) for d in deltas)

@@ -264,10 +264,27 @@ class TestValidation:
             Scaled(factor, Constant(1.0))
 
     def test_singular_lagrange_power_basis(self):
-        # nodes 1e-300 apart: the Vandermonde matrix of the power basis is singular
-        spec = LagrangeNodes(((0.0, 0.0), (1e-300, 1.0), (2e-300, 0.0)))
+        # nodes an ulp apart at 1: the Vandermonde rows 1, x, x^2 are exactly
+        # dependent, though the barycentric weights are finite
+        e = 2.0 ** -52
+        spec = LagrangeNodes(((1.0, 0.0), (1.0 + e, 1.0), (1.0 + 2 * e, 0.0)))
         with pytest.raises(FunctionSpecError, match="no power basis"):
-            lipschitz_bound(spec, (0.0, 2e-300))
+            lipschitz_bound(spec, (1.0, 1.0 + 2 * e))
+
+    @pytest.mark.parametrize("nodes, weight", [
+        # 1e-170 * 2e-170 underflows to 0: the weight used to divide by zero
+        pytest.param(((0.0, 1.0), (1e-170, 1.0), (2e-170, 1.0)), "inf", id="1e-170"),
+        pytest.param(((0.0, 0.0), (1e-300, 1.0), (2e-300, 0.0)), "inf", id="1e-300"),
+        # 1e200 * -1e200 overflows: the weight was -0, and every value 0/0 = NaN
+        pytest.param(((0.0, 20.0), (1e200, 0.0), (-1e200, 0.0)), "-0.0", id="1e200"),
+        pytest.param(((0.0, 0.0), (1e160, 1.0), (2e160, 0.0)), "0.0", id="1e160"),
+        # the difference itself overflows
+        pytest.param(((-1e308, 0.0), (1e308, 1.0)), "-0.0", id="1e308")])
+    def test_lagrange_weight_out_of_range_refused(self, nodes, weight):
+        with pytest.raises(FunctionSpecError, match=re.escape(
+                f"lagrange nodes[0]: barycentric weight 1/prod(x_j - x_k) is {weight}; "
+                "the nodes are too close together or too far apart")):
+            LagrangeNodes(nodes)
 
 
 class TestJsonCodec:
@@ -516,14 +533,15 @@ def test_non_finite_derivative_coefficient_raises():
 
 
 def test_non_finite_power_basis_raises():
-    # x**2 overflows in the Vandermonde matrix, so the power basis is NaN
-    spec = LagrangeNodes(((0.0, 0.0), (1e160, 1.0), (2e160, 0.0)))
+    # x**2 overflows in the Vandermonde matrix, so the power basis is NaN;
+    # the nodes are 1e150 apart, so the barycentric weights are finite
+    spec = LagrangeNodes(((2e154, 0.0), (2e154 + 1e150, 1.0), (2e154 + 2e150, 0.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FunctionSpecError, match="finite"):
-            lipschitz_bound(spec, (0.0, 1e160))
+            lipschitz_bound(spec, (2e154, 2e154 + 2e150))
         with pytest.raises(FunctionSpecError, match="finite"):
-            abs_extrema(spec, (0.0, 1e160))
+            abs_extrema(spec, (2e154, 2e154 + 2e150))
 
 
 # ---------------------------------------------------------------------------

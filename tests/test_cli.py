@@ -243,7 +243,10 @@ class TestUserErrorsAndBugs:
 
     def test_singular_interpolant_named(self, tmp_path, capsys):
         cfg = json.loads((FIXTURES / "uniform_s06.json").read_text())
-        cfg["data"] = [[0.0, 0.0], [1e-300, 1.0], [2e-300, 0.0], [3e-300, 1.0], [4e-300, 0.0]]
+        # nodes an ulp apart at 1: finite barycentric weights, but the
+        # power basis's Vandermonde matrix is singular
+        e = 2.0 ** -52
+        cfg["data"] = [[1.0 + k * e, y] for k, y in enumerate([0.0, 1.0, 0.0, 1.0, 0.0])]
         code, _ = run(tmp_path, cfg)
         assert code == 2
         assert ("error: config: lagrange nodes have no power basis"
@@ -753,6 +756,20 @@ def test_scales_refused_in_curve_mode(tmp_path, capsys):
 def test_unknown_spec_field_named(tmp_path, capsys, spec):
     run_refused(tmp_path, capsys, curve_config(scaling={**spec, "valeu": 0.5}),
                 f"config.scaling: {spec['kind']!r} spec: unknown field 'valeu'")
+
+
+@pytest.mark.parametrize("spread, weight", [(1e-170, "inf"), (1e200, "0.0")])
+def test_lagrange_weight_out_of_range_named(tmp_path, capsys, spread, weight):
+    # nodes 1e-170 apart used to crash with a bare ZeroDivisionError (exit
+    # 1); nodes 1e200 apart gave NaN at every x
+    cfg = fixture("uniform_s06")
+    cfg["mode"] = "curve"
+    del cfg["scales"]
+    nodes = [[0, 1], [spread, 1], [2 * spread, 1]]
+    cfg["scaling"] = {"kind": "scaled", "factor": 0.5, "spec": {"kind": "lagrange", "nodes": nodes}}
+    run_refused(tmp_path, capsys, cfg,
+                f"config.scaling: lagrange nodes[0]: barycentric weight 1/prod(x_j - x_k) "
+                f"is {weight}; the nodes are too close together or too far apart")
 
 
 @pytest.mark.parametrize("coeff", [{}, {"of_x": {"kind": "constant", "value": 1.0}, "terms": []},

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalis import (BoxCountSeries, Constant, HypothesisError, NumericalError, Sinusoid,
-                       box_count_curve, box_count_graph, box_count_surface,
+                       box_count_graph, box_count_surface,
                        build_model, check_irreducible, curve_dimension_bounds,
                        curve_scale_schedule, estimate_curve_dimension,
                        fit_dimension, max_variation, merged_curve,
@@ -299,33 +300,6 @@ class TestDimensionBounds:
             assert 1.0 <= rep.lower_bound and rep.upper_bound <= 2.0 + 1e-12
 
 
-class TestBoxCountCurve:
-    def test_single_point(self):
-        assert box_count_curve([[5.0, 5.0]], 0.25) == 1
-
-    def test_segment_top_edge_closed(self):
-        xs = np.arange(0.0, 1.0 + 1e-12, 1 / 40)
-        pts = np.column_stack([xs, np.zeros_like(xs)])
-        assert box_count_curve(pts, 0.25) == 4
-
-    def test_diagonal(self):
-        t = np.linspace(0.0, 1.0, 101)
-        assert box_count_curve(np.column_stack([t, t]), 0.5) == 2
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(3)
-        pts = rng.random((200, 2))
-        shuffled = pts[rng.permutation(200)]
-        for d in (0.3, 0.1, 0.05):
-            assert box_count_curve(pts, d) == box_count_curve(shuffled, d)
-
-    def test_monotone_under_nested_refinement(self):
-        rng = np.random.default_rng(9)
-        pts = rng.random((500, 2)) * 3
-        counts = [box_count_curve(pts, 1 / 2 ** k) for k in range(6)]
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
-
-
 class TestBoxCountGraph:
     def test_flat_graph(self):
         xs = np.linspace(0, 1, 101)
@@ -341,8 +315,8 @@ class TestBoxCountGraph:
         xs = np.sort(rng.random(400))
         ys = np.cumsum(rng.standard_normal(400)) * 0.05
         for d in (0.25, 0.125, 0.0625):
-            pts = np.column_stack([xs, ys])
-            assert box_count_graph(xs, ys, d) >= box_count_curve(pts, d)
+            cells = np.unique(np.floor(np.column_stack([xs, ys]) / d), axis=0)
+            assert box_count_graph(xs, ys, d) >= len(cells)
 
     def test_monotone_under_nested_refinement(self):
         rng = np.random.default_rng(31)
@@ -479,16 +453,30 @@ class TestSchedule:
         assert f"dropped {10 ** 6 - 5} under-resolved scales (x spacing 6.1e-05)" in rep.notes
         assert rep.series.deltas == tuple(4.0 ** -r / 4 for r in range(2, 6))
 
+    @pytest.mark.parametrize("r_lo, r_hi, message", [
+        (2.5, 6, "r_lo must be an integer, got 2.5"),   # used to raise a bare TypeError
+        (True, 6, "r_lo must be an integer, got True"),
+        (-3, 6, "r_lo must be >= 0"),
+        (2, 6.0, "r_hi must be an integer, got 6.0"),
+        (2, np.float64(6), f"r_hi must be an integer, got {np.float64(6)!r}"),
+        (4, 3, "r_hi must be >= 4")],
+        ids=["r_lo-float", "r_lo-bool", "r_lo-negative", "r_hi-float", "r_hi-float64",
+             "r_hi-below-r_lo"])
+    def test_scale_arguments_checked(self, r_lo, r_hi, message):
+        model = whole_domain_model(Constant(0.6))
+        for call in (curve_scale_schedule, estimate_curve_dimension):
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                call(model, r_lo, r_hi)
+
+    def test_r_hi_past_float_range_drops_its_scales(self):
+        # 10**400 used to raise a bare OverflowError; like 10**6, its delta
+        # underflows, and the unresolved scales are dropped with the note
+        model = whole_domain_model(Constant(0.6))
+        rep, _ = estimate_curve_dimension(model, 2, 10 ** 400, depth=6)
+        assert f"dropped {10 ** 400 - 5} under-resolved scales (x spacing 6.1e-05)" in rep.notes
+        assert rep.series == estimate_curve_dimension(model, 2, 10 ** 6, depth=6)[0].series
+
     def test_hopeless_depth_rejected(self):
         model = whole_domain_model(Constant(0.6))
         with pytest.raises(ModelError, match="too coarse .* saturates only 2 of 5 scales"):
             estimate_curve_dimension(model, 2, 6, depth=4)
-
-
-@given(st.lists(st.tuples(st.floats(0, 4), st.floats(0, 4)),
-                min_size=1, max_size=60))
-@settings(max_examples=60)
-def test_box_count_permutation_property(points):
-    pts = np.array(points, dtype=float)
-    rng = np.random.default_rng(1)
-    assert box_count_curve(pts, 0.5) == box_count_curve(pts[rng.permutation(len(pts))], 0.5)

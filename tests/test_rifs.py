@@ -125,9 +125,10 @@ def test_connectivity_matches_loop_reference(wiring):
 
 
 def nan_at(x):
-    """A spec with finite parameters that evaluates to NaN at x: nodes 1e200
-    away make its barycentric weights underflow to zero, so 0/0 is left."""
-    spec = LagrangeNodes(((x, 1.0), (x + 1e200, 0.0), (x - 1e200, 0.0)))
+    """A spec with finite parameters that evaluates to NaN at x: its
+    barycentric weights are finite, but with every node 1e150 or more away
+    each term w_j / (x - x_j) underflows to zero there, so 0/0 is left."""
+    spec = LagrangeNodes(((x + 1e150, 1.0), (x + 2e150, 0.0), (x + 3e150, 0.0)))
     assert math.isnan(float(spec(np.float64(x))))
     return spec
 

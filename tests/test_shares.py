@@ -1,9 +1,10 @@
 """Joined threads over disjoint slices: `shares.run_shares`, `shares.run_blocks`
 and their callers.
 
-Refinement, curve box counting, surface evaluation, PGM normalization and
-the closed-block pass must give the same bytes on any number of usable
-CPUs and at any row-block size.  MIN_SHARE is set to 1 so that the small
+Refinement, surface evaluation, PGM normalization and the closed-block
+pass must give the same bytes on any number of usable CPUs and at any
+row-block size, and so must the curve box counts that follow refinement
+(their counting runs on the caller's thread).  MIN_SHARE is set to 1 so that the small
 fixture inputs take the threaded path; the usable-CPU count is set
 through os.sched_getaffinity, as in test_io.
 """
@@ -112,40 +113,20 @@ class TestRefine:
 class TestBoxCounts:
     @pytest.mark.parametrize("cpus", CPUS)
     @pytest.mark.parametrize("name", ["uniform_s02", "uniform_s06"])
-    def test_counts_match_one_share(self, threaded, share_counts, name, cpus):
+    def test_counts_match_one_share(self, threaded, name, cpus):
         cfg = parse_config(json.loads((FIXTURES / f"{name}.json").read_text()))
         model = cfg.curve.build()
         threaded(1)
         one, _ = estimate_curve_dimension(model, *cfg.scales, depth=cfg.curve.depth)
         threaded(cpus)
-        share_counts.clear()
         report, _ = estimate_curve_dimension(model, *cfg.scales, depth=cfg.curve.depth)
         assert report == one
-        # the schedule nests (a = 4), so the finest width's columns are
-        # the last pass: a share per CPU, each of many columns
-        assert share_counts[-1] == cpus
-
-    @pytest.mark.parametrize("depth, min_share, count", [
-        (6, shares.MIN_SHARE, 1),   # 16385 samples over 16384 finest columns: one share
-        (8, shares.MIN_SHARE, 4),   # 262145 samples: 4096 columns pass MIN_SHARE samples
-        (6, 4097, 3),               # 4097 columns a share: 16384 columns cut in 3
-        (6, 1, 16)])                # one share per usable CPU
-    def test_shares_pass_min_share_samples(self, monkeypatch, share_counts, depth, min_share,
-                                           count):
-        usable_cpus(monkeypatch, 16)
-        monkeypatch.setattr(shares, "MIN_SHARE", min_share)
-        model = build_model(DATA, [(0, 4)], [0] * 4, Constant(0.5))
-        report, sampling = estimate_curve_dimension(model, depth=depth)
-        assert share_counts[-1] == count   # the finest width's columns
-        gx, gy = merged_curve(sampling)
-        assert report.series.counts == tuple(box_count_graph(gx, gy, d)
-                                             for d in report.series.deltas)
 
     @pytest.mark.parametrize("cpus", CPUS)
     @pytest.mark.parametrize("a", [2, 3, 4])
     def test_share_cuts_on_gridline_samples(self, threaded, a, cpus):
-        # every sample sits on or next to a finest gridline, so each column
-        # cut lands on a gridline sample, which extends the column below
+        # every sample sits on or next to a finest gridline, where a
+        # boundary sample extends the column below
         finest = 0.75 * a ** -4
         k = np.arange(-37, 91)
         xs = np.sort(np.concatenate([k * finest * (1 + o) for o in (0.0, 1e-13, -3e-12)]))
