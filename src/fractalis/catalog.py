@@ -9,8 +9,9 @@ min/max of |f| over an interval.  Every variant's numbers must be finite
 (`_check_finite`, called by each constructor).  `config` reads their JSON form.
 
 Both bounds are certified on many intervals at once
-(`lipschitz_bound_each`, `abs_extrema_each`); `lipschitz_bound` and
-`abs_extrema` are their one-interval calls.  Bounds are exact for
+(`lipschitz_bound_each`, `abs_extrema_each`, and `abs_max_each` for the
+max |f| side alone); `lipschitz_bound` and `abs_extrema` are their
+one-interval calls.  Bounds are exact for
 Constant/Affine/Sinusoid (closed-form critical points, per interval).
 Polynomial/Lagrange/Sum ranges come from one bisection, `_certified_max`,
 run once per side (max |f|, and min |f| as -max(-|f|)) on the pieces of
@@ -45,6 +46,7 @@ __all__ = [
     "abs_extrema",
     "lipschitz_bound_each",
     "abs_extrema_each",
+    "abs_max_each",
     "lagrange_from_nodes",
 ]
 
@@ -212,7 +214,8 @@ def _check_finite(kind, **params):
 #
 # Every variant bounds itself on arrays of intervals: `_lip_each(lo, hi)`
 # gives one Lipschitz bound per interval, `_range_each(lo, hi)` one
-# (min |f|, max |f|) row per interval.
+# (min |f|, max |f|) row per interval, and `_max_each(lo, hi)` that row's
+# max |f| alone, with no min side run.
 # ---------------------------------------------------------------------------
 
 class _ClosedForm:
@@ -230,6 +233,9 @@ class _ClosedForm:
     def _range_each(self, lo, hi):
         rows = [self._range(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
         return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+    def _max_each(self, lo, hi):
+        return self._range_each(lo, hi)[:, 1]
 
 
 @dataclass(frozen=True)
@@ -298,6 +304,9 @@ class Polynomial:
 
     def _range_each(self, lo, hi):
         return _certified_abs_range(self, lo, hi)
+
+    def _max_each(self, lo, hi):
+        return _certified_max(self, lo, hi, 1)
 
     def _seg_lip(self, u, v):
         return _poly_lip_coeff(self.coefficients, u, v)
@@ -377,13 +386,14 @@ class LagrangeNodes:
         except np.linalg.LinAlgError as exc:
             raise FunctionSpecError(f"lagrange nodes have no power basis: {exc}") from exc
 
-    def __call__(self, x):
-        x = _arr(x)
+    def _sums(self, x, weights):
+        """(num, den, hit, exact): the barycentric sums at x over `weights`,
+        and where x hits a node, that node's y."""
         num = np.zeros(np.shape(x))
         den = np.zeros(np.shape(x))
         hit = np.zeros(np.shape(x), dtype=bool)
         exact = np.zeros(np.shape(x))
-        for (xj, yj), wj in zip(self.nodes, self._weights):
+        for (xj, yj), wj in zip(self.nodes, weights):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 c = wj / (x - xj)
                 cy = c * yj
@@ -393,6 +403,22 @@ class LagrangeNodes:
             exact = np.where(h, yj, exact)
             num = num + np.where(h, 0.0, cy)
             den = den + np.where(h, 0.0, c)
+        return num, den, hit, exact
+
+    def __call__(self, x):
+        x = _arr(x)
+        num, den, hit, exact = self._sums(x, self._weights)
+        # far from every node, each term w_j / (x - x_j) may underflow to 0;
+        # there the sums are taken again with every weight times 2**k, k
+        # bringing the largest term near 1, which cancels exactly in num / den
+        lost = (den == 0.0) & ~hit
+        if lost.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = np.max([np.frexp(wj)[1] - np.frexp(x - xj)[1]
+                              for (xj, _), wj in zip(self.nodes, self._weights)], axis=0)
+            k = np.where(lost, -top, 0)
+            scaled = self._sums(x, [np.ldexp(wj, k) for wj in self._weights])
+            num, den = np.where(lost, scaled[0], num), np.where(lost, scaled[1], den)
         with np.errstate(invalid="ignore", divide="ignore"):
             interp = num / den
         return np.where(hit, exact, interp)
@@ -403,6 +429,9 @@ class LagrangeNodes:
     def _range_each(self, lo, hi):
         # barycentric values; only the piece bounds use the power basis
         return _certified_abs_range(self, lo, hi)
+
+    def _max_each(self, lo, hi):
+        return _certified_max(self, lo, hi, 1)
 
     def _seg_lip(self, u, v):
         return self._power._seg_lip(u, v)
@@ -433,6 +462,9 @@ class Sum:
     def _range_each(self, lo, hi):
         return _certified_abs_range(self, lo, hi)
 
+    def _max_each(self, lo, hi):
+        return _certified_max(self, lo, hi, 1)
+
     def _seg_lip(self, u, v):
         return sum(t._seg_lip(u, v) for t in self.terms)
 
@@ -453,6 +485,9 @@ class Scaled:
 
     def _range_each(self, lo, hi):
         return self._times(self.spec._range_each(lo, hi))
+
+    def _max_each(self, lo, hi):
+        return self._times(self.spec._max_each(lo, hi))
 
     def _times(self, bounds):
         with np.errstate(over="ignore"):   # inf, as the product of floats was
@@ -533,6 +568,12 @@ def abs_extrema_each(spec, intervals):
     """Certified (min |f|, max |f|) of spec on each (lo, hi) interval, as an
     (m, 2) array: one bisection for all of them."""
     return spec._range_each(*_check_intervals(intervals))
+
+
+def abs_max_each(spec, intervals):
+    """Column 1 of `abs_extrema_each`, the certified max |f| per interval,
+    with the same bits; the min side is not bisected."""
+    return spec._max_each(*_check_intervals(intervals))
 
 
 def lipschitz_bound(spec, interval):

@@ -390,14 +390,16 @@ def _graph_extents(xs, ys, delta, base, top, fold):
 
 def _run_extents(ys, m, finer):
     """(min, max) of ys over each closed run j*m ... (j+1)*m; from the runs
-    of a finer run length that divides m when `finer` holds them."""
+    of a finer run length that divides m when `finer` holds them.  Runs
+    are reduced by `ufunc.reduceat`, not over a short reshaped axis."""
     if finer is not None and m % finer[0] == 0:
         fm, lo, hi = finer
-        f = m // fm
-        return lo.reshape(-1, f).min(axis=1), hi.reshape(-1, f).max(axis=1)
+        starts = np.arange(0, lo.size, m // fm)
+        return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+    starts = np.arange(0, ys.size - 1, m)
     with np.errstate(invalid="ignore"):   # a NaN is rejected below
-        lo = np.minimum(ys[:-1].reshape(-1, m).min(axis=1), ys[m::m])
-        hi = np.maximum(ys[:-1].reshape(-1, m).max(axis=1), ys[m::m])
+        lo = np.minimum(np.minimum.reduceat(ys[:-1], starts), ys[m::m])
+        hi = np.maximum(np.maximum.reduceat(ys[:-1], starts), ys[m::m])
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("ys must be finite")
     return lo, hi
@@ -464,9 +466,11 @@ def _closed_blocks(H, m):
 
     Block rows are taken a few at a time (`shares.run_blocks` with step
     m, on up to one thread per usable CPU): their row-wise min goes into
-    the thread's scratch block and is reduced on columns there, and then
-    the same for the max, so no array of H's size is made.  min and max
-    are exact, so the result does not depend on the cuts.
+    the thread's scratch block, is copied with the m columns of each block
+    on the leading axis, and is reduced over that axis straight into the
+    result; then the same for the max.  So no array of H's size is made,
+    and no reduction runs over a short inner axis.  min and max are exact,
+    so the result does not depend on the cuts.
     """
     n = (H.shape[0] - 1) // m
     cmin, cmax = np.empty((n, n)), np.empty((n, n))
@@ -475,9 +479,11 @@ def _closed_blocks(H, m):
         rows = H[lo:hi].reshape(-1, m, H.shape[1])
         edge = H[lo + m:hi + 1:m]
         r = scratch[:len(rows)]
+        t = np.empty((m, len(rows), n))   # t[k, i, J] = r[i, J*m + k]
         for reduce, combine, out in ((np.min, np.minimum, cmin), (np.max, np.maximum, cmax)):
             combine(reduce(rows, axis=1, out=r), edge, out=r)
-            c = reduce(r[:, :-1].reshape(len(rows), n, m), axis=2, out=out[lo // m:hi // m])
+            np.copyto(t, r[:, :-1].reshape(len(rows), n, m).transpose(2, 0, 1))
+            c = reduce(t, axis=0, out=out[lo // m:hi // m])
             combine(c, r[:, m::m], out=c)
 
     shares.run_blocks(n * m, H.shape[1], block, step=m)
@@ -490,9 +496,10 @@ def _surface_blocks(field, deltas):
 
     A closed 2m-block's min and max are exactly those of its four closed
     m-children, so a level whose block size is a multiple f of the
-    previous level's reduces that level's (n, n) arrays in f x f tiles;
-    any other level (the first, or a schedule that is not nested)
-    reduces the field itself.
+    previous level's reduces that level's (n, n) arrays in f x f tiles,
+    folding the f^2 strided views of tile entries into the result; any
+    other level (the first, or a schedule that is not nested) reduces the
+    field itself.
     """
     res = field.resolution
     sizes = []
@@ -510,10 +517,12 @@ def _surface_blocks(field, deltas):
     prev = None
     for delta, m in reversed(list(zip(deltas, sizes))):
         if prev is not None and m % prev[0] == 0:
-            pm, lo, hi = prev
-            n, f = res // m, m // pm
-            lo = lo.reshape(n, f, n, f).min(axis=(1, 3))
-            hi = hi.reshape(n, f, n, f).max(axis=(1, 3))
+            pm, finer_lo, finer_hi = prev
+            f = m // pm
+            lo, hi = finer_lo[::f, ::f].copy(), finer_hi[::f, ::f].copy()
+            for a, b in list(itertools.product(range(f), repeat=2))[1:]:
+                np.minimum(lo, finer_lo[a::f, b::f], out=lo)
+                np.maximum(hi, finer_hi[a::f, b::f], out=hi)
         else:
             lo, hi = _closed_blocks(field.heights, m)
         prev = (m, lo, hi)

@@ -9,8 +9,11 @@ triangles per cell.
 Numbers in CSV and OBJ are shortest round-trip decimals (`repr`), with
 integral values written without their '.0'.  Those files are written as
 a sequence of parts (ROWS rows of a CSV, one grid row of OBJ vertices or
-faces), each formatted by one % over a repeated row template, so memory
-stays bounded for any row count.  The parts are cut into one contiguous
+faces), each given by a row template and its columns and formatted by
+one join of the template's pieces and the columns' text tokens, then one
+encode, with no pass over the text after it, so memory stays bounded for
+any row count.  A float's token is its `repr`, already stripped of '.0'
+where it ends in one (`_tokens`).  The parts are cut into one contiguous
 share per usable CPU: the calling process formats the first share
 straight into the file, and a forked child formats each later share into
 an unnamed spool file in the artifact's own directory, which the parent
@@ -18,8 +21,10 @@ appends in order.  The bytes are those of a one-process write.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
+import re
 import shutil
 import tempfile
 
@@ -38,21 +43,40 @@ __all__ = [
 ROWS = 1 << 12   # rows per CSV part; 1 << 14 adds ~0.6 MB peak RSS on a 262 k-row curve
 
 
-def _text(template, columns):
-    """Row i of the equal-length 1-D arrays `columns` as `template`, in ASCII.
+def _tokens(column):
+    """A column as a list of text tokens: a list is taken as it is, an
+    integer array by str, and a float array by repr, less the '.0' where
+    repr ends in it (exactly the finite integral values below 1e16 in
+    magnitude, -0.0 included)."""
+    if isinstance(column, list):
+        return column
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    tokens = list(map(repr, column.tolist()))
+    for i in np.flatnonzero((np.abs(column) < 1e16) & (np.trunc(column) == column)).tolist():
+        tokens[i] = tokens[i][:-2]
+    return tokens
 
-    The columns are taken with `tolist()`, interleaved and filled by one
-    % over the repeated template.  `repr` prints no trailing zero other
-    than an integral value's '.0' (1e+16, not 1.0e+16), so dropping '.0'
-    before a separator strips exactly those.
+
+def _text(template, columns):
+    """Row i of the equal-length columns as `template`, in ASCII.
+
+    The template's k fields (%s or %d) take the k columns' `_tokens` in
+    turn.  The tokens and the template's literal pieces are interleaved
+    into one list, joined once and encoded once; a join only copies each
+    piece, where % would also parse one field per token.
     """
-    k = len(columns)
-    values = [c.tolist() for c in columns]
-    flat = [None] * (k * len(values[0]))
-    for j, column in enumerate(values):
-        flat[j::k] = column
-    text = (template * len(values[0])) % tuple(flat)
-    return text.replace(".0,", ",").replace(".0 ", " ").replace(".0\n", "\n").encode("ascii")
+    pieces = re.split("%[sd]", template)
+    k, n = len(columns), len(columns[0])
+    # after each field its literal; the row's last one runs into the next row's first
+    seps = pieces[1:-1] + [pieces[-1] + pieces[0]]
+    flat = [None] * (2 * k * n + 1)
+    flat[0] = pieces[0]
+    for j, (column, sep) in enumerate(zip(columns, seps)):
+        flat[2 * j + 1::2 * k] = _tokens(column)
+        flat[2 * j + 2::2 * k] = [sep] * n
+    flat[-1] = pieces[-1]
+    return "".join(flat).encode("ascii")
 
 
 def _write_share(out, lo, hi, part):
@@ -109,11 +133,11 @@ def _write_csv(path, template, *columns):
 
 
 def write_curve_csv(path, xs, ys):
-    _write_csv(path, "%r,%r\n", np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+    _write_csv(path, "%s,%s\n", np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
 
 
 def write_box_csv(path, series):
-    _write_csv(path, "%r,%d\n", np.asarray(series.deltas, dtype=np.float64),
+    _write_csv(path, "%s,%d\n", np.asarray(series.deltas, dtype=np.float64),
                np.asarray(series.counts, dtype=np.int64))
 
 
@@ -155,24 +179,27 @@ def write_pgm(path, field):
 def write_obj(path, field):
     """Grid mesh: vertices 'v x height y', faces counter-clockwise.
 
-    One vertex part per grid row, with that row's y string in its
-    template, then one face part per grid row of cells, whose vertex
-    indices are built when the part is formatted; parts are split among
-    the usable CPUs like every CSV (module docstring), with the same
-    bytes as a one-process write.  x and y come from one array of axis
-    strings, which equal repr(ix / m).
+    One vertex part per grid row, with that row's y token in its
+    template, then one face part per grid row of cells; parts are split
+    among the usable CPUs like every CSV (module docstring), with the same
+    bytes as a one-process write.  x and y come from one list of axis
+    tokens, the `_tokens` of ix / m.  A face part takes its vertex indices
+    from the index strings of its two grid rows, each built once per
+    process and kept for the next row's part.
     """
     H = np.asarray(field.heights, dtype=np.float64)
     m = field.resolution
-    axis = np.array([repr(v) for v in (np.arange(m + 1) / m).tolist()])
+    axis = _tokens(np.arange(m + 1) / m)
     stride = m + 1
-    a = np.arange(1, m + 1)   # 1-based index of each cell's lower-left vertex in grid row 0
+
+    @functools.lru_cache(maxsize=2)
+    def indices(iy):   # 1-based indices of grid row iy's vertices, as strings
+        return list(map(str, range(iy * stride + 1, (iy + 1) * stride + 1)))
 
     def faces(iy):
-        row = a + iy * stride
-        return "f %d %d %d\nf %d %d %d\n", (row, row + 1, row + stride + 1,
-                                             row, row + stride + 1, row + stride)
+        low, up = indices(iy), indices(iy + 1)
+        return "f %s %s %s\nf %s %s %s\n", (low[:-1], low[1:], up[1:], low[:-1], up[1:], up[:-1])
 
     with open(path, "wb") as fh:
-        _write_parts(fh, m + 1, lambda iy: ("v %s %r " + axis[iy] + "\n", (axis, H[iy])))
+        _write_parts(fh, m + 1, lambda iy: ("v %s %s " + axis[iy] + "\n", (axis, H[iy])))
         _write_parts(fh, m, faces)

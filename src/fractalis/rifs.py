@@ -20,7 +20,8 @@ interpolant is added once per block.
 Each region's |scaling| range is certified once (`RifsModel.scale_range`)
 and every Lipschitz bound the reports use comes from `lipschitz_bounds`.
 Both certify each spec over all of its intervals in one batched call
-(`catalog.abs_extrema_each`, `catalog.lipschitz_bound_each`).
+(`catalog.abs_extrema_each`, `catalog.lipschitz_bound_each`); the base's
+max |b| per domain span takes the max side alone (`catalog.abs_max_each`).
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from itertools import accumulate, count
 import numpy as np
 
 from . import catalog, shares
-from .catalog import (ScalarSpec, abs_extrema, abs_extrema_each, identity, lipschitz_bound,
-                      lipschitz_bound_each)
+from .catalog import (ScalarSpec, abs_extrema, abs_extrema_each, abs_max_each, identity,
+                      lipschitz_bound, lipschitz_bound_each)
 
 __all__ = [
     "ModelError",
@@ -642,7 +643,7 @@ def lipschitz_bounds(model):
     lip_h = lipschitz_bound_each(model.interpolant, regions)
     doms = [(data.xs[s], data.xs[e]) for s, e in model.domains]
     dom_of = list(model.domain_of)
-    b_max = abs_extrema_each(model.base, doms)[dom_of, 1]
+    b_max = abs_max_each(model.base, doms)[dom_of]
     b_lip = lipschitz_bound_each(model.base, doms)[dom_of]
     c = np.abs([model.map_ratio(i) for i in range(n)])
     return (lipschitz_bound(model.range_map, model.y_envelope), lip_s,

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from fractalis import (Affine, BivariateSpec, Constant, FunctionSpecError,
                        LagrangeNodes, Polynomial, Scaled, SeparableTerm,
                        Sinusoid, Sum, abs_extrema, lagrange_from_nodes, lipschitz_bound)
-from fractalis.catalog import MAX_PIECES, _horner, abs_extrema_each, lipschitz_bound_each
+from fractalis.catalog import (MAX_PIECES, _horner, abs_extrema_each, abs_max_each,
+                               lipschitz_bound_each)
 from fractalis.config import ConfigError, bivariate_from_json, scalar_from_json
 
 EX2_NODES = ((0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0))
@@ -645,6 +647,61 @@ def bisected_specs(draw):
 intervals = st.lists(
     st.tuples(st.floats(-2.0, 6.0), st.sampled_from([1e-5, 1e-3, 0.05, 0.3, 1.0, 2.5])).map(
         lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(specs, bisected_specs()), intervals)
+def test_abs_max_each_is_the_range_max(spec, ivs):
+    # the max side alone, with the bits of abs_extrema_each's max column
+    want = abs_extrema_each(spec, ivs)[:, 1]
+    assert abs_max_each(spec, ivs).tobytes() == want.tobytes()
+
+
+def exact_lagrange(nodes, x):
+    """The interpolating polynomial through `nodes` at x, in exact rationals."""
+    total = Fraction(0)
+    for j, (xj, yj) in enumerate(nodes):
+        term = Fraction(yj)
+        for k, (xk, _) in enumerate(nodes):
+            if k != j:
+                term *= (Fraction(x) - Fraction(xk)) / (Fraction(xj) - Fraction(xk))
+        total += term
+    return total
+
+
+class TestLagrangeFarFromNodes:
+    """Nodes 1e150 apart have weights near 5e-301, so every barycentric term
+    w_j / (x - x_j) underflows to zero at each x but a node; those points
+    are evaluated again with the weights scaled by a power of two."""
+
+    NODES = ((1e150, 1.0), (2e150, 0.0), (3e150, 0.0))
+    XS = [0.0, -0.0, 1e-300, -1e150, 5e149, 1.5e150, 2.5e150, 4e150, 7e150, -3e150]
+
+    @pytest.mark.parametrize("x", XS)
+    def test_matches_the_exact_quadratic(self, x):
+        spec = LagrangeNodes(self.NODES)
+        want = float(exact_lagrange(self.NODES, x))
+        for got in (spec(np.float64(x)), spec(np.array([x]))[0]):
+            assert math.isfinite(got)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_arrays_mix_nodes_and_rescaled_points(self):
+        spec = LagrangeNodes(self.NODES)
+        xs = np.array([0.0, 1e150, 2e150, 3e150, 4e150])
+        got = spec(xs)
+        assert got[1:4].tolist() == [1.0, 0.0, 0.0]
+        assert got[[0, 4]].tolist() == pytest.approx([3.0, 1.0], rel=1e-12)
+        assert got.tolist() == [float(spec(np.float64(x))) for x in xs]
+
+    @pytest.mark.parametrize("e", [100, 300, 400, 500])
+    def test_values_keep_the_bits_of_unit_nodes(self, e):
+        # nodes and x times 2**e: each term scales by 2**(-3e), exactly while
+        # it stays normal (e = 100, 300), and the rescaled sums of underflowed
+        # points (e = 400, 500) give the same bits as unit nodes do
+        unit = LagrangeNodes(((1.0, 1.0), (2.0, 0.0), (3.0, 0.0)))
+        moved = LagrangeNodes(tuple((math.ldexp(x, e), y) for x, y in unit.nodes))
+        xs = np.array([0.0, -0.0, 0.5, 1.5, 2.5, 4.0, -1.0, 1.0, 3.0])
+        assert moved(np.ldexp(xs, e)).tobytes() == unit(xs).tobytes()
 
 
 class TestBatchedBisection:

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -295,6 +296,76 @@ class TestForks:
         io.write_curve_csv(target / "curve.csv", np.arange(n) / n, np.zeros(n))
         assert len(forks) == 2 and dirs == [str(target)] * 2
         assert [p.name for p in target.iterdir()] == ["curve.csv"]
+
+
+# integral floats: repr ends in '.0' below 1e16 in magnitude, and the writers
+# strip it; 1e16 and up print with an exponent and keep their repr
+INTEGRAL_EDGES = [0.0, -0.0, 9999999999999998.0, -9999999999999998.0, 1e16, -1e16,
+                  5e-324, -5e-324]
+finite_mix = st.one_of(st.integers(-10**16, 10**16).map(float), st.sampled_from(INTEGRAL_EDGES),
+                       st.floats(allow_nan=False, allow_infinity=False, width=64))
+any_mix = st.one_of(finite_mix, st.sampled_from([math.nan, math.inf, -math.inf]))
+SIZES = [ROWS - 1, ROWS, ROWS + 1]
+
+
+def spread(values, n, seed):
+    """n values cycling through `values`, shuffled."""
+    return np.random.default_rng(seed).permutation(np.resize(np.array(values, dtype=np.float64),
+                                                             n))
+
+
+class TestIntegralValues:
+    """Integral values among every other kind, on every CPU count: the
+    writers give each its stripped repr, as `format_number` does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(any_mix, min_size=1, max_size=40), st.sampled_from(SIZES),
+           st.sampled_from(CPUS), st.integers(0, 2**32 - 1))
+    def test_curve_csv(self, tmp_path_factory, values, n, cpus, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, cpus)
+            assert_same_bytes(tmp_path_factory.mktemp("csv"), io.write_curve_csv,
+                              ref_write_curve_csv, spread(values, n, seed),
+                              spread(values, n, seed + 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(any_mix, min_size=1, max_size=40), st.sampled_from(SIZES),
+           st.sampled_from(CPUS), st.integers(0, 2**32 - 1))
+    def test_box_csv(self, tmp_path_factory, values, n, cpus, seed):
+        # the writer reads only deltas and counts, so any floats can be given
+        counts = np.random.default_rng(seed).integers(-2**63, 2**63 - 1, n, dtype=np.int64)
+        series = SimpleNamespace(deltas=tuple(spread(values, n, seed).tolist()),
+                                 counts=tuple(counts.tolist()))
+        with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, cpus)
+            assert_same_bytes(tmp_path_factory.mktemp("box"), io.write_box_csv,
+                              ref_write_box_csv, series)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(finite_mix, min_size=1, max_size=40), st.sampled_from([2, 3, 7]),
+           st.sampled_from(CPUS), st.integers(0, 2**32 - 1))
+    def test_obj(self, tmp_path_factory, values, m, cpus, seed):
+        H = spread(values, (m + 1) ** 2, seed).reshape(m + 1, m + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, cpus)
+            assert_same_bytes(tmp_path_factory.mktemp("obj"), io.write_obj, ref_write_obj,
+                              HeightField(m, H))
+
+    @pytest.mark.parametrize("kind", ["none", "all"])
+    def test_no_or_only_integral_values(self, tmp_path, kind):
+        rng = np.random.default_rng(7)
+        n, m = ROWS + 1, 7
+        v = rng.standard_normal(2 * n + (m + 1) ** 2) * 1e6
+        if kind == "all":
+            v = np.round(v)
+            v[::5] = -0.0
+        else:
+            v += 0.5   # x.5 is never integral
+        integral = (np.abs(v) < 1e16) & (np.trunc(v) == v)
+        assert integral.all() if kind == "all" else not integral.any()
+        assert_same_bytes(tmp_path, io.write_curve_csv, ref_write_curve_csv, v[:n], v[n:2 * n])
+        H = v[2 * n:].reshape(m + 1, m + 1)
+        assert_same_bytes(tmp_path, io.write_obj, ref_write_obj, HeightField(m, H))
 
 
 def digits(i):

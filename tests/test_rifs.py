@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import sys
 from dataclasses import astuple
 from itertools import accumulate
 
@@ -14,9 +16,12 @@ from fractalis import (Affine, Constant, ContractionReport, HypothesisError, Lag
                        default_base, default_interpolant, derive_connectivity, eval_F,
                        functional_residual, lipschitz_bound, max_variation,
                        merged_curve, refine_attractor, rifs, shares, variation_bound_report)
+from fractalis.catalog import abs_extrema_each
 from fractalis.cli import _model_summary
+from fractalis.config import parse_config
 from fractalis.rifs import (InterpolationData, _depth_zero, _refine_step, _sampled_range,
                             plan_depth)
+from test_benchmark_contract import workloads
 from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
@@ -125,11 +130,13 @@ def test_connectivity_matches_loop_reference(wiring):
 
 
 def nan_at(x):
-    """A spec with finite parameters that evaluates to NaN at x: its
-    barycentric weights are finite, but with every node 1e150 or more away
-    each term w_j / (x - x_j) underflows to zero there, so 0/0 is left."""
-    spec = LagrangeNodes(((x + 1e150, 1.0), (x + 2e150, 0.0), (x + 3e150, 0.0)))
-    assert math.isnan(float(spec(np.float64(x))))
+    """A spec with finite parameters that evaluates to NaN at x (and
+    everywhere): (M + M) + (-M - M) with M the largest float is inf - inf.
+    numpy warns of both steps, so its callers build under np.errstate."""
+    big, low = Constant(sys.float_info.max), Constant(-sys.float_info.max)
+    spec = Sum((Sum((big, big)), Sum((low, low))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(float(spec(np.float64(x))))
     return spec
 
 
@@ -211,17 +218,20 @@ class TestBuildValidation:
 
     def test_nan_interpolant_fails_the_node_check(self):
         with pytest.raises(ModelError, match="interpolant misses node 0: .* = nan"):
-            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), interpolant=nan_at(0.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), interpolant=nan_at(0.0))
 
     def test_nan_base_fails_the_endpoint_check(self):
         with pytest.raises(ModelError, match="base misses domain-endpoint node 0: .* = nan"):
-            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), base=nan_at(0.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), base=nan_at(0.0))
 
     def test_nan_vertical_map_fails_the_endpoint_identity(self):
         # a non-affine range map is not checked before the endpoint identities;
         # node 0's height is 20
         with pytest.raises(ModelError, match="region 0: vertical map sends node 0 to nan"):
-            build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), range_map=nan_at(20.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                build_model(DATA, TWO_DOMAINS, SPLIT, Constant(0.5), range_map=nan_at(20.0))
 
     def test_large_constant_scaling_rejected(self):
         with pytest.raises(ModelError, match="scaling"):
@@ -282,7 +292,7 @@ class TestUnusedDomains:
                     seen.append(np.asarray(intervals).tolist())
                 return certify(spec, intervals)
             return wrapped
-        monkeypatch.setattr(rifs, "abs_extrema_each", spy(rifs.abs_extrema_each))
+        monkeypatch.setattr(rifs, "abs_max_each", spy(rifs.abs_max_each))
         monkeypatch.setattr(rifs, "lipschitz_bound_each", spy(rifs.lipschitz_bound_each))
         rifs.lipschitz_bounds(model)
         assert seen == [[[0.0, 1.0], [0.25, 0.75]]] * 2
@@ -1065,6 +1075,27 @@ def certified_models(draw):
         return None
 
 
+def wide_model():
+    """perfbench's wide `analyze` model (seed 1): 96 regions, cubic interpolant."""
+    doc = workloads.generate("analyze", 1)["wide.json"]
+    return parse_config(json.loads(workloads.dumps(doc))).curve.build()
+
+
+class TestBaseMaxOnly:
+    """`lipschitz_bounds` takes the base's max |b| per domain from a max-side
+    run alone, with the bits the max column of a full range gives."""
+
+    @pytest.mark.parametrize("model", FIXTURE_MODELS + [pytest.param(None, id="perfbench-wide")])
+    def test_bounds_match_the_full_range(self, monkeypatch, model):
+        model = model or wide_model()
+        got = rifs.lipschitz_bounds(model)
+        monkeypatch.setattr(rifs, "abs_max_each",
+                            lambda spec, intervals: abs_extrema_each(spec, intervals)[:, 1])
+        want = rifs.lipschitz_bounds(model)
+        assert got[0] == want[0]
+        assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
+
+
 class TestOneCertification:
     """The stored |scaling| ranges and `lipschitz_bounds` against the
     per-region certification they replaced, bit for bit."""
@@ -1094,7 +1125,7 @@ class TestOneCertification:
         """Record every certification rifs asks for, batched or scalar, as
         (name, spec, list of intervals)."""
         calls = []
-        for name in ("abs_extrema_each", "lipschitz_bound_each", "abs_extrema",
+        for name in ("abs_extrema_each", "abs_max_each", "lipschitz_bound_each", "abs_extrema",
                      "lipschitz_bound"):
             def counted(spec, intervals, _fn=getattr(rifs, name), _name=name):
                 ivs = intervals if _name.endswith("_each") else [intervals]
@@ -1128,9 +1159,11 @@ class TestOneCertification:
         curve_dimension_bounds(model)
         assert not any(seen(calls, name, f) for f in scaling
                        for name in ("abs_extrema_each", "abs_extrema", "lipschitz_bound"))
-        # two reports, each certifying the base once per domain span, in one call
+        # two reports, each certifying the base once per domain span, in one
+        # call, and its max |b| alone
         domains = [(0.0, 0.5), (0.5, 1.0)]
-        assert seen(calls, "abs_extrema_each", model.base) == [domains] * 2
+        assert not seen(calls, "abs_extrema_each", model.base)
+        assert seen(calls, "abs_max_each", model.base) == [domains] * 2
         assert seen(calls, "lipschitz_bound_each", model.base) == [domains] * 2
         assert ([seen(calls, "lipschitz_bound_each", f) for f in scaling]
                 == [[[r]] * 2 for r in regions])

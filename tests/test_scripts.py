@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/, so a library API change that
 breaks them fails here instead of at their next manual use."""
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -23,3 +24,34 @@ def test_render_figures_fast_runs(tmp_path, capsys):
     assert load("render_figures").run(["--fast", "--out-dir", str(tmp_path)]) == 0
     fixtures = sorted(p.stem for p in (SCRIPTS.parent / "fixtures").glob("*.json"))
     assert sorted(p.name for p in tmp_path.iterdir()) == fixtures
+
+
+def test_paired_bench_alternates_and_records(tmp_path, capsys):
+    """A stub copy and a stub benchmark: no benchmark runs here."""
+    copies, calls = [], []
+
+    def archive(rev, dest):
+        copies.append((rev, dest.name))
+        dest.mkdir(parents=True)
+
+    def perfbench(checkout, argv):
+        calls.append((checkout.name, argv[argv.index("--seed") + 1]))
+        wall = 1.0 if checkout.name == "parent" else 0.9
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {name: {"value": wall, "unit": "s"}
+                            for name in ("wall_s", "cold_s", "setup_s", "peak_rss_mb")}}
+
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "A", "--change", "B", "--workloads", "export", "--pairs", "3",
+            "--seconds", "2", "--seed", "5", "--out", str(out), "--work", str(tmp_path / "w")]
+    assert load("paired_bench").run(argv, archive=archive, perfbench=perfbench) == 0
+    assert copies == [("A", "parent"), ("B", "change")]
+    assert calls == [("parent", "5"), ("change", "5"), ("change", "6"), ("parent", "6"),
+                     ("parent", "7"), ("change", "7")]
+    text = capsys.readouterr().out
+    assert "wall_s (s): 1 [1, 1] -> 0.9 [0.9, 0.9], change better in 3 of 3" in text
+    record = json.loads(out.read_text())
+    assert list(record) == ["export"]
+    assert record["export"]["command"] == ("python3 perfbench/run.py --workload export "
+                                           "--seed 5 --seconds 2 --trace 0")
+    assert record["export"]["seed"] == 5 and record["export"]["result"]["correct"]
