@@ -11,8 +11,12 @@ benchmark's peak RSS depends on the checkout path's length).  Pair i runs
 the benchmark command of BENCHMARK.json with `--workload W --seed
 <seed + i> --seconds S --trace 0` once in each copy, the parent first on
 even pairs and the change first on odd ones.  For every end-to-end metric
-it prints the median [q1, q3] of each side's run results and "change
-better in k of n": the pairs whose change result is strictly better.
+it prints the median [q1, q3] of each side's run results, "change
+better in k of n" (the pairs whose change result is strictly better) and
+a verdict: "gain shown" when k >= 0.9 n and the change's median is better
+than the parent's by more than the parent's q3 - q1; "worse" when it is
+worse than the parent's by more than the metric's relative `bound` in
+BENCHMARK.json; "no gain shown" otherwise.
 `--out` writes, per workload, the change's result of the first pair as
 `{command, seed, seconds, usable_cpus, result}`, the layout of every
 BENCH_<pr>.json.  The copies are removed at the end unless `--work` names
@@ -60,6 +64,19 @@ def quartiles(values):
     return median, q1, q3
 
 
+def verdict(metric, better, parent, change):
+    """The module docstring's verdict on one metric, from the count of
+    pairs the change won and each side's values."""
+    sign = 1 if metric["better"] == "lower" else -1
+    p_median, p_q1, p_q3 = quartiles(parent)
+    gain = sign * (p_median - quartiles(change)[0])
+    if 10 * better >= 9 * len(change) and gain > p_q3 - p_q1:
+        return "gain shown"
+    if -gain > metric["bound"] * abs(p_median):
+        return "worse"
+    return "no gain shown"
+
+
 def summary(metrics, results):
     """Lines comparing the sides' results of one workload, pair by pair."""
     lines = []
@@ -73,7 +90,8 @@ def summary(metrics, results):
         better = sum(sign * c < sign * p for p, c in zip(values["parent"], values["change"]))
         stats = {side: "%.4g [%.4g, %.4g]" % quartiles(values[side]) for side in SIDES}
         lines.append(f"  {name} ({metric['unit']}): {stats['parent']} -> {stats['change']}, "
-                     f"change better in {better} of {len(values['change'])}")
+                     f"change better in {better} of {len(values['change'])}: "
+                     f"{verdict(metric, better, values['parent'], values['change'])}")
     return lines
 
 

@@ -387,11 +387,13 @@ class LagrangeNodes:
             raise FunctionSpecError(f"lagrange nodes have no power basis: {exc}") from exc
 
     def _sums(self, x, weights):
-        """(num, den, hit, exact): the barycentric sums at x over `weights`,
-        and where x hits a node, that node's y."""
+        """(num, den, hit, exact, small): the barycentric sums at x over
+        `weights`, where x hits a node that node's y, and where some term
+        w_j / (x - x_j) is subnormal or zero."""
         num = np.zeros(np.shape(x))
         den = np.zeros(np.shape(x))
         hit = np.zeros(np.shape(x), dtype=bool)
+        small = np.zeros(np.shape(x), dtype=bool)
         exact = np.zeros(np.shape(x))
         for (xj, yj), wj in zip(self.nodes, weights):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -400,18 +402,20 @@ class LagrangeNodes:
             # an exact hit, or x so near xj that the other terms vanish beside it
             h = np.isinf(c) | np.isinf(cy)
             hit = hit | h
+            small = small | (np.abs(c) < np.finfo(np.float64).tiny)
             exact = np.where(h, yj, exact)
             num = num + np.where(h, 0.0, cy)
             den = den + np.where(h, 0.0, c)
-        return num, den, hit, exact
+        return num, den, hit, exact, small
 
     def __call__(self, x):
         x = _arr(x)
-        num, den, hit, exact = self._sums(x, self._weights)
-        # far from every node, each term w_j / (x - x_j) may underflow to 0;
-        # there the sums are taken again with every weight times 2**k, k
-        # bringing the largest term near 1, which cancels exactly in num / den
-        lost = (den == 0.0) & ~hit
+        num, den, hit, exact, small = self._sums(x, self._weights)
+        # far from the nodes, a term w_j / (x - x_j) may be subnormal or
+        # underflow to 0, losing digits; there the sums are taken again with
+        # every weight times 2**k, k bringing the largest term near 1, which
+        # cancels exactly in num / den
+        lost = small & ~hit
         if lost.any():
             with np.errstate(over="ignore", invalid="ignore"):
                 top = np.max([np.frexp(wj)[1] - np.frexp(x - xj)[1]

@@ -151,29 +151,41 @@ def write_json(path, payload):
         fh.write(text + "\n")
 
 
+def _pwrite(fd, data, offset):
+    """All of the array `data` at `offset` in the file `fd` (os.pwrite may write less)."""
+    view = memoryview(data.reshape(-1).view(np.uint8))
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+
+
 def write_pgm(path, field):
     """P5/65535 heightmap of a `surface.HeightField`.
 
     Row iy of the image is the grid row y = iy/m; the first pixel is the
     value at (0, 0).  Pixels are rint((h - min) / (max - min) * 65535),
     or 0 on a flat field, with the field's own height_min/height_max (no
-    sweep here), normalized in row blocks on up to one thread per usable
-    CPU (`shares.run_blocks`) straight into the big-endian 16-bit array
-    that is written; the bytes are those of one whole-array pass.
+    sweep here).  The file is first sized to its header and pixels, all
+    zero; the rows are then normalized in row blocks on up to one thread
+    per usable CPU (`shares.run_blocks`), each block cast into a
+    block-sized big-endian 16-bit buffer that is written at its rows' file
+    offset (`os.pwrite`).  A flat field runs no block.  No field-sized
+    array is made, and the bytes are those of one whole-array pass.
     """
     H, lo, hi = field.heights, field.height_min, field.height_max
-    px = np.zeros(H.shape, dtype=">u2")
-    if hi > lo:
-        def block(a, b, scratch):
-            norm = np.subtract(H[a:b], lo, out=scratch[:b - a])
-            norm /= hi - lo
-            norm *= 65535.0
-            px[a:b] = np.rint(norm, out=norm)
-
-        shares.run_blocks(H.shape[0], H.shape[1], block)
+    header = f"P5\n{H.shape[1]} {H.shape[0]}\n65535\n".encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{H.shape[1]} {H.shape[0]}\n65535\n".encode("ascii"))
-        fh.write(px)
+        fh.write(header)
+        fh.truncate(len(header) + 2 * H.size)   # flushes the header first
+        if hi > lo:
+            def block(a, b, scratch):
+                norm = np.subtract(H[a:b], lo, out=scratch[:b - a])
+                norm /= hi - lo
+                norm *= 65535.0
+                _pwrite(fh.fileno(), np.rint(norm, out=norm).astype(">u2"),
+                        len(header) + 2 * H.shape[1] * a)
+
+            shares.run_blocks(H.shape[0], H.shape[1], block)
 
 
 def write_obj(path, field):

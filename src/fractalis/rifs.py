@@ -11,11 +11,14 @@ source domain.  Region-endpoint samples are pinned to the exact data
 nodes (their map images agree with the nodes up to rounding); this keeps
 interpolation exact and makes refinement bit-stable across depths.
 
-A refinement round computes the region-independent part of the vertical
-map once per old sample, then walks the new curve output-major, in
-cache-sized blocks on up to one joined thread per usable CPU: each region
-writes the images of its feeder samples into its part of a block, and the
-interpolant is added once per block.
+A refinement round consumes the level it refines.  It writes the
+region-independent part of the vertical map over the old heights, once
+per old sample, then walks the new curve output-major twice, in
+cache-sized blocks on up to one joined thread per usable CPU: the first
+walk writes each region's x images of its feeder samples into its part
+of a block, after which the old x column is released; the second fills
+the new heights from those x values, the interpolant added once per
+block.
 
 Each region's |scaling| range is certified once (`RifsModel.scale_range`)
 and every Lipschitz bound the reports use comes from `lipschitz_bounds`.
@@ -62,7 +65,7 @@ __all__ = [
 NODE_TOL = 1e-9          # relative tolerance for node-value checks
 GRID = 4097              # samples of a sampled enclosure and the scaling probe
 SCALE_FRACTION = 1.0 / 64
-POINT_LIMIT = 2 ** 26    # ~2.4 GB at the ~36 bytes a refined point costs at peak
+POINT_LIMIT = 2 ** 26    # ~1.4 GB at the ~20.5 bytes a refined point costs at peak
 SAMPLES_PER_SCALE = 4    # a planned mesh width delta holds at least 4 x gaps
 DEFAULT_DEPTH = 8        # the depth planned when neither a depth nor a mesh width is given
 ENVELOPE_ROUNDS = 64     # rounds of the certified y-envelope iteration before it gives up
@@ -513,51 +516,64 @@ def eval_F(model, i, x, y):
     return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
-def _depth_zero(model):
-    xs, ys = model.data.xs, model.data.ys
-    return AttractorSampling(0, np.array(xs), np.array(ys), tuple(range(len(xs))))
+def _refine_step(model, level):
+    """One refinement round on `level`, a list [xs, ys, starts] that the
+    round consumes and refills with the next level.
 
-
-def _refine_step(model, sampling):
-    """One refinement round, walked output-major.
-
-    `_detail` is computed once per old sample.  The new curve is then
-    walked in blocks (`shares.run_blocks`, width 1: about BLOCK_BYTES of
-    samples a block, on up to one joined thread per usable CPU).  In a
-    block, each region that overlaps it writes the x images of its feeder
-    samples and scaling_i(lx) * detail into its part of the block, in
-    reverse for a flipped region, and the interpolant at the block's x
-    values is then added in one call.  Region ends are pinned to the
-    nodes in one assignment at the end.  Every operation is elementwise,
-    so the bytes do not depend on the blocks or the CPU count.
+    It runs three block walks (`shares.run_blocks`, width 1: about
+    BLOCK_BYTES of samples a block, on up to one joined thread per usable
+    CPU), the last two output-major over the new curve:
+    1. `_detail` is written over the consumed heights, once per old sample.
+    2. Each region that overlaps a block writes the x images of its feeder
+       samples into its part of the block, in reverse for a flipped
+       region.  The consumed x column is then released.
+    3. Only then are the new heights allocated; each region writes
+       scaling_i(x) * detail into its part of a block, reading x from the
+       new column, and the interpolant at the block's x values is added in
+       one call.
+    Region ends are pinned to the nodes in one assignment at the end.
+    Every operation is elementwise, so the bytes do not depend on the
+    blocks or the CPU count.  A round at its peak holds the detail and
+    both new columns: 8 bytes per old sample and 16 per new one.
     """
-    prev = sampling.starts
+    old_x, detail, prev = level
+    del level[:]
     runs = [(prev[r.start], prev[r.stop]) for r in map(model.feeders, range(model.n_regions))]
     starts = tuple(accumulate((e - s for s, e in runs), initial=0))
-    old_x, old_y = sampling.xs, sampling.ys
-    detail = np.empty(old_x.size)
-    shares.run_blocks(old_x.size, 1, lambda lo, hi, _: _detail(
-        model, old_x[lo:hi], old_y[lo:hi], out=detail[lo:hi]))
-    xs, ys = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
+    shares.run_blocks(detail.size, 1, lambda lo, hi, _: _detail(
+        model, old_x[lo:hi], detail[lo:hi], out=detail[lo:hi]))
     n = model.n_regions
 
-    def block(lo, hi, _):
+    def parts(lo, hi):
+        """Per region that overlaps block [lo, hi): (i, its new samples
+        there, reversed when flipped, and the old samples they image)."""
         for i in range(min(bisect_right(starts, lo), n) - 1, min(bisect_left(starts, hi), n)):
             # region i holds new samples a..b, the images of old samples
             # s..e (e..s when flipped); p..q - 1 of them lie in this block
             (s, e), a, b = runs[i], starts[i], starts[i + 1]
             p, q = max(lo, a), min(hi, b + 1)
-            step = -1 if model.flip[i] else 1
             u = e - (q - 1 - a) if model.flip[i] else s + (p - a)
-            old = slice(u, u + q - p)
-            lx = model.map_apply(i, old_x[old], out=xs[p:q][::step])
-            np.multiply(model.scaling[i](lx), detail[old], out=ys[p:q][::step])
+            yield i, slice(p, q), -1 if model.flip[i] else 1, slice(u, u + q - p)
+
+    xs = np.empty(starts[-1] + 1)
+
+    def x_block(lo, hi, _):
+        for i, new, step, old in parts(lo, hi):
+            model.map_apply(i, old_x[old], out=xs[new][::step])
+
+    shares.run_blocks(xs.size, 1, x_block)
+    del old_x
+    ys = np.empty(xs.size)
+
+    def y_block(lo, hi, _):
+        for i, new, step, old in parts(lo, hi):
+            np.multiply(model.scaling[i](xs[new][::step]), detail[old], out=ys[new][::step])
         ys[lo:hi] += model.interpolant(xs[lo:hi])
 
-    shares.run_blocks(xs.size, 1, block)
+    shares.run_blocks(xs.size, 1, y_block)
     xs[list(starts)] = model.data.xs
     ys[list(starts)] = model.data.ys
-    return AttractorSampling(sampling.depth + 1, xs, ys, starts)
+    level[:] = xs, ys, starts
 
 
 def plan_depth(model, depth=None, delta=None):
@@ -596,12 +612,17 @@ def refine_attractor(model, depth):
 
     Depth 0 is the data nodes grouped by region; each round maps the
     content of every region's source domain through that region's maps.
+    Each round consumes the level it refines (`_refine_step`): heights
+    become the detail, the new x column is written and the old one
+    released, then the new heights are written.  Only the last level
+    becomes a sampling, so a sampling a caller holds is never written.
     """
     check_size("depth", depth, 0)
-    sampling = _depth_zero(model)
+    xs, ys = model.data.xs, model.data.ys
+    level = [np.array(xs), np.array(ys), tuple(range(len(xs)))]
     for _ in range(depth):
-        sampling = _refine_step(model, sampling)
-    return sampling
+        _refine_step(model, level)
+    return AttractorSampling(depth, *level)
 
 
 def merged_curve(sampling):

@@ -24,7 +24,7 @@ from fractalis import (BivariateSpec, Constant, CurveSamples, ModelError, Separa
                        estimate_curve_dimension, eval_surface, merged_curve)
 from fractalis import rifs
 from fractalis.config import parse_config
-from fractalis.rifs import (POINT_LIMIT, _depth_zero, _refine_step, plan_depth,
+from fractalis.rifs import (POINT_LIMIT, AttractorSampling, _refine_step, plan_depth,
                             refine_attractor, resolves)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -55,6 +55,14 @@ TIES = [pytest.param(build_model(list(zip(xs, TIE_YS)), [(0, 4)], [0] * 4, Const
                      id=f"on-{name}") for name, xs in TIE_NODES.items()]
 
 
+def refined_copy(model, sampling):
+    """The level after `sampling`, from one round on copies of its arrays:
+    a round consumes its level, and the caller keeps `sampling`."""
+    level = [sampling.xs.copy(), sampling.ys.copy(), sampling.starts]
+    _refine_step(model, level)
+    return AttractorSampling(sampling.depth + 1, *level)
+
+
 @st.composite
 def wirings(draw):
     """Random RIFS wirings: any span layout, flips, uniform or uneven nodes."""
@@ -81,14 +89,14 @@ def wirings(draw):
 def trial_depth(model, spacing, limit):
     """The auto-depth loop the planner replaced: refine, measure, repeat.
     None once the curve holds more than `limit` points."""
-    sampling = _depth_zero(model)
+    sampling = refine_attractor(model, 0)
     while True:
         gx, _ = merged_curve(sampling)
         if gx.size > limit:
             return None
         if float(np.diff(gx).max()) <= spacing:
             return sampling.depth
-        sampling = _refine_step(model, sampling)
+        sampling = refined_copy(model, sampling)
 
 
 def auto_depth(model, delta, limit):
@@ -104,7 +112,7 @@ def auto_depth(model, delta, limit):
 def assert_plans_match_refinement(model, max_depth=8, max_total=2 ** 17):
     xs = model.data.xs
     tol = 16 * EPS * max(abs(xs[0]), abs(xs[-1]))
-    sampling = _depth_zero(model)
+    sampling = refine_attractor(model, 0)
     while sampling.depth <= max_depth:
         plan = plan_depth(model, sampling.depth)
         assert plan.depth == sampling.depth
@@ -114,7 +122,7 @@ def assert_plans_match_refinement(model, max_depth=8, max_total=2 ** 17):
             assert got == pytest.approx(float(np.diff(rx).max()), rel=1e-12, abs=tol)
         if plan_depth(model, sampling.depth + 1).total > max_total:
             break
-        sampling = _refine_step(model, sampling)
+        sampling = refined_copy(model, sampling)
 
 
 def assert_auto_depth_matches_trial(model, r_hi, limit):

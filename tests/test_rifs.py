@@ -2,12 +2,14 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from dataclasses import astuple
-from itertools import accumulate
+from itertools import accumulate, count
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fractalis import (Affine, Constant, ContractionReport, HypothesisError, LagrangeNodes,
@@ -19,10 +21,9 @@ from fractalis import (Affine, Constant, ContractionReport, HypothesisError, Lag
 from fractalis.catalog import abs_extrema_each
 from fractalis.cli import _model_summary
 from fractalis.config import parse_config
-from fractalis.rifs import (InterpolationData, _depth_zero, _refine_step, _sampled_range,
-                            plan_depth)
+from fractalis.rifs import AttractorSampling, InterpolationData, _sampled_range, plan_depth
 from test_benchmark_contract import workloads
-from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, wirings
+from test_plan_depth import EXACT_FAMILY, FIXTURE_MODELS, refined_copy, wirings
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
 TWO_DOMAINS = [(0, 2), (2, 4)]
@@ -643,11 +644,11 @@ def ref_refine_step(model, sampling):
 
 
 def assert_steps_match_reference(model, max_depth=8, max_total=2 ** 17):
-    sampling = _depth_zero(model)
+    sampling = refine_attractor(model, 0)
     while (sampling.depth < max_depth
            and plan_depth(model, sampling.depth + 1).total <= max_total):
         starts, xs, ys = ref_refine_step(model, sampling)
-        sampling = _refine_step(model, sampling)
+        sampling = refined_copy(model, sampling)
         assert sampling.starts == starts
         assert sampling.xs.tobytes() == xs.tobytes() and sampling.ys.tobytes() == ys.tobytes()
 
@@ -740,6 +741,135 @@ class TestRefineStep:
         assert np.ptp(np.diff(model.range_map(ys)) / np.diff(ys)) > 0.01
 
 
+class Itself(Affine):
+    """The identity range map as the argument itself: a round's detail,
+    written over the heights, is then computed from its own output array."""
+
+    def __call__(self, x):
+        return np.asarray(x, dtype=np.float64)
+
+
+@st.composite
+def uniform_wirings(draw, range_maps=("identity", "affine", "itself")):
+    """Uniform wirings: k >= 1 domains of a = 2, 3 or 4 adjacent regions each,
+    every domain used, flips, Constant, Polynomial or Sinusoid scalings,
+    and the identity, a non-identity affine range map (fixing the domain
+    endpoints' height) or `Itself`."""
+    a = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, 8 // a))
+    n = a * k
+    y0 = draw(st.floats(-5.0, 5.0))
+    ys = [y0 if i % a == 0 else draw(st.floats(-5.0, 5.0)) for i in range(n + 1)]
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    domain_of = draw(st.permutations(list(range(k)) + extra))
+    slope = draw(st.floats(0.5, 1.1).filter(lambda c: c != 1.0))
+    range_map = {"identity": None, "affine": Affine(slope, (1.0 - slope) * y0),
+                 "itself": Itself(1.0, 0.0)}[draw(st.sampled_from(range_maps))]
+    scaling = draw(st.lists(SCALINGS, min_size=1, max_size=n).filter(lambda v: len(v) in (1, n)))
+    try:
+        return build_model([(i / n, y) for i, y in enumerate(ys)],
+                           [(a * j, a * (j + 1)) for j in range(k)], domain_of, scaling,
+                           range_map=range_map,
+                           flip=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    except ModelError:
+        return None
+
+
+def assert_depths_match_reference(model, max_depth=8, max_total=2 ** 14):
+    """refine_attractor at every depth against `ref_refine_step` run round
+    by round, bit for bit; no sampling returned earlier changes."""
+    ref, kept = refine_attractor(model, 0), []
+    while True:
+        got = refine_attractor(model, ref.depth)
+        assert not got.xs.flags.writeable and not got.ys.flags.writeable
+        assert got.starts == ref.starts
+        assert got.xs.tobytes() == ref.xs.tobytes() and got.ys.tobytes() == ref.ys.tobytes()
+        kept.append((got, got.xs.tobytes(), got.ys.tobytes()))
+        if ref.depth == max_depth or plan_depth(model, ref.depth + 1).total > max_total:
+            break
+        starts, xs, ys = ref_refine_step(model, ref)
+        ref = AttractorSampling(ref.depth + 1, xs, ys, starts)
+    assert all(s.xs.tobytes() == xb and s.ys.tobytes() == yb for s, xb, yb in kept)
+
+
+CONSUMING_MODELS = STEP_MODELS + [
+    pytest.param(build_model(DATA, TWO_DOMAINS, SPLIT, Sinusoid(0.8, 9.0, 0.3, "cos"),
+                             range_map=Itself(1.0, 0.0), flip=[True, False, False, True]),
+                 id="aliased-range-map"),
+    pytest.param(build_model(DATA_Y0, [(0, 4)], [0] * 4, Constant(0.6),
+                             range_map=Affine(0.75, 0.25 * Y0), flip=[False, True, True, False]),
+                 id="affine-range-map")]
+
+
+def refine_peak(model, depth):
+    """Bytes traced at the peak of refine_attractor(model, depth), its result
+    included, after a shallow run has made what numpy and threading set
+    up once."""
+    refine_attractor(model, 2)
+    tracemalloc.start()
+    try:
+        refine_attractor(model, depth)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_round_peak(model, depth, cpus):
+    """The last round holds the detail (8 bytes an old sample), both new
+    columns (16 bytes a new one) and at most four blocks a thread."""
+    new, old = plan_depth(model, depth).total, plan_depth(model, depth - 1).total
+    peak = refine_peak(model, depth)
+    assert peak <= 16 * new + 8 * old + 4 * cpus * shares.BLOCK_BYTES
+
+
+class TestConsumingRounds:
+    """Rounds that consume their level: every depth's bits, and a peak that
+    holds one old column, not a whole old level and a detail array."""
+
+    @pytest.mark.parametrize("block", [1, 7, None])   # samples a block holds; None: all
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+    @pytest.mark.parametrize("model", FIXTURE_MODELS[:1] + CONSUMING_MODELS)
+    def test_blocks_and_cpus_match_reference_rounds(self, monkeypatch, model, cpus, block):
+        monkeypatch.setattr(shares, "MIN_SHARE", 1)
+        monkeypatch.setattr(shares, "BLOCK_BYTES", 1 << 62 if block is None else 8 * block)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert_depths_match_reference(model)
+
+    @settings(max_examples=40, deadline=None)
+    @given(uniform_wirings(), st.sampled_from([1, 2, 3, 16]), st.sampled_from([1, 7, None]))
+    def test_uniform_wirings_match_reference_rounds(self, model, cpus, block):
+        assume(model is not None)
+        with mock.patch.object(shares, "MIN_SHARE", 1), \
+                mock.patch.object(shares, "BLOCK_BYTES", 1 << 62 if block is None else 8 * block), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+            assert_depths_match_reference(model)
+
+    def test_itself_hands_back_its_argument(self):
+        y = np.array([1.0, -0.0, 3.5])
+        assert Itself(1.0, 0.0)(y) is y
+        model = CONSUMING_MODELS[-2].values[0]
+        assert model.range_map(y) is y
+
+    @settings(max_examples=20, deadline=None)
+    @given(uniform_wirings(("identity", "affine")), st.sampled_from([1, 2]))
+    def test_round_peak_on_uniform_wirings(self, model, cpus):
+        # curves of at least 2 ** 20 samples: a kept old level (16 bytes
+        # an old sample) would break the bound
+        assume(model is not None)
+        depth = next(d for d in count(1) if plan_depth(model, d).total >= 2 ** 20)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+            assert_round_peak(model, depth, cpus)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_round_peak_on_the_analyze_model(self, monkeypatch, cpus):
+        # perfbench's `analyze` shape: one domain of 4 regions, 4 194 305
+        # samples at depth 10
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        model = build_model(DATA, [(0, 4)], [0] * 4, Constant(0.7))
+        assert plan_depth(model, 10).total == 4 * 4 ** 10 + 1
+        assert_round_peak(model, 10, cpus)
+
+
 # ---------------------------------------------------------------------------
 # reference: per-region arrays, each feeder run rebuilt by concatenation
 # ---------------------------------------------------------------------------
@@ -780,7 +910,7 @@ def reference_refine_step(model, regions):
 
 def assert_curve_matches_reference(model, max_depth=8, max_total=2 ** 19):
     ref = reference_depth_zero(model)
-    sampling = _depth_zero(model)
+    sampling = refine_attractor(model, 0)
     while True:
         gx, gy = merged_curve(sampling)
         assert gx is sampling.xs and gy is sampling.ys
@@ -795,7 +925,7 @@ def assert_curve_matches_reference(model, max_depth=8, max_total=2 ** 19):
                 or plan_depth(model, sampling.depth + 1).total > max_total):
             break
         ref = reference_refine_step(model, ref)
-        sampling = _refine_step(model, sampling)
+        sampling = refined_copy(model, sampling)
     final = refine_attractor(model, sampling.depth)
     assert final.starts == sampling.starts
     assert final.xs.tobytes() == gx.tobytes() and final.ys.tobytes() == gy.tobytes()
@@ -975,9 +1105,9 @@ def ref_size_envelope(model, margin):
         env = new_env
         reason = f"the certified y envelope had not settled by round {k + 1}"
     widest = max(len(model.feeders(i)) for i in range(model.n_regions))
-    sampling = _depth_zero(model)
+    sampling = refine_attractor(model, 0)
     while sampling.depth < 6 or sampling.xs.size * widest <= 200_000:
-        sampling = _refine_step(model, sampling)
+        sampling = refined_copy(model, sampling)
     depth, ys = sampling.depth, sampling.ys
     obs_lo, obs_hi = float(ys.min()), float(ys.max())
     pad = 0.25 * (obs_hi - obs_lo) + margin

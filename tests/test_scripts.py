@@ -55,3 +55,27 @@ def test_paired_bench_alternates_and_records(tmp_path, capsys):
     assert record["export"]["command"] == ("python3 perfbench/run.py --workload export "
                                            "--seed 5 --seconds 2 --trace 0")
     assert record["export"]["seed"] == 5 and record["export"]["result"]["correct"]
+
+
+def test_paired_bench_verdicts(tmp_path, capsys):
+    """Each verdict from a stub benchmark: wall_s better in every pair and
+    by more than the parent's spread, cold_s 30 % worse (bound 25 %),
+    setup_s better in 8 pairs of 10 and peak_rss_mb better by less than
+    the parent's spread."""
+    def perfbench(checkout, argv):
+        i = int(argv[argv.index("--seed") + 1])
+        base = 1.0 + 0.01 * (i % 5)   # the parent's runs: q3 - q1 = 0.02
+        change = {"wall_s": base - 0.1, "cold_s": 1.3 * base,
+                  "setup_s": base - 0.1 if i < 8 else base + 0.1, "peak_rss_mb": base - 0.01}
+        values = change if checkout.name == "change" else dict.fromkeys(change, base)
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+
+    argv = ["--workloads", "analyze", "--pairs", "10", "--seed", "0", "--work", str(tmp_path)]
+    assert load("paired_bench").run(argv, archive=lambda rev, dest: dest.mkdir(),
+                                    perfbench=perfbench) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["wall_s"].endswith("change better in 10 of 10: gain shown")
+    assert lines["cold_s"].endswith("change better in 0 of 10: worse")
+    assert lines["setup_s"].endswith("change better in 8 of 10: no gain shown")
+    assert lines["peak_rss_mb"].endswith("change better in 10 of 10: no gain shown")

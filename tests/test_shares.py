@@ -77,20 +77,21 @@ class TestRefine:
         assert max(share_counts) == cpus
 
     def test_small_steps_run_as_one_share(self, monkeypatch, share_counts):
-        # a step runs two passes, _detail over the old curve and the blocks
-        # over the new one: each is one share below MIN_SHARE samples
+        # a step runs three passes, _detail over the old curve and the x
+        # and height walks over the new one: each is one share below
+        # MIN_SHARE samples
         usable_cpus(monkeypatch, 16)
         model = FIXTURE_MODELS[0].values[0]
         refine_attractor(model, 6)
-        assert share_counts == [1, 1] * 6
+        assert share_counts == [1, 1, 1] * 6
 
     def test_pieces_hold_min_share_samples(self, monkeypatch, share_counts):
         usable_cpus(monkeypatch, 16)
         monkeypatch.setattr(shares, "MIN_SHARE", 9)   # one domain of 4 regions: 5, 17, 65, 257
         model = build_model(DATA, [(0, 4)], [0] * 4, Constant(0.5))
         refine_attractor(model, 3)
-        # (old, new) curve per step: (5, 17), (17, 65), (65, 257) samples
-        assert share_counts == [1, 1, 1, 7, 7, 16]
+        # (old, new, new) curve per step: (5, 17, 17), (17, 65, 65), (65, 257, 257) samples
+        assert share_counts == [1, 1, 1, 1, 7, 7, 7, 16, 16]
 
     @pytest.mark.parametrize("block", BLOCK_ROWS)
     @pytest.mark.parametrize("cpus", CPUS)
@@ -102,10 +103,10 @@ class TestRefine:
         block_calls.clear()
         sampling = refine_attractor(model, 5)
         assert curve_bytes(sampling) == one
-        # per step, _detail's blocks tile the old curve and the walk's the new one
+        # per step, _detail's blocks tile the old curve and each walk's the new one
         sizes = [plan_depth(model, d).total for d in range(6)]
-        assert [rows for rows, _ in block_calls] == [n for pair in zip(sizes, sizes[1:])
-                                                     for n in pair]
+        assert [rows for rows, _ in block_calls] == [n for old, new in zip(sizes, sizes[1:])
+                                                     for n in (old, new, new)]
         for rows, spans in block_calls:
             assert_blocks(spans, rows, cpus, block)
 
@@ -354,9 +355,10 @@ class TestMemory:
     def test_write_pgm(self, tmp_path, monkeypatch, cpus):
         usable_cpus(monkeypatch, cpus)
         field = HeightField(1024, np.random.default_rng(3).standard_normal((1025, 1025)))
-        H = field.heights
+        # each row block is cast into a block-sized buffer and written at
+        # its offset: no array of the image's size
         peak = extra_peak(lambda: io.write_pgm(tmp_path / "surface.pgm", field))
-        assert peak < 2 * H.size + 4 * cpus * shares.BLOCK_BYTES
+        assert peak < 4 * cpus * shares.BLOCK_BYTES
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_eval_surface(self, monkeypatch, cpus):
