@@ -13,10 +13,13 @@ the benchmark command of BENCHMARK.json with `--workload W --seed
 even pairs and the change first on odd ones.  For every end-to-end metric
 it prints the median [q1, q3] of each side's run results, "change
 better in k of n" (the pairs whose change result is strictly better) and
-a verdict: "gain shown" when k >= 0.9 n and the change's median is better
-than the parent's by more than the parent's q3 - q1; "worse" when it is
-worse than the parent's by more than the metric's relative `bound` in
-BENCHMARK.json; "no gain shown" otherwise.
+a verdict: "gain shown" when k >= 0.9 n, the change's median is better
+than the parent's by more than the parent's q3 - q1, and the change has
+no more failed ops than the parent; "worse" when its median is worse than
+the parent's by more than the metric's relative `bound` in BENCHMARK.json;
+"unresolved" when the parent's q3 - q1 is wider than that bound, unless
+every change run is better than every parent run; "no gain shown"
+otherwise.
 `--out` writes, per workload, the change's result of the first pair as
 `{command, seed, seconds, usable_cpus, result}`, the layout of every
 BENCH_<pr>.json.  The copies are removed at the end unless `--work` names
@@ -64,26 +67,31 @@ def quartiles(values):
     return median, q1, q3
 
 
-def verdict(metric, better, parent, change):
+def verdict(metric, better, parent, change, more_failed):
     """The module docstring's verdict on one metric, from the count of
-    pairs the change won and each side's values."""
+    pairs the change won, each side's values and whether the change had
+    more failed ops."""
     sign = 1 if metric["better"] == "lower" else -1
     p_median, p_q1, p_q3 = quartiles(parent)
     gain = sign * (p_median - quartiles(change)[0])
-    if 10 * better >= 9 * len(change) and gain > p_q3 - p_q1:
+    bound = metric["bound"] * abs(p_median)
+    if 10 * better >= 9 * len(change) and gain > p_q3 - p_q1 and not more_failed:
         return "gain shown"
-    if -gain > metric["bound"] * abs(p_median):
+    if -gain > bound:
         return "worse"
+    if p_q3 - p_q1 > bound and max(sign * c for c in change) >= min(sign * p for p in parent):
+        return "unresolved"
     return "no gain shown"
 
 
 def summary(metrics, results):
     """Lines comparing the sides' results of one workload, pair by pair."""
-    lines = []
+    lines, failed = [], {}
     for side in SIDES:
-        failed = sum(r["failed"] for r in results[side])
+        failed[side] = sum(r["failed"] for r in results[side])
         correct = all(r["correct"] for r in results[side])
-        lines.append(f"  {side}: correct {correct}, {failed} failed ops")
+        lines.append(f"  {side}: correct {correct}, {failed[side]} failed ops")
+    more_failed = failed["change"] > failed["parent"]
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
@@ -91,7 +99,7 @@ def summary(metrics, results):
         stats = {side: "%.4g [%.4g, %.4g]" % quartiles(values[side]) for side in SIDES}
         lines.append(f"  {name} ({metric['unit']}): {stats['parent']} -> {stats['change']}, "
                      f"change better in {better} of {len(values['change'])}: "
-                     f"{verdict(metric, better, values['parent'], values['change'])}")
+                     f"{verdict(metric, better, values['parent'], values['change'], more_failed)}")
     return lines
 
 

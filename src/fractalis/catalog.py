@@ -11,14 +11,18 @@ min/max of |f| over an interval.  Every variant's numbers must be finite
 Both bounds are certified on many intervals at once
 (`lipschitz_bound_each`, `abs_extrema_each`, and `abs_max_each` for the
 max |f| side alone); `lipschitz_bound` and `abs_extrema` are their
-one-interval calls.  Bounds are exact for
-Constant/Affine/Sinusoid (closed-form critical points, per interval).
-Polynomial/Lagrange/Sum ranges come from one bisection, `_certified_max`,
-run once per side (max |f|, and min |f| as -max(-|f|)) on the pieces of
-all intervals together, over per-piece Lipschitz bounds that every
-variant computes on arrays of pieces (`_seg_lip`).  A polynomial's
-Lipschitz bound is the max-side run on its derivative; Lagrange nodes
-take it from their power-basis polynomial.
+one-interval calls.  Every scalar variant implements three methods on
+arrays of ends: `_seg_lip(u, v)` bounds f's Lipschitz constant on each
+piece, `_lip_each(lo, hi)` certifies it on each interval, and
+`_side_each(lo, hi, side)` certifies the max of side * |f| on each
+interval (side +1: max |f|; side -1: -min |f|).  `abs_extrema_each` is
+two side calls, one per side, and `abs_max_each` the +1 side alone.
+Sides are exact for Constant/Affine/Sinusoid (closed-form critical
+points, per interval).  Polynomial/Lagrange/Sum sides are one run of the
+one bisection, `_certified_max`, on the pieces of all intervals
+together, over their `_seg_lip` bounds; Scaled scales its spec's side.
+A polynomial's Lipschitz bound is the +1 side of its derivative;
+Lagrange nodes take it from their power-basis polynomial.
 """
 from __future__ import annotations
 
@@ -170,13 +174,6 @@ def _certified_max(spec, lo, hi, side):
         rad = np.concatenate([rad[keep], spec._seg_lip(nu, nv) * (nv - nu) * 0.5])
 
 
-def _certified_abs_range(spec, lo, hi):
-    """Certified (min |f|, max |f|) rows, one `_certified_max` run per side;
-    a NaN min (from a NaN piece) clamps to 0.0."""
-    low = -_certified_max(spec, lo, hi, -1)
-    return np.column_stack([np.where(low > 0.0, low, 0.0), _certified_max(spec, lo, hi, 1)])
-
-
 def _poly_lip_coeff(coeffs, u, v):
     # sum_k k*|c_k| * X^(k-1), X = max(|u|, |v|) per piece: cheap certified bound
     X = np.maximum(np.abs(u), np.abs(v))
@@ -212,17 +209,21 @@ def _check_finite(kind, **params):
 # ---------------------------------------------------------------------------
 # scalar variants
 #
-# Every variant bounds itself on arrays of intervals: `_lip_each(lo, hi)`
-# gives one Lipschitz bound per interval, `_range_each(lo, hi)` one
-# (min |f|, max |f|) row per interval, and `_max_each(lo, hi)` that row's
-# max |f| alone, with no min side run.
+# Every variant bounds itself with three methods on arrays of ends:
+# `_seg_lip(u, v)` a Lipschitz bound per piece, for the bisection;
+# `_lip_each(lo, hi)` a certified Lipschitz bound per interval; and
+# `_side_each(lo, hi, side)` the certified max of side * |f| per interval,
+# in `_certified_max`'s convention (+1: max |f|; -1: -min |f|).
 # ---------------------------------------------------------------------------
 
 class _ClosedForm:
-    """Bounds from the closed forms `_lip(lo, hi)` and `_range(lo, hi)`,
-    one interval at a time in scalar `math` (np.cos may differ from
-    math.cos by an ulp).  `_seg_lip` is `_lip`, which holds where `_lip`
-    does not read its interval; `Sinusoid` gives a global bound instead."""
+    """The three bound methods from the closed forms `_lip(lo, hi)` and
+    `_range(lo, hi)` = (min |f|, max |f|), one interval at a time in scalar
+    `math` (np.cos may differ from math.cos by an ulp).  `_lip_each` is
+    `_lip` per interval, and `_side_each` takes `_range`'s max column for
+    side +1 and its negated min column for side -1.  `_seg_lip` is `_lip`,
+    which holds where `_lip` does not read its interval; `Sinusoid` gives a
+    global bound instead."""
 
     def _seg_lip(self, u, v):
         return self._lip(u, v)
@@ -230,12 +231,10 @@ class _ClosedForm:
     def _lip_each(self, lo, hi):
         return np.array([self._lip(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
 
-    def _range_each(self, lo, hi):
-        rows = [self._range(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-        return np.array(rows, dtype=np.float64).reshape(-1, 2)
-
-    def _max_each(self, lo, hi):
-        return self._range_each(lo, hi)[:, 1]
+    def _side_each(self, lo, hi, side):
+        column = 1 if side > 0 else 0
+        return np.array([side * self._range(a, b)[column]
+                         for a, b in zip(lo.tolist(), hi.tolist())], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -302,11 +301,7 @@ class Polynomial:
     def _lip_each(self, lo, hi):
         return _certified_max(self._derivative, lo, hi, 1)
 
-    def _range_each(self, lo, hi):
-        return _certified_abs_range(self, lo, hi)
-
-    def _max_each(self, lo, hi):
-        return _certified_max(self, lo, hi, 1)
+    _side_each = _certified_max
 
     def _seg_lip(self, u, v):
         return _poly_lip_coeff(self.coefficients, u, v)
@@ -387,35 +382,38 @@ class LagrangeNodes:
             raise FunctionSpecError(f"lagrange nodes have no power basis: {exc}") from exc
 
     def _sums(self, x, weights):
-        """(num, den, hit, exact, small): the barycentric sums at x over
-        `weights`, where x hits a node that node's y, and where some term
-        w_j / (x - x_j) is subnormal or zero."""
+        """(num, den, hit, exact, off): the barycentric sums at x over
+        `weights`, where x is a node that node's y, and where some term
+        w_j / (x - x_j) or its product with y_j is not a normal float.
+        Terms that overflow are left out of the sums; subnormal or zero
+        terms are kept."""
         num = np.zeros(np.shape(x))
         den = np.zeros(np.shape(x))
         hit = np.zeros(np.shape(x), dtype=bool)
-        small = np.zeros(np.shape(x), dtype=bool)
+        off = np.zeros(np.shape(x), dtype=bool)
         exact = np.zeros(np.shape(x))
         for (xj, yj), wj in zip(self.nodes, weights):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 c = wj / (x - xj)
                 cy = c * yj
-            # an exact hit, or x so near xj that the other terms vanish beside it
-            h = np.isinf(c) | np.isinf(cy)
+            h = x == xj
+            big = np.isinf(c) | np.isinf(cy)
             hit = hit | h
-            small = small | (np.abs(c) < np.finfo(np.float64).tiny)
+            off = off | big | (np.abs(c) < np.finfo(np.float64).tiny)
             exact = np.where(h, yj, exact)
-            num = num + np.where(h, 0.0, cy)
-            den = den + np.where(h, 0.0, c)
-        return num, den, hit, exact, small
+            num = num + np.where(big, 0.0, cy)
+            den = den + np.where(big, 0.0, c)
+        return num, den, hit, exact, off
 
     def __call__(self, x):
         x = _arr(x)
-        num, den, hit, exact, small = self._sums(x, self._weights)
-        # far from the nodes, a term w_j / (x - x_j) may be subnormal or
-        # underflow to 0, losing digits; there the sums are taken again with
+        num, den, hit, exact, off = self._sums(x, self._weights)
+        # far from the nodes a term w_j / (x - x_j) may be subnormal or
+        # underflow to 0, losing digits, and between nodes closer together
+        # than ~2**-340 it may overflow; there the sums are taken again with
         # every weight times 2**k, k bringing the largest term near 1, which
         # cancels exactly in num / den
-        lost = small & ~hit
+        lost = off & ~hit
         if lost.any():
             with np.errstate(over="ignore", invalid="ignore"):
                 top = np.max([np.frexp(wj)[1] - np.frexp(x - xj)[1]
@@ -430,12 +428,8 @@ class LagrangeNodes:
     def _lip_each(self, lo, hi):
         return self._power._lip_each(lo, hi)
 
-    def _range_each(self, lo, hi):
-        # barycentric values; only the piece bounds use the power basis
-        return _certified_abs_range(self, lo, hi)
-
-    def _max_each(self, lo, hi):
-        return _certified_max(self, lo, hi, 1)
+    # barycentric values; only the piece bounds use the power basis
+    _side_each = _certified_max
 
     def _seg_lip(self, u, v):
         return self._power._seg_lip(u, v)
@@ -463,11 +457,7 @@ class Sum:
         with np.errstate(over="ignore"):   # inf, as the sum of floats was
             return sum(parts)
 
-    def _range_each(self, lo, hi):
-        return _certified_abs_range(self, lo, hi)
-
-    def _max_each(self, lo, hi):
-        return _certified_max(self, lo, hi, 1)
+    _side_each = _certified_max
 
     def _seg_lip(self, u, v):
         return sum(t._seg_lip(u, v) for t in self.terms)
@@ -487,11 +477,8 @@ class Scaled:
     def _lip_each(self, lo, hi):
         return self._times(self.spec._lip_each(lo, hi))
 
-    def _range_each(self, lo, hi):
-        return self._times(self.spec._range_each(lo, hi))
-
-    def _max_each(self, lo, hi):
-        return self._times(self.spec._max_each(lo, hi))
+    def _side_each(self, lo, hi, side):
+        return self._times(self.spec._side_each(lo, hi, side))
 
     def _times(self, bounds):
         with np.errstate(over="ignore"):   # inf, as the product of floats was
@@ -570,14 +557,17 @@ def lipschitz_bound_each(spec, intervals):
 
 def abs_extrema_each(spec, intervals):
     """Certified (min |f|, max |f|) of spec on each (lo, hi) interval, as an
-    (m, 2) array: one bisection for all of them."""
-    return spec._range_each(*_check_intervals(intervals))
+    (m, 2) array: two side runs for all of them, one per side.  A NaN min
+    (from a NaN piece) clamps to 0.0."""
+    lo, hi = _check_intervals(intervals)
+    low = -spec._side_each(lo, hi, -1)
+    return np.column_stack([np.where(low > 0.0, low, 0.0), spec._side_each(lo, hi, 1)])
 
 
 def abs_max_each(spec, intervals):
     """Column 1 of `abs_extrema_each`, the certified max |f| per interval,
-    with the same bits; the min side is not bisected."""
-    return spec._max_each(*_check_intervals(intervals))
+    with the same bits; the min side is not run."""
+    return spec._side_each(*_check_intervals(intervals), 1)
 
 
 def lipschitz_bound(spec, interval):

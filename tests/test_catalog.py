@@ -693,12 +693,13 @@ class TestLagrangeFarFromNodes:
         assert got[[0, 4]].tolist() == pytest.approx([3.0, 1.0], rel=1e-12)
         assert got.tolist() == [float(spec(np.float64(x))) for x in xs]
 
-    @pytest.mark.parametrize("e", range(512))   # at e = 512 a weight underflows to 0
+    # at e = 512 a weight underflows to 0, at e = -512 it overflows
+    @pytest.mark.parametrize("e", range(-511, 512))
     def test_values_keep_the_bits_of_unit_nodes(self, e):
         # nodes and x times 2**e: each term scales by 2**(-3e), exactly while
-        # it stays normal (e < 340), and the rescaled sums of points where
-        # some term is subnormal (from e = 340) or underflows to 0 give the
-        # same bits as unit nodes do
+        # it stays normal (-340 <= e < 340), and the rescaled sums of points
+        # where some term is subnormal (from e = 340), underflows to 0 or
+        # overflows (from e = -341) give the same bits as unit nodes do
         unit = LagrangeNodes(((1.0, 1.0), (2.0, 0.0), (3.0, 0.0)))
         moved = LagrangeNodes(tuple((math.ldexp(x, e), y) for x, y in unit.nodes))
         xs = np.array([0.0, -0.0, 0.5, 1.5, 2.5, 4.0, -1.0, 1.0, 3.0])
@@ -757,16 +758,19 @@ class TestBatchedBisection:
 
     def test_non_finite_values_as_one_by_one(self):
         # 1e308*x - 1e308*x is NaN past x = 1.8 and 0 before it: NaN pieces
-        # stay unsplit, their max is NaN and their min clamps to 0.0
+        # stay unsplit, their max is NaN and their min clamps to 0.0, also
+        # where Scaled multiplies the NaN before the clamp
         nan_past = Sum((Polynomial((0.0, 1e308)), Polynomial((0.0, -1e308))))
         ivs = [(0.0, 1.0), (1.0, 3.0), (2.0, 2.5)]
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = abs_extrema_each(nan_past, ivs)
-            want = [ref_one_range(nan_past, lo, hi) for lo, hi in ivs]
-        assert [[v.hex() for v in row] for row in got.tolist()] == [
-            [float(v).hex() for v in row] for row in want]
-        assert got[1:, 0].tolist() == [0.0, 0.0] and np.isnan(got[1:, 1]).all()
+        for spec in (nan_past, Scaled(-2.0, nan_past), Scaled(0.0, nan_past),
+                     Scaled(1e-320, Scaled(3.0, nan_past))):
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = abs_extrema_each(spec, ivs)
+                want = [ref_one_abs_extrema(spec, lo, hi) for lo, hi in ivs]
+            assert [[v.hex() for v in row] for row in got.tolist()] == [
+                [float(v).hex() for v in row] for row in want]
+            assert got[1:, 0].tolist() == [0.0, 0.0] and np.isnan(got[1:, 1]).all()
 
     @pytest.mark.parametrize("bad", [[(0.0, 1.0), (1.0, 1.0)], [(0.0, math.nan)], [0.0, 1.0],
                                      [(0.0, 1.0, 2.0)]])

@@ -58,24 +58,46 @@ def test_paired_bench_alternates_and_records(tmp_path, capsys):
 
 
 def test_paired_bench_verdicts(tmp_path, capsys):
-    """Each verdict from a stub benchmark: wall_s better in every pair and
-    by more than the parent's spread, cold_s 30 % worse (bound 25 %),
-    setup_s better in 8 pairs of 10 and peak_rss_mb better by less than
-    the parent's spread."""
-    def perfbench(checkout, argv):
-        i = int(argv[argv.index("--seed") + 1])
+    """Each verdict from a stub benchmark.  First, with narrow parent runs:
+    wall_s better in every pair and by more than the parent's spread,
+    cold_s 30 % worse (bound 25 %), setup_s better in 8 pairs of 10 and
+    peak_rss_mb better by less than the parent's spread.  Then, with one
+    more failed op at the change: wall_s as before, and cold_s, setup_s and
+    peak_rss_mb whose parent runs spread wider than the bound: slightly
+    better, every change run better than every parent run, and unchanged."""
+    def verdicts(values_of, change_failed):
+        def perfbench(checkout, argv):
+            i = int(argv[argv.index("--seed") + 1])
+            values = values_of(checkout.name, i)
+            failed = change_failed if checkout.name == "change" and i == 0 else 0
+            return {"correct": True, "attempted": 3, "failed": failed,
+                    "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+
+        argv = ["--workloads", "analyze", "--pairs", "10", "--seed", "0", "--work",
+                str(tmp_path / str(change_failed))]
+        assert load("paired_bench").run(argv, archive=lambda rev, dest: dest.mkdir(parents=True),
+                                        perfbench=perfbench) == 0
+        return {line.split()[0]: line.split("change better in ")[1]
+                for line in capsys.readouterr().out.splitlines() if "change better in" in line}
+
+    def narrow(side, i):
         base = 1.0 + 0.01 * (i % 5)   # the parent's runs: q3 - q1 = 0.02
         change = {"wall_s": base - 0.1, "cold_s": 1.3 * base,
                   "setup_s": base - 0.1 if i < 8 else base + 0.1, "peak_rss_mb": base - 0.01}
-        values = change if checkout.name == "change" else dict.fromkeys(change, base)
-        return {"correct": True, "attempted": 3, "failed": 0,
-                "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+        return change if side == "change" else dict.fromkeys(change, base)
 
-    argv = ["--workloads", "analyze", "--pairs", "10", "--seed", "0", "--work", str(tmp_path)]
-    assert load("paired_bench").run(argv, archive=lambda rev, dest: dest.mkdir(),
-                                    perfbench=perfbench) == 0
-    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
-    assert lines["wall_s"].endswith("change better in 10 of 10: gain shown")
-    assert lines["cold_s"].endswith("change better in 0 of 10: worse")
-    assert lines["setup_s"].endswith("change better in 8 of 10: no gain shown")
-    assert lines["peak_rss_mb"].endswith("change better in 10 of 10: no gain shown")
+    assert verdicts(narrow, 0) == {
+        "wall_s": "10 of 10: gain shown", "cold_s": "0 of 10: worse",
+        "setup_s": "8 of 10: no gain shown", "peak_rss_mb": "10 of 10: no gain shown"}
+
+    def wide(side, i):
+        base = 1.0 + 0.01 * (i % 5)
+        spread = 1.0 + 0.25 * (i % 5)   # q3 - q1 = 0.625, over 25 % of the median 1.5
+        if side == "parent":
+            return {"wall_s": base, "cold_s": spread, "setup_s": spread, "peak_rss_mb": spread}
+        return {"wall_s": base - 0.1, "cold_s": spread - 0.01, "setup_s": 0.99,
+                "peak_rss_mb": spread}
+
+    assert verdicts(wide, 1) == {
+        "wall_s": "10 of 10: no gain shown", "cold_s": "10 of 10: unresolved",
+        "setup_s": "10 of 10: no gain shown", "peak_rss_mb": "0 of 10: unresolved"}
