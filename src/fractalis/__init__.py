@@ -5,7 +5,7 @@ from .catalog import (Affine, BivariateSpec, Constant, FunctionSpecError, Lagran
                       Polynomial, Scaled, SeparableTerm, Sinusoid, Sum, abs_extrema,
                       identity, lagrange_from_nodes, lipschitz_bound)
 from .config import bivariate_from_json, scalar_from_json
-from .dimension import (BoxCountSeries, DimensionReport, HypothesisError,
+from .dimension import (BoxCountError, BoxCountSeries, DimensionReport, HypothesisError,
                         NumericalError, VariationCheck, analyze_curve,
                         box_count_graph, box_count_surface,
                         check_irreducible, curve_dimension_bounds,

@@ -42,9 +42,12 @@ def _depth(args, model_cfg, where, planner):
 
 def _for_field(field, fn, *args, **kwargs):
     """fn(*args, **kwargs), with a ModelError or FunctionSpecError (a
-    certification the config's specs cannot pass) reported against `field`."""
+    certification the config's specs cannot pass) reported against `field`,
+    a BoxCountError (heights too large for a scale) against `config`."""
     try:
         return fn(*args, **kwargs)
+    except dimension.BoxCountError as exc:
+        raise ConfigError(f"config: {exc}") from exc
     except (ModelError, FunctionSpecError) as exc:
         raise ConfigError(f"{field}: {exc}") from exc
 
@@ -140,7 +143,7 @@ def _cmd_surface(cfg, args):
         curve_details.append(detail)
 
     spec = surface.SurfaceSpec(tuple(layers["x"]), tuple(layers["y"]))
-    field = _for_field(grid, surface.eval_surface, spec, resolution)
+    field = _for_field("x_curves/y_curves", surface.eval_surface, spec, resolution)
 
     out.mkdir(parents=True, exist_ok=True)
     io.write_pgm(out / "surface.pgm", field)

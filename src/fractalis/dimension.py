@@ -34,6 +34,7 @@ from .rifs import (POINT_LIMIT, ModelError, check_size, lipschitz_bounds, merged
 __all__ = [
     "NumericalError",
     "HypothesisError",
+    "BoxCountError",
     "BoxCountSeries",
     "DimensionReport",
     "VariationCheck",
@@ -65,6 +66,10 @@ class NumericalError(RuntimeError):
 
 class HypothesisError(ValueError):
     """A requirement of the closed-form dimension bounds is not met."""
+
+
+class BoxCountError(ModelError):
+    """A mesh too fine for its heights: cell indices or counts past 2^53."""
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +302,15 @@ def _snapped_floor(q):
 
 
 def _vspan_cells(vmin, vmax, delta):
-    """Cells covering [vmin, vmax], top edge closed, at least 1 per column."""
-    bot = _snapped_floor(np.asarray(vmin) / delta)
-    top = -_snapped_floor(-np.asarray(vmax) / delta) - 1   # the snapped ceil, less 1
+    """Cells covering [vmin, vmax], top edge closed, at least 1 per column;
+    BoxCountError where the extents bound an index or the sum at 2^53."""
+    vmin, vmax = np.asarray(vmin), np.asarray(vmax)
+    lo, hi, delta = float(vmin.min()), float(vmax.max()), float(delta)
+    if max(hi, -lo) / delta >= 2 ** 53 - 1 or vmin.size * ((hi - lo) / delta + 2) >= 2 ** 53:
+        raise BoxCountError(f"delta {delta:.3g} is too fine for heights up to {max(hi, -lo):.3g} "
+                            "in magnitude: cell indices or counts could reach 2^53")
+    bot = _snapped_floor(vmin / delta)
+    top = -_snapped_floor(-vmax / delta) - 1   # the snapped ceil, less 1
     return np.maximum(top - bot + 1, 1)
 
 
@@ -464,29 +475,29 @@ def _closed_blocks(H, m):
     """(min, max) of H over each closed m x m block of grid steps, as (n, n)
     arrays: rows [I*m, (I+1)*m] inclusive, then the same on columns.
 
-    Block rows are taken a few at a time (`shares.run_blocks` with step
-    m, on up to one thread per usable CPU): their row-wise min goes into
-    the thread's scratch block, is copied with the m columns of each block
-    on the leading axis, and is reduced over that axis straight into the
-    result; then the same for the max.  So no array of H's size is made,
-    and no reduction runs over a short inner axis.  min and max are exact,
-    so the result does not depend on the cuts.
+    Block rows are taken as many at a time as fit in `shares.BLOCK_BYTES`,
+    at least one, on the caller's thread (a second thread was measured to
+    lose): their row-wise min goes into one scratch block, is copied with
+    the m columns of each block on the leading axis, and is reduced over
+    that axis straight into the result; then the same for the max.  So no
+    array of H's size is made, and no reduction runs over a short inner
+    axis.  min and max are exact, so no block size changes the result.
     """
-    n = (H.shape[0] - 1) // m
+    n, width = (H.shape[0] - 1) // m, H.shape[1]
     cmin, cmax = np.empty((n, n)), np.empty((n, n))
-
-    def block(lo, hi, scratch):
-        rows = H[lo:hi].reshape(-1, m, H.shape[1])
-        edge = H[lo + m:hi + 1:m]
-        r = scratch[:len(rows)]
-        t = np.empty((m, len(rows), n))   # t[k, i, J] = r[i, J*m + k]
+    block = max(1, shares.BLOCK_BYTES // (8 * m * width))   # block rows a block holds
+    scratch = np.empty((min(block, n), width))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        rows = H[lo * m:hi * m].reshape(hi - lo, m, width)
+        edge = H[(lo + 1) * m:hi * m + 1:m]
+        r = scratch[:hi - lo]
+        t = np.empty((m, hi - lo, n))   # t[k, i, J] = r[i, J*m + k]
         for reduce, combine, out in ((np.min, np.minimum, cmin), (np.max, np.maximum, cmax)):
             combine(reduce(rows, axis=1, out=r), edge, out=r)
-            np.copyto(t, r[:, :-1].reshape(len(rows), n, m).transpose(2, 0, 1))
-            c = reduce(t, axis=0, out=out[lo // m:hi // m])
+            np.copyto(t, r[:, :-1].reshape(hi - lo, n, m).transpose(2, 0, 1))
+            c = reduce(t, axis=0, out=out[lo:hi])
             combine(c, r[:, m::m], out=c)
-
-    shares.run_blocks(n * m, H.shape[1], block, step=m)
     return cmin, cmax
 
 

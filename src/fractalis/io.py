@@ -31,6 +31,7 @@ import tempfile
 import numpy as np
 
 from . import shares
+from .surface import check_range
 
 __all__ = [
     "write_curve_csv",
@@ -171,8 +172,9 @@ def write_pgm(path, field):
     block-sized big-endian 16-bit buffer that is written at its rows' file
     offset (`os.pwrite`).  A flat field runs no block.  No field-sized
     array is made, and the bytes are those of one whole-array pass.
+    `surface.check_range` refuses a field before the file is opened.
     """
-    H, lo, hi = field.heights, field.height_min, field.height_max
+    H, lo, hi = check_range(field).heights, field.height_min, field.height_max
     header = f"P5\n{H.shape[1]} {H.shape[0]}\n65535\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -22,6 +22,7 @@ __all__ = [
     "SurfaceLayer",
     "SurfaceSpec",
     "HeightField",
+    "check_range",
     "eval_surface",
     "composed_surface_dimension",
     "estimate_surface_dimension",
@@ -118,9 +119,18 @@ class HeightField:
         object.__setattr__(self, "height_min", float(H.min()))
         object.__setattr__(self, "height_max", float(H.max()))
         if not np.isfinite([self.height_min, self.height_max]).all():   # min/max carry NaN
-            raise ValueError("heights must be finite")
+            raise ModelError("heights must be finite")
         H.flags.writeable = False
         object.__setattr__(self, "heights", H)
+
+
+def check_range(field):
+    """`field`, or ModelError when its range height_max - height_min is past
+    the largest float, where heights can no longer be normalised."""
+    if not np.isfinite(field.height_max - field.height_min):
+        raise ModelError(f"the height range [{field.height_min:.3g}, {field.height_max:.3g}] "
+                         "is wider than the largest float")
+    return field
 
 
 def eval_surface(spec, resolution):
@@ -138,7 +148,7 @@ def eval_surface(spec, resolution):
     scratch block, multiplies by the curve values and adds that into the
     heights, layer by layer in order, so the heights are those of a
     one-band, one-block sum, bit for bit, and no temporary of the grid's
-    size is made.
+    size is made.  Overflowing heights or ranges raise ModelError, unwarned.
     """
     m = check_size("resolution", resolution, 2, ValueError)
     check_grid(m)
@@ -157,8 +167,9 @@ def eval_surface(spec, resolution):
             g *= values[None, :] if along_x else values[lo:hi, None]
             H[lo:hi] += g
 
-    shares.run_blocks(m + 1, m + 1, block)
-    return HeightField(m, H)
+    with np.errstate(over="ignore", invalid="ignore"):   # HeightField refuses inf and NaN
+        shares.run_blocks(m + 1, m + 1, block)
+    return check_range(HeightField(m, H))
 
 
 def composed_surface_dimension(dims):

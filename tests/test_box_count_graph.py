@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalis import (Constant, box_count_graph, build_model, curve_scale_schedule, dimension,
+from fractalis import (BoxCountError, Constant, box_count_graph, build_model, curve_scale_schedule,
+                       dimension,
                        estimate_curve_dimension, merged_curve, refine_attractor)
 from fractalis.config import parse_config
 from fractalis.dimension import _on_gridline, _snapped_floor, _vspan_cells
@@ -275,6 +276,21 @@ class TestInputContract:
                                              r".* more than 67108864$"):
             box_count_graph([0.0, 1.0], [0.0, 1.0], 1e-8)
         assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize("xs, ys, delta", [
+        # 4096 columns of 8e15 cells each: the int64 sum wrapped negative
+        (np.linspace(0.0, 1.0, 4097), 1e12 * (-1.0) ** np.arange(4097), 2.0 ** -12),
+        # cell indices past 2^53
+        ([0.1, 0.6], [-1e15, 1e15], 0.1),
+        # past 2^63 too, where the int64 cast read garbage
+        ([0.1, 0.6], [0.0, 1e17], 2.0 ** -14)], ids=["sum", "index", "cast"])
+    def test_counts_past_2_53_refused(self, xs, ys, delta):
+        with pytest.raises(BoxCountError, match=f"^delta {delta:.3g} is too fine for heights "
+                                                r"up to .* could reach 2\^53$"):
+            box_count_graph(xs, ys, delta)
+
+    def test_counts_under_2_53_exact(self):
+        assert box_count_graph([0.1, 0.6], [-1e15, 1e15], 1.0) == 2 * 10 ** 15
 
     def test_columns_at_the_point_limit_counted(self, monkeypatch):
         monkeypatch.setattr(dimension, "POINT_LIMIT", 4)

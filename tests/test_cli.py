@@ -577,7 +577,8 @@ class TestMissingConfig:
 # ---------------------------------------------------------------------------
 
 JSON_PATH = re.compile(r"error: (--depth|--resolution|top level|config|mode|scales|resolution|obj"
-                       r"|[xy]_curves)(\.\w+|\[\d+\])*( \([xy]_curves\[\d+\]\))?: ")
+                       r"|[xy]_curves|x_curves/y_curves)"
+                       r"(\.\w+|\[\d+\])*( \([xy]_curves\[\d+\]\))?: ")
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=2), st.just([]), st.just({}), st.just([0, 1]), st.just([[0, 1]]),
@@ -787,6 +788,29 @@ def test_surface_without_layers_named(tmp_path, capsys):
     cfg = fixture("fig3a")
     del cfg["x_curves"], cfg["y_curves"]
     run_refused(tmp_path, capsys, cfg, "top level: expected x_curves or y_curves, or both")
+
+
+@pytest.mark.parametrize("x_coeff, y_coeff, message", [
+    (1e307, 0.8, "heights must be finite"),
+    (1e306, -1e306, "the height range [-1.09e+308, 1.5e+308] is wider than the largest float")],
+    ids=["heights", "range"])
+def test_overflowing_heights_name_the_layers(tmp_path, capsys, x_coeff, y_coeff, message):
+    # the first used to exit 1 with a traceback; the second wrote a PGM of zeros
+    cfg = fixture("fig3a")
+    cfg["x_curves"][0]["coeff"]["terms"][0]["fx"]["value"] = x_coeff
+    cfg["y_curves"][0]["coeff"]["terms"][0]["fx"]["value"] = y_coeff
+    run_refused(tmp_path, capsys, cfg, f"x_curves/y_curves: {message}")
+
+
+@pytest.mark.parametrize("factor, height", [(1e15, "9.98e+16"), (1e17, "9.98e+18")],
+                         ids=["1e15", "1e17"])
+def test_heights_too_large_for_the_scales_named(tmp_path, capsys, factor, height):
+    # the first used to exit 1 with a traceback, the second to print an estimate of 1
+    cfg = fixture("uniform_s06")
+    cfg["data"] = [[x, y * factor] for x, y in cfg["data"]]
+    run_refused(tmp_path, capsys, cfg, f"config: delta 6.1e-05 is too fine for heights up to "
+                                       f"{height} in magnitude: cell indices or counts could "
+                                       "reach 2^53")
 
 
 @pytest.mark.parametrize("name, at, field", [

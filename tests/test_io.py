@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from fractalis import io
 from fractalis.dimension import BoxCountSeries
+from fractalis.rifs import ModelError
 from fractalis.surface import HeightField
 
 ROWS = io.ROWS
@@ -436,6 +437,14 @@ class TestPgm:
         H = np.linspace(0.0, 1.0, 25).reshape(5, 5)
         H[2, 3] = value
         with pytest.raises(ValueError, match="^heights must be finite$"):
+            io.write_pgm(tmp_path / "surface.pgm", HeightField(4, H))
+        assert not (tmp_path / "surface.pgm").exists()
+
+    def test_range_past_float_is_refused_before_the_file(self, tmp_path):
+        # it used to warn three times and write every pixel as 0
+        H = np.zeros((5, 5))
+        H[0, 0], H[4, 4] = -1.09e308, 1.5e308
+        with pytest.raises(ModelError, match="^the height range .* is wider than the largest"):
             io.write_pgm(tmp_path / "surface.pgm", HeightField(4, H))
         assert not (tmp_path / "surface.pgm").exists()
 

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -101,3 +103,34 @@ def test_paired_bench_verdicts(tmp_path, capsys):
     assert verdicts(wide, 1) == {
         "wall_s": "10 of 10: no gain shown", "cold_s": "10 of 10: unresolved",
         "setup_s": "10 of 10: no gain shown", "peak_rss_mb": "0 of 10: unresolved"}
+
+
+def test_thread_sites_pins_alternates_and_restores(monkeypatch, capsys):
+    """A stub timer and a stub pinning function: no site's inputs are
+    built, no site is timed and this process is never pinned."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
+    pins = []
+
+    def timer(prepare):
+        assert callable(prepare)   # never called: that would build the inputs
+        return 1.0 if pins[-1] == (0, {0}) else 0.5
+
+    assert load("thread_sites").run(["--pairs", "2"], pin=lambda *a: pins.append(a),
+                                    timer=timer) == 0
+    one, every = (0, {0}), (0, {0, 1, 2})
+    assert pins == [one, every] * 6 + [every, one] * 6 + [every]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "2 pairs, medians of 7 calls, perfbench seed 0, usable CPUs [0, 1, 2]"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "refine_attractor", "eval_surface", "write_pgm", "estimate_surface_dimension",
+        "write_curve_csv", "write_obj"]
+    assert all(line.endswith(": 1 CPU 1 [1, 1] s -> 3 CPUs 0.5 [0.5, 0.5] s, 3 CPUs faster "
+                             "in 2 of 2: gain shown") for line in lines[1:])
+
+    def failing(prepare):
+        raise RuntimeError("a failed timing")
+
+    pins.clear()
+    with pytest.raises(RuntimeError, match="a failed timing"):
+        load("thread_sites").run([], pin=lambda *a: pins.append(a), timer=failing)
+    assert pins == [one, every]   # the CPU set is restored however the run ends

@@ -1,12 +1,11 @@
-"""Joined threads over disjoint slices: `shares.run_shares`, `shares.run_blocks`
-and their callers.
+"""Joined threads over disjoint slices: `shares.run_blocks` and its callers.
 
-Refinement, surface evaluation, PGM normalization and the closed-block
-pass must give the same bytes on any number of usable CPUs and at any
-row-block size, and so must the curve box counts that follow refinement
-(their counting runs on the caller's thread).  MIN_SHARE is set to 1 so that the small
-fixture inputs take the threaded path; the usable-CPU count is set
-through os.sched_getaffinity, as in test_io.
+Refinement, surface evaluation and PGM normalization must give the same
+bytes on any number of usable CPUs and at any row-block size, and so
+must the curve and surface box counts, which run on the caller's thread.
+MIN_SHARE is set to 1 so that the small fixture inputs take the threaded
+path; the usable-CPU count is set through os.sched_getaffinity, as in
+test_io.
 """
 import json
 import os
@@ -51,13 +50,21 @@ def threaded(monkeypatch):
 
 @pytest.fixture
 def share_counts(monkeypatch):
-    """A list that grows by the share count of every run_shares call."""
-    counts, run = [], shares.run_shares
+    """A list that grows by the band count of every run_blocks call: the
+    scratch arrays its blocks see, one a band (every band holds a row)."""
+    counts, run = [], shares.run_blocks
 
-    def counting(count, work):
-        counts.append(count)
-        return run(count, work)
-    monkeypatch.setattr(shares, "run_shares", counting)
+    def counting(rows, width, work):
+        scratches = []   # held, so that no two bands' arrays share an id
+
+        def work_and_record(lo, hi, scratch):
+            scratches.append(scratch)
+            work(lo, hi, scratch)
+        try:
+            return run(rows, width, work_and_record)
+        finally:
+            counts.append(len({id(s) for s in scratches}))
+    monkeypatch.setattr(shares, "run_blocks", counting)
     return counts
 
 
@@ -189,11 +196,11 @@ def block_spans(monkeypatch):
     """A list that grows by the (lo, hi) of every block run through run_blocks."""
     spans, run = [], shares.run_blocks
 
-    def recording(rows, width, work, step=1):
+    def recording(rows, width, work):
         def work_and_record(lo, hi, scratch):
             spans.append((lo, hi))
             work(lo, hi, scratch)
-        return run(rows, width, work_and_record, step)
+        return run(rows, width, work_and_record)
     monkeypatch.setattr(shares, "run_blocks", recording)
     return spans
 
@@ -204,32 +211,31 @@ def block_calls(monkeypatch):
     run_blocks call."""
     calls, run = [], shares.run_blocks
 
-    def recording(rows, width, work, step=1):
+    def recording(rows, width, work):
         spans = []
         calls.append((rows, spans))
 
         def work_and_record(lo, hi, scratch):
             spans.append((lo, hi))
             work(lo, hi, scratch)
-        return run(rows, width, work_and_record, step)
+        return run(rows, width, work_and_record)
     monkeypatch.setattr(shares, "run_blocks", recording)
     return calls
 
 
-def assert_blocks(spans, rows, cpus, block_rows, step=1):
-    """The blocks tile range(rows) in whole steps, none larger than
-    `block_rows` allows (one a band when None)."""
+def assert_blocks(spans, rows, cpus, block_rows):
+    """The blocks tile range(rows), none larger than `block_rows` (one a
+    band when None)."""
     spans = sorted(spans)
     assert spans[0][0] == 0 and spans[-1][1] == rows
     assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
-    assert all((hi - lo) % step == 0 and hi > lo for lo, hi in spans)
+    assert all(hi > lo for lo, hi in spans)
     if block_rows is None:
-        assert len(spans) == min(cpus, rows // step)
+        assert len(spans) == min(cpus, rows)
     else:
-        most = step * max(1, block_rows // step)
-        assert max(hi - lo for lo, hi in spans) <= most
+        assert max(hi - lo for lo, hi in spans) <= block_rows
         if cpus == 1:
-            assert max(hi - lo for lo, hi in spans) == min(most, rows)
+            assert max(hi - lo for lo, hi in spans) == min(block_rows, rows)
 
 
 MULTI_TERM = BivariateSpec((SeparableTerm(Affine(-2.0, 1.0), Affine(1.0, -0.5)),
@@ -261,8 +267,9 @@ FIELDS = {"fig3a": lambda: eval_surface(*fixture_spec("fig3a")).heights,
 
 
 class TestRowBlocks:
-    """Every caller of run_blocks, byte for byte against a one-share,
-    one-block run."""
+    """Every row-block walk, the callers of run_blocks and `_closed_blocks`
+    on the caller's thread, byte for byte against a one-share, one-block
+    run."""
 
     @pytest.mark.parametrize("rows", BLOCK_ROWS)
     @pytest.mark.parametrize("cpus", CPUS)
@@ -303,23 +310,24 @@ class TestRowBlocks:
         ("random_60", (20, 15, 12, 6, 4)),    # not nested: the field is reduced at 4, 6, 15, 20
         ("random_60", (60,)),                 # m = resolution
         ("grid_3x3", (2, 1))])
-    def test_surface_counts(self, blocked, block_spans, name, sizes, cpus, rows):
+    def test_surface_counts(self, monkeypatch, blocked, block_spans, name, sizes, cpus, rows):
+        # the closed blocks run on the caller's thread, in blocks of `rows`
+        # grid rows (at least one block row): no run_blocks call, no thread
         H = FIELDS[name]()
         res = H.shape[0] - 1
         field, deltas = HeightField(res, H), [m / res for m in sizes]
         blocked(1, None, res + 1)
         one = _surface_counts(field, deltas), [_closed_blocks(H, m) for m in sizes]
         blocked(cpus, rows, res + 1)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
         block_spans.clear()
         got = _surface_counts(field, deltas), [_closed_blocks(H, m) for m in sizes]
+        assert block_spans == [] and started == []
         assert got[0] == one[0]
         for (lo, hi), (one_lo, one_hi) in zip(got[1], one[1]):
             assert lo.tobytes() == one_lo.tobytes() and hi.tobytes() == one_hi.tobytes()
-        block_spans.clear()
-        for m in sizes:
-            _closed_blocks(H, m)
-            assert_blocks(block_spans, res, cpus, rows, step=m)
-            block_spans.clear()
 
     @pytest.mark.parametrize("coeff, negative_zero", [
         (MULTI_TERM, False),
@@ -369,52 +377,70 @@ class TestMemory:
         peak = extra_peak(lambda: eval_surface(spec, 1024))
         assert peak < 8 * 1025 ** 2 + 4 * cpus * shares.BLOCK_BYTES
 
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_closed_blocks(self, m):
+        # the two (n, n) results and one scratch and one transposed copy
+        # of a block
+        H = np.random.default_rng(4).standard_normal((1025, 1025))
+        peak = extra_peak(lambda: _closed_blocks(H, m))
+        assert peak < 2 * 8 * (1024 // m) ** 2 + 4 * shares.BLOCK_BYTES
+
 
 class TestRunShares:
-    def test_every_share_runs_once(self):
+    """The bands of run_blocks: k rows of one value on k usable CPUs, with
+    MIN_SHARE 1, are k bands of one row, band lo holding row lo."""
+
+    @pytest.fixture
+    def run(self, threaded):
+        def running(count, work):
+            threaded(count)
+            shares.run_blocks(count, 1, lambda lo, hi, scratch: work(lo))
+        return running
+
+    def test_every_share_runs_once(self, run):
         seen = []
-        shares.run_shares(5, seen.append)
+        run(5, seen.append)
         assert sorted(seen) == list(range(5))
 
     @pytest.mark.parametrize("failing", [0, 1, 3])
-    def test_an_exception_reaches_the_caller(self, failing):
+    def test_an_exception_reaches_the_caller(self, run, failing):
         before = threading.active_count()
         done = []
 
         def work(k):
             if k == failing:
                 raise ValueError(f"share {k}")
-            time.sleep(0.02)   # still running when a failing caller's share returns
+            time.sleep(0.02)   # still running when a failing caller's band returns
             done.append(k)
         with pytest.raises(ValueError, match=f"share {failing}"):
-            shares.run_shares(4, work)
+            run(4, work)
         assert threading.active_count() == before
         assert sorted(done) == [k for k in range(4) if k != failing]
 
-    def test_the_first_failed_share_is_raised(self):
-        barrier = threading.Barrier(3)
+    def test_the_first_failed_share_is_raised(self, run):
+        barrier = threading.Barrier(3, timeout=10)
 
         def work(k):
-            barrier.wait()   # every share is running before any fails
+            barrier.wait()   # every band is running before any fails
             if k:
                 raise KeyError(k)
         with pytest.raises(KeyError) as info:
-            shares.run_shares(3, work)
+            run(3, work)
         assert info.value.args == (1,)
 
-    def test_no_thread_outlives_a_call(self):
+    def test_no_thread_outlives_a_call(self, run):
         before = threading.active_count()
-        shares.run_shares(4, lambda k: None)
+        run(4, lambda k: None)
         assert threading.active_count() == before
 
-    def test_caller_errstate_holds_in_every_share(self):
+    def test_caller_errstate_holds_in_every_share(self, run):
         def overflow(k):
             np.array([1e308]) * 10   # a RuntimeWarning is an error in this suite
 
         with np.errstate(over="ignore"):
-            shares.run_shares(3, overflow)
+            run(3, overflow)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            shares.run_shares(3, lambda k: k == 2 and overflow(k))
+            run(3, lambda k: k == 2 and overflow(k))
 
     def test_cuts(self, monkeypatch):
         usable_cpus(monkeypatch, 3)

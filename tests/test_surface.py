@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalis import (Affine, BivariateSpec, Constant, CurveSamples,
+from fractalis import (Affine, BivariateSpec, BoxCountError, Constant, CurveSamples,
                        SeparableTerm, Sinusoid, SurfaceLayer, SurfaceSpec,
                        box_count_surface, build_model, composed_surface_dimension,
                        dimension, estimate_surface_dimension, eval_surface, HeightField)
 from fractalis.config import parse_config
 from fractalis.dimension import _surface_counts, _vspan_cells
 from fractalis.rifs import ModelError
+from fractalis.surface import check_range
 
 DATA = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -230,6 +231,32 @@ class TestHeightField:
             HeightField(4, bad)
 
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.09e308, 1.5e308)])
+    def test_range_past_float_refused(self, lo, hi):
+        # a field may hold it (OBJ writes it), but not normalise or count it
+        H = np.zeros((5, 5))
+        H[0, 0], H[4, 4] = lo, hi
+        field = HeightField(4, H)
+        with pytest.raises(ModelError, match=r"^the height range \[.*\] is wider than "
+                                             "the largest float$"):
+            check_range(field)
+        assert check_range(HeightField(4, H / 2)).height_max == hi / 2
+        bad = H.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ModelError, match="^heights must be finite$"):
+            HeightField(4, bad)
+
+    def test_overflowing_sums_refused_without_warning(self):
+        xs = np.linspace(0.0, 1.0, 17)
+        line = CurveSamples(xs, 10.0 * xs)   # heights x * 1e308, then 1e308 * (x - y)
+        for x, y, message in [(1e308, 1.0, "heights must be finite"),
+                              (1e307, -1e307, "the height range")]:
+            spec = SurfaceSpec((SurfaceLayer(line, const_coeff(x)),),
+                               (SurfaceLayer(line, const_coeff(y)),))
+            with pytest.raises(ModelError, match=message):   # a RuntimeWarning fails here
+                eval_surface(spec, 4)
+
+
 class TestComposedDimension:
     def test_pair(self):
         assert composed_surface_dimension([1.5, 1.2]) == 2.5
@@ -436,6 +463,13 @@ class TestSurfaceCounts:
         with pytest.raises(ValueError,
                            match="^delta 0.375 does not tile the unit square on a 1/8 grid$"):
             box_count_surface(field, 3 / 8)
+
+    def test_cell_indices_past_2_53_refused(self):
+        # up to 4e19 cells from zero: the int64 cast read a count of -2243145963325140787
+        field = HeightField(4, 1e19 * np.cos(np.arange(25.0)).reshape(5, 5))
+        with pytest.raises(BoxCountError, match=r"^delta 0.25 is too fine for heights up to "
+                                                r"1e\+19 in magnitude: .* could reach 2\^53$"):
+            box_count_surface(field, 0.25)
 
     def test_estimate_counts_every_scale_through_box_count_surface(self, monkeypatch):
         # one call per scale, each given its level's blocks
