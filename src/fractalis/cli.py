@@ -52,9 +52,9 @@ def _for_field(field, fn, *args, **kwargs):
         raise ConfigError(f"{field}: {exc}") from exc
 
 
-def _model_summary(model, sampling):
-    """The model part of a report; an unbounded weight limit is written as null."""
-    sizes = [b - a + 1 for a, b in zip(sampling.starts, sampling.starts[1:])]
+def _model_summary(model, plan):
+    """The model part of a report, with the depth and point counts of the
+    `DepthPlan` sampled; an unbounded weight limit is written as null."""
     contraction = asdict(contraction_report(model))
     if contraction["weight_limit"] == math.inf:
         contraction["weight_limit"] = None
@@ -63,9 +63,9 @@ def _model_summary(model, sampling):
         "contraction": contraction,
         "connection_matrix": C.tolist(),
         "transition_matrix": (C.T / C.sum(axis=0)[:, None]).tolist(),
-        "depth": sampling.depth,
-        "points_per_region": sizes,
-        "points_total": sampling.xs.size,
+        "depth": plan.depth,
+        "points_per_region": list(plan.points),
+        "points_total": plan.total,
         "y_envelope": list(model.y_envelope),
         "warnings": list(model.warnings),
     }
@@ -80,7 +80,7 @@ def _cmd_curve(cfg, args):
     gx, gy = merged_curve(sampling)
     out.mkdir(parents=True, exist_ok=True)
     io.write_curve_csv(out / "curve.csv", gx, gy)
-    io.write_json(out / "report.json", _model_summary(model, sampling))
+    io.write_json(out / "report.json", _model_summary(model, plan))
     print(f"curve: {gx.size} points at depth {plan.depth} -> {out}")
     return 0
 
@@ -89,10 +89,9 @@ def _cmd_analyze(cfg, args):
     out = _out_dir(cfg, args)
     depth, field = _depth(args, cfg.curve, "config", "scales.r_hi")
     model = _for_field("config", cfg.curve.build)
-    report, sampling = _for_field(field, dimension.analyze_curve, model, *cfg.scales,
-                                  depth=depth)
+    report, plan = _for_field(field, dimension.analyze_curve, model, *cfg.scales, depth=depth)
     payload = asdict(report)
-    payload["model"] = _model_summary(model, sampling)
+    payload["model"] = _model_summary(model, plan)
     out.mkdir(parents=True, exist_ok=True)
     io.write_json(out / "dimension.json", payload)
     io.write_box_csv(out / "boxcounts.csv", report.series)

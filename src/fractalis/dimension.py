@@ -29,7 +29,7 @@ import numpy as np
 from . import shares
 from .catalog import abs_extrema  # noqa: F401  (unused; perfbench's tracer test patches it)
 from .rifs import (POINT_LIMIT, ModelError, check_size, lipschitz_bounds, merged_curve,
-                   plan_depth, refine_attractor, resolves)
+                   plan_depth, refine_attractor, refine_slabs, resolves)
 
 __all__ = [
     "NumericalError",
@@ -301,14 +301,20 @@ def _snapped_floor(q):
     return np.where(_on_gridline(q), np.rint(q), np.floor(q)).astype(np.int64)
 
 
+def _check_cells(lo, hi, columns, delta):
+    """BoxCountError where `columns` columns of heights in [lo, hi] bound a
+    cell index or the count sum at width `delta` at 2^53.  The bound grows
+    as delta shrinks and as the extents or the column count grow."""
+    if max(hi, -lo) / delta >= 2 ** 53 - 1 or columns * ((hi - lo) / delta + 2) >= 2 ** 53:
+        raise BoxCountError(f"delta {delta:.3g} is too fine for heights up to {max(hi, -lo):.3g} "
+                            "in magnitude: cell indices or counts could reach 2^53")
+
+
 def _vspan_cells(vmin, vmax, delta):
     """Cells covering [vmin, vmax], top edge closed, at least 1 per column;
     BoxCountError where the extents bound an index or the sum at 2^53."""
     vmin, vmax = np.asarray(vmin), np.asarray(vmax)
-    lo, hi, delta = float(vmin.min()), float(vmax.max()), float(delta)
-    if max(hi, -lo) / delta >= 2 ** 53 - 1 or vmin.size * ((hi - lo) / delta + 2) >= 2 ** 53:
-        raise BoxCountError(f"delta {delta:.3g} is too fine for heights up to {max(hi, -lo):.3g} "
-                            "in magnitude: cell indices or counts could reach 2^53")
+    _check_cells(float(vmin.min()), float(vmax.max()), vmin.size, float(delta))
     bot = _snapped_floor(vmin / delta)
     top = -_snapped_floor(-vmax / delta) - 1   # the snapped ceil, less 1
     return np.maximum(top - bot + 1, 1)
@@ -675,6 +681,13 @@ def fit_report(series, notes=()):
                            notes=tuple(notes))
 
 
+def _gridline_nodes(model, deltas):
+    """The interior nodes k (0 < k < n_regions) on a gridline of every width."""
+    nodes = np.array(model.data.xs[1:-1])
+    return np.flatnonzero(np.logical_and.reduce(
+        [_on_gridline(nodes / d) for d in deltas])) + 1
+
+
 def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     """Box-count estimate of the curve's dimension over a geometric schedule.
 
@@ -683,13 +696,24 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     (`rifs.resolves`) are a prefix r_lo..r_max, the rest are dropped with
     a note, and under three left is refused.  Counts use per-column
     vertical covers of the sampled graph (raw point counting cannot
-    saturate fine meshes at any practical depth).  All usable scales are
-    counted in one `box_count_graph` call on the curve's own arrays; on a
-    uniform model each scale's columns are index runs of the curve, and
-    the coarser scales reduce the finer scales' runs.  The fit follows
-    `fit_report`.
+    saturate fine meshes at any practical depth).
 
-    Returns (report, sampling).
+    The planned curve is never held whole.  It is refined to one level
+    less (`refine_attractor`), and `rifs.refine_slabs` runs the last round
+    in slabs that end at region starts whose nodes lie on a gridline of
+    every usable scale; each slab's scales are counted in one
+    `box_count_graph` call.  A slab's end samples are on gridlines, so its
+    columns are the curve's own (a boundary sample extends both
+    neighbours, and the slab's last gridline folds into the column below),
+    and the summed counts are those of one call on the whole curve.  So is
+    the 2^53 refusal: the bound grows with the height range and the
+    column count, so a slab that fails it means the whole curve does, and
+    the curve's range and columns are checked once at the finest scale,
+    after the slabs.  On a uniform model each scale's columns are index
+    runs, and the coarser scales reduce the finer scales' runs.  The fit
+    follows `fit_report`.
+
+    Returns (report, plan), the `DepthPlan` counted.
     """
     delta = _scale_rule(model, r_lo, r_hi)
     plan = plan_depth(model, depth, delta(r_hi))
@@ -703,19 +727,32 @@ def estimate_curve_dimension(model, r_lo=2, r_hi=6, depth=None):
     dropped = requested - len(usable)
     notes = [f"dropped {dropped} under-resolved scale{'s' if dropped > 1 else ''} "
              f"(x spacing {plan.gap:.3g})"] if dropped else []
-    sampling = refine_attractor(model, plan.depth)
-    gx, gy = merged_curve(sampling)
-    counts = box_count_graph(gx, gy, usable)
-    return fit_report(BoxCountSeries(tuple(usable), counts), notes), sampling
+    counts, lo, hi = [0] * len(usable), math.inf, -math.inf
+    # a resolved scale needs depth >= 1 (a depth-0 gap is a whole region);
+    # no name here holds the refined level, so refine_slabs releases its heights
+    for xs, ys in refine_slabs(model, refine_attractor(model, plan.depth - 1),
+                               _gridline_nodes(model, usable)):
+        lo, hi = min(lo, float(ys.min())), max(hi, float(ys.max()))
+        try:
+            counts = [c + k for c, k in zip(counts, box_count_graph(xs, ys, usable))]
+        except BoxCountError:   # the whole curve fails too: refused below
+            pass
+    ends = np.array([model.data.xs[0], model.data.xs[-1]])
+    base, top, _ = _graph_columns(ends, usable[-1])
+    _check_cells(lo, hi, top - base + 1, usable[-1])
+    return fit_report(BoxCountSeries(tuple(usable), tuple(counts)), notes), plan
 
 
 def analyze_curve(model, r_lo=2, r_hi=6, depth=None):
-    """Theoretical bounds (when the hypotheses hold) merged with an estimate."""
-    empirical, sampling = estimate_curve_dimension(model, r_lo, r_hi, depth)
+    """Theoretical bounds (when the hypotheses hold) merged with an estimate.
+
+    Returns (report, plan), as `estimate_curve_dimension`.
+    """
+    empirical, plan = estimate_curve_dimension(model, r_lo, r_hi, depth)
     try:
         bounds = curve_dimension_bounds(model)
     except HypothesisError as exc:
         bounds = DimensionReport(notes=(f"closed-form bounds unavailable: {exc}",))
     report = replace(bounds, series=empirical.series, estimate=empirical.estimate,
                      r_squared=empirical.r_squared, notes=empirical.notes + bounds.notes)
-    return report, sampling
+    return report, plan

@@ -18,7 +18,10 @@ cache-sized blocks on up to one joined thread per usable CPU: the first
 walk writes each region's x images of its feeder samples into its part
 of a block, after which the old x column is released; the second fills
 the new heights from those x values, the interpolant added once per
-block.
+block.  `refine_slabs` runs a round over any ranges of the new level
+instead: the detail goes into an array of its own, and each range, a
+slab, is written into one reused pair of buffers, so the level is never
+held whole.
 
 Each region's |scaling| range is certified once (`RifsModel.scale_range`)
 and every Lipschitz bound the reports use comes from `lipschitz_bounds`.
@@ -56,6 +59,7 @@ __all__ = [
     "plan_depth",
     "resolves",
     "refine_attractor",
+    "refine_slabs",
     "merged_curve",
     "functional_residual",
     "lipschitz_bounds",
@@ -516,64 +520,88 @@ def eval_F(model, i, x, y):
     return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
+class _Round:
+    """One refinement round on a level (xs, ys, starts): the samples of any
+    range of the new level, written into buffers the caller gives.
+
+    Construction writes `_detail` once per old sample into `detail`, which
+    may be `ys` itself.  `xs_into(lo, out)` then writes new samples lo ..
+    lo + out.size - 1 of the x column: each region that overlaps writes
+    the x images of its feeder samples into its part of `out`, in reverse
+    for a flipped region.  `ys_into(lo, xs, out)` writes the same samples'
+    heights from those x values: scaling_i(x) * detail for each region,
+    then the interpolant added once per block.  Region ends are pinned to
+    the nodes.  Each write walks `out` in blocks (`shares.run_blocks`,
+    width 1: about BLOCK_BYTES of samples a block, on up to one joined
+    thread per usable CPU).  Every operation is elementwise, so the bytes
+    do not depend on the ranges, the blocks or the CPU count.
+    """
+
+    def __init__(self, model, xs, ys, starts, detail):
+        self.model, self.old_x, self.detail = model, xs, detail
+        self.runs = [(starts[r.start], starts[r.stop])
+                     for r in map(model.feeders, range(model.n_regions))]
+        self.starts = tuple(accumulate((e - s for s, e in self.runs), initial=0))
+        self.size = self.starts[-1] + 1
+        shares.run_blocks(ys.size, 1, lambda lo, hi, _: _detail(
+            model, xs[lo:hi], ys[lo:hi], out=detail[lo:hi]))
+
+    def _parts(self, lo, hi, base):
+        """Per region that overlaps new samples [lo, hi): (i, its samples
+        there as a slice of a buffer holding sample `base` at 0, the step
+        -1 when flipped, else 1, and the old samples they image)."""
+        starts, n = self.starts, self.model.n_regions
+        for i in range(min(bisect_right(starts, lo), n) - 1, min(bisect_left(starts, hi), n)):
+            # region i holds new samples a..b, the images of old samples
+            # s..e (e..s when flipped); p..q - 1 of them lie in [lo, hi)
+            (s, e), a, b = self.runs[i], starts[i], starts[i + 1]
+            p, q = max(lo, a), min(hi, b + 1)
+            u = e - (q - 1 - a) if self.model.flip[i] else s + (p - a)
+            yield (i, slice(p - base, q - base), -1 if self.model.flip[i] else 1,
+                   slice(u, u + q - p))
+
+    def _write(self, lo, out, block, nodes):
+        """block(a, b) over the blocks of new samples lo .. lo + out.size - 1,
+        then the region ends among them set to `nodes`; returns `out`."""
+        shares.run_blocks(out.size, 1, lambda a, b, _: block(lo + a, lo + b))
+        ks = range(bisect_left(self.starts, lo), bisect_left(self.starts, lo + out.size))
+        out[[self.starts[k] - lo for k in ks]] = nodes[ks.start:ks.stop]
+        return out
+
+    def xs_into(self, lo, out):
+        model, old_x = self.model, self.old_x
+
+        def block(a, b):
+            for i, new, step, old in self._parts(a, b, lo):
+                model.map_apply(i, old_x[old], out=out[new][::step])
+        return self._write(lo, out, block, model.data.xs)
+
+    def ys_into(self, lo, xs, out):
+        model, detail = self.model, self.detail
+
+        def block(a, b):
+            for i, new, step, old in self._parts(a, b, lo):
+                np.multiply(model.scaling[i](xs[new][::step]), detail[old], out=out[new][::step])
+            out[a - lo:b - lo] += model.interpolant(xs[a - lo:b - lo])
+        return self._write(lo, out, block, model.data.ys)
+
+
 def _refine_step(model, level):
     """One refinement round on `level`, a list [xs, ys, starts] that the
     round consumes and refills with the next level.
 
-    It runs three block walks (`shares.run_blocks`, width 1: about
-    BLOCK_BYTES of samples a block, on up to one joined thread per usable
-    CPU), the last two output-major over the new curve:
-    1. `_detail` is written over the consumed heights, once per old sample.
-    2. Each region that overlaps a block writes the x images of its feeder
-       samples into its part of the block, in reverse for a flipped
-       region.  The consumed x column is then released.
-    3. Only then are the new heights allocated; each region writes
-       scaling_i(x) * detail into its part of a block, reading x from the
-       new column, and the interpolant at the block's x values is added in
-       one call.
-    Region ends are pinned to the nodes in one assignment at the end.
-    Every operation is elementwise, so the bytes do not depend on the
-    blocks or the CPU count.  A round at its peak holds the detail and
-    both new columns: 8 bytes per old sample and 16 per new one.
+    `_Round` writes the detail over the consumed heights, then the whole
+    new x column; the consumed x column is released before the new
+    heights are allocated and written from it.  A round at its peak
+    holds the detail and both new columns: 8 bytes per old sample and 16
+    per new one.
     """
-    old_x, detail, prev = level
+    rnd = _Round(model, *level, detail=level[1])
     del level[:]
-    runs = [(prev[r.start], prev[r.stop]) for r in map(model.feeders, range(model.n_regions))]
-    starts = tuple(accumulate((e - s for s, e in runs), initial=0))
-    shares.run_blocks(detail.size, 1, lambda lo, hi, _: _detail(
-        model, old_x[lo:hi], detail[lo:hi], out=detail[lo:hi]))
-    n = model.n_regions
-
-    def parts(lo, hi):
-        """Per region that overlaps block [lo, hi): (i, its new samples
-        there, reversed when flipped, and the old samples they image)."""
-        for i in range(min(bisect_right(starts, lo), n) - 1, min(bisect_left(starts, hi), n)):
-            # region i holds new samples a..b, the images of old samples
-            # s..e (e..s when flipped); p..q - 1 of them lie in this block
-            (s, e), a, b = runs[i], starts[i], starts[i + 1]
-            p, q = max(lo, a), min(hi, b + 1)
-            u = e - (q - 1 - a) if model.flip[i] else s + (p - a)
-            yield i, slice(p, q), -1 if model.flip[i] else 1, slice(u, u + q - p)
-
-    xs = np.empty(starts[-1] + 1)
-
-    def x_block(lo, hi, _):
-        for i, new, step, old in parts(lo, hi):
-            model.map_apply(i, old_x[old], out=xs[new][::step])
-
-    shares.run_blocks(xs.size, 1, x_block)
-    del old_x
-    ys = np.empty(xs.size)
-
-    def y_block(lo, hi, _):
-        for i, new, step, old in parts(lo, hi):
-            np.multiply(model.scaling[i](xs[new][::step]), detail[old], out=ys[new][::step])
-        ys[lo:hi] += model.interpolant(xs[lo:hi])
-
-    shares.run_blocks(xs.size, 1, y_block)
-    xs[list(starts)] = model.data.xs
-    ys[list(starts)] = model.data.ys
-    level[:] = xs, ys, starts
+    xs = rnd.xs_into(0, np.empty(rnd.size))
+    rnd.old_x = None
+    ys = rnd.ys_into(0, xs, np.empty(xs.size))
+    level[:] = xs, ys, rnd.starts
 
 
 def plan_depth(model, depth=None, delta=None):
@@ -623,6 +651,41 @@ def refine_attractor(model, depth):
     for _ in range(depth):
         _refine_step(model, level)
     return AttractorSampling(depth, *level)
+
+
+def refine_slabs(model, sampling, cuts):
+    """The level after `sampling` as consecutive slabs (xs, ys), each
+    slab's last sample the next one's first.
+
+    One round (`_Round`) writes the detail of `sampling`'s samples into
+    an array of its own, then one slab at a time into one reused pair of
+    buffers: a slab is a read-only view of them, valid until the next is
+    asked for.  A slab ends at the start of a region k in `cuts` (0 < k <
+    n_regions) once it holds at least as many samples as `sampling`; the
+    last slab ends at the last sample, so with no cut the level is one
+    slab.  The slabs, each shared end sample taken once, are
+    refine_attractor(model, sampling.depth + 1)'s arrays bit for bit.
+    From the first slab on, the round holds `sampling`'s x column and the
+    detail, 16 bytes an old sample, and the buffers, 16 bytes a sample of
+    the largest slab; its heights are held only by a caller that keeps
+    `sampling`.
+    """
+    xs, ys = merged_curve(sampling)
+    rnd = _Round(model, xs, ys, sampling.starts, np.empty(ys.size))
+    least, last = ys.size, rnd.size - 1
+    del sampling, xs, ys   # the round holds x and the detail
+    slabs, lo = [], 0
+    for end in sorted({rnd.starts[k] for k in cuts}) + [last]:
+        if end - lo + 1 >= least or end == last:
+            slabs.append((lo, end + 1))
+            lo = end
+    size = max(hi - lo for lo, hi in slabs)
+    bx, by = np.empty(size), np.empty(size)
+    for lo, hi in slabs:
+        x = rnd.xs_into(lo, bx[:hi - lo])
+        y = rnd.ys_into(lo, x, by[:hi - lo])
+        x.flags.writeable = y.flags.writeable = False
+        yield x, y
 
 
 def merged_curve(sampling):

@@ -134,8 +134,8 @@ def test_criterion_06_surface_composition(model_s06):
 
 def test_criterion_07_coefficient_invariance(model_s06):
     with Timer(7, "coefficient-invariance", 120.0):
-        report_f, sampling = fx.estimate_curve_dimension(model_s06, 2, 6, depth=10)
-        gx, gy = fx.merged_curve(sampling)
+        report_f, plan = fx.estimate_curve_dimension(model_s06, 2, 6, depth=10)
+        gx, gy = fx.merged_curve(fx.refine_attractor(model_s06, plan.depth))
         coeff = fx.Sum((fx.Sinusoid(1.0, 14 * math.pi, 0.0, "cos"), fx.Constant(2.0)))
         # certified lower bound on min|coeff| is outward but must stay well above 0
         assert fx.abs_extrema(coeff, (0.0, 1.0))[0] >= 0.9

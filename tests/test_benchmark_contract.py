@@ -16,6 +16,7 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fractalis.config import parse_config
@@ -76,31 +77,41 @@ def test_workload_names_are_traced(table):
         assert set(names) <= set(spans.TRACED), workload
 
 
-def test_estimate_counts_through_the_module_binding_once_per_model(monkeypatch):
+def test_estimate_counts_through_the_module_binding_once_per_slab(monkeypatch):
     # the tracer replaces dimension.box_count_graph at its module binding;
-    # `analyze` must reach it there once per model, with the curve as `xs`,
-    # for EXPECTED["analyze"] and the `samples` counter to read the pass
-    from fractalis import build_model, dimension
+    # `analyze` must reach it there once per slab of the curve, with the
+    # slab as `xs`, for EXPECTED["analyze"] and the `samples` counter to
+    # read the pass
+    from fractalis import build_model, dimension, merged_curve, refine_attractor
     from fractalis.catalog import Constant
 
     calls, count = [], dimension.box_count_graph
     signature = inspect.signature(count)
 
     def recording(*args, **kwargs):
-        calls.append(signature.bind(*args, **kwargs).arguments)
-        return count(*args, **kwargs)
+        call = signature.bind(*args, **kwargs).arguments
+        # a slab is a view of buffers the next slab reuses
+        calls.append((call, call["xs"].copy(), call["ys"].copy()))
+        call["counts"] = count(*args, **kwargs)
+        return call["counts"]
     monkeypatch.setattr(dimension, "box_count_graph", recording)
     data = [(0.0, 20.0), (0.25, 30.0), (0.5, 10.0), (0.75, 50.0), (1.0, 10.0)]
-    curves = []
     for s in (0.5, 0.7):
+        calls.clear()
         model = build_model(data, [(0, 4)], [0] * 4, Constant(s))
-        report, sampling = dimension.estimate_curve_dimension(model, depth=7)
-        curves.append(sampling.xs)
-        assert calls[-1]["ys"] is sampling.ys
-        assert tuple(calls[-1]["delta"]) == report.series.deltas
-    assert len(calls) == 2 and all(c["xs"] is xs for c, xs in zip(calls, curves))
+        report, plan = dimension.estimate_curve_dimension(model, depth=7)
+        # every node is on every gridline: one slab per region
+        assert len(calls) == 4
+        assert all(tuple(c["delta"]) == report.series.deltas for c, _, _ in calls)
+        assert tuple(map(sum, zip(*(c["counts"] for c, _, _ in calls)))) == report.series.counts
+        samples = [spans.TRACED["dimension.box_count_graph"](c, None)["samples"]
+                   for c, _, _ in calls]
+        assert sum(samples) == plan.total + len(calls) - 1 == 4 ** 8 + 4
+        gx, gy = merged_curve(refine_attractor(model, plan.depth))
+        slabs = [(xs[k > 0:], ys[k > 0:]) for k, (_, xs, ys) in enumerate(calls)]
+        assert np.concatenate([xs for xs, _ in slabs]).tobytes() == gx.tobytes()
+        assert np.concatenate([ys for _, ys in slabs]).tobytes() == gy.tobytes()
     assert "xs" in signature.parameters
-    assert spans.TRACED["dimension.box_count_graph"](calls[0], None) == {"samples": 4 ** 8 + 1}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 49])

@@ -419,25 +419,25 @@ class TestSchedule:
 
     def test_estimate_report_shape(self):
         model = whole_domain_model(Constant(0.6))
-        rep, sampling = estimate_curve_dimension(model, 2, 4, depth=6)
+        rep, plan = estimate_curve_dimension(model, 2, 4, depth=6)
         assert len(rep.series.deltas) == 3
         assert rep.estimate is not None and 0 < rep.estimate < 2.5
-        assert sampling.depth == 6
+        assert plan.depth == 6
 
     def test_auto_depth_meets_spacing_rule(self):
         model = whole_domain_model(Constant(0.6))
-        rep, sampling = estimate_curve_dimension(model, 2, 4)
-        gx, _ = merged_curve(sampling)
+        rep, plan = estimate_curve_dimension(model, 2, 4)
+        gx, _ = merged_curve(refine_attractor(model, plan.depth))
         assert float(np.diff(gx).max()) <= min(rep.series.deltas) / 4.0
 
     def test_shallow_depth_drops_unsaturated_scales(self):
         # depth 6 leaves x gaps 4^-7, a quarter of delta_5 = 4^-6 / 4: only
         # the finest scale goes
         model = whole_domain_model(Constant(0.6))
-        rep, sampling = estimate_curve_dimension(model, 2, 6, depth=6)
+        rep, plan = estimate_curve_dimension(model, 2, 6, depth=6)
         assert "dropped 1 under-resolved scale (x spacing 6.1e-05)" in rep.notes
         assert rep.series.deltas == tuple(4.0 ** -r / 4 for r in range(2, 6))
-        assert sampling.depth == 6
+        assert plan.depth == 6
 
     def test_unresolved_scales_are_counted_not_listed(self):
         # only the prefix the plan resolves is listed: a million requested

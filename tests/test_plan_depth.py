@@ -251,8 +251,8 @@ class TestOneRule:
         refined = refine_attractor(model, 7)
         assert resolves(float(np.diff(refined.xs).max()), delta)
         assert SAMPLES_PER_SCALE * float(np.diff(refined.xs).max()) > delta
-        report, sampling = estimate_curve_dimension(model)
-        assert sampling.depth == 7 and len(report.series.deltas) == 5
+        report, plan = estimate_curve_dimension(model)
+        assert plan.depth == 7 and len(report.series.deltas) == 5
 
 
 class TestPolicy:

@@ -40,7 +40,7 @@ def whole_domain_model(scaling):
 
 def report_transition(model):
     """The row-stochastic transition matrix as the run reports write it."""
-    return np.array(_model_summary(model, refine_attractor(model, 0))["transition_matrix"])
+    return np.array(_model_summary(model, plan_depth(model, 0))["transition_matrix"])
 
 
 class TestConnectivity:
